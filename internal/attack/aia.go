@@ -220,11 +220,7 @@ func (a *AIA) Observe(sender int, payload *param.Set) {
 
 // Predict returns the top-K users by classifier probability.
 func (a *AIA) Predict() []int {
-	ranked := evalx.SortedByScoreDesc(a.scores, a.hasSeen)
-	if len(ranked) > a.k {
-		ranked = ranked[:a.k]
-	}
-	return ranked
+	return mathx.TopKSelect(a.scores, a.hasSeen, a.k, nil)
 }
 
 // Accuracy returns Accuracy@R against the ground-truth community.

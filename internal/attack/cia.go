@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"github.com/collablearn/ciarec/internal/evalx"
+	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/param"
 )
 
@@ -32,6 +33,17 @@ import (
 // Score calls that follow it are issued from a single goroutine at a
 // time per evaluator. Evaluators sharing read-only state (e.g. target
 // item sets) is fine; sharing a mutable scratch model is not.
+//
+// Batched scoring: an evaluator that also has the method
+//
+//	ScoreTargets(sender int, dst []float64)
+//
+// writing Score(sender, t) for every target t into dst, bit for bit, is
+// scored with one such call per loaded state instead of one Score call
+// per target. RecommenderEval has it and, in full-model mode on a
+// model.TargetRelevancer scratch, sweeps the catalogue once per state;
+// evaluators without it, such as a one-target view over a shared
+// evaluator, are scored target by target.
 type Evaluator interface {
 	// Load installs a (momentum-averaged) model state for scoring.
 	Load(state *param.Set)
@@ -40,6 +52,12 @@ type Evaluator interface {
 	Score(sender, t int) float64
 	// NumTargets returns the number of registered targets.
 	NumTargets() int
+}
+
+// targetScorer is the optional batched scoring method described on
+// Evaluator.
+type targetScorer interface {
+	ScoreTargets(sender int, dst []float64)
 }
 
 // Config parameterizes one CIA instance.
@@ -73,6 +91,10 @@ type CIA struct {
 	// across rounds (worker 0 uses cfg.Eval); evaluators carry no
 	// state between rounds, so building them once is enough.
 	extraEvals []Evaluator
+	// rows[w] is worker w's target-score row for batched evaluators,
+	// allocated on first use by that worker and kept across rounds like
+	// extraEvals.
+	rows [][]float64
 }
 
 // New builds a CIA instance. It panics on an invalid configuration
@@ -111,6 +133,7 @@ func New(cfg Config) *CIA {
 		scores:  scores,
 		hasSeen: make([]bool, cfg.NumUsers),
 		dirty:   make(map[int]struct{}),
+		rows:    make([][]float64, cfg.Workers),
 	}
 }
 
@@ -146,7 +169,7 @@ func (c *CIA) EndRound() {
 	sort.Ints(senders)
 
 	if c.cfg.Workers == 1 || len(senders) < 2*c.cfg.Workers {
-		c.scoreSenders(c.cfg.Eval, senders)
+		c.scoreSenders(c.cfg.Eval, 0, senders)
 		return
 	}
 	var wg sync.WaitGroup
@@ -168,43 +191,61 @@ func (c *CIA) EndRound() {
 			ev = c.extraEvals[w-1]
 		}
 		wg.Add(1)
-		go func(ev Evaluator, part []int) {
+		go func(ev Evaluator, w int, part []int) {
 			defer wg.Done()
-			c.scoreSenders(ev, part)
-		}(ev, senders[lo:hi])
+			c.scoreSenders(ev, w, part)
+		}(ev, w, senders[lo:hi])
 	}
 	wg.Wait()
 }
 
-func (c *CIA) scoreSenders(ev Evaluator, senders []int) {
+// scoreSenders re-scores senders on worker w's evaluator ev: one
+// ScoreTargets call per sender (through the worker's row) when ev is
+// batched, one Score call per (sender, target) otherwise.
+func (c *CIA) scoreSenders(ev Evaluator, w int, senders []int) {
+	batch, batched := ev.(targetScorer)
+	if !batched {
+		for _, s := range senders {
+			ev.Load(c.states[s])
+			for t := range c.scores {
+				c.scores[t][s] = ev.Score(s, t)
+			}
+		}
+		return
+	}
+	if c.rows[w] == nil {
+		c.rows[w] = make([]float64, len(c.scores))
+	}
+	row := c.rows[w]
 	for _, s := range senders {
 		ev.Load(c.states[s])
-		for t := range c.scores {
-			c.scores[t][s] = ev.Score(s, t)
+		batch.ScoreTargets(s, row)
+		for t, v := range row {
+			c.scores[t][s] = v
 		}
 	}
 }
 
 // Predict returns the current inferred community Ĉ for target t: the K
 // observed senders with the highest relevance scores (Eq. 3; Alg. 1/2
-// AddSorted + Slice).
+// AddSorted + Slice), selected by mathx.TopKSelect — descending score,
+// ascending id on ties, NaN below every number.
 func (c *CIA) Predict(t int) []int {
-	ranked := evalx.SortedByScoreDesc(c.scores[t], c.hasSeen)
-	if len(ranked) > c.cfg.K {
-		ranked = ranked[:c.cfg.K]
-	}
-	return ranked
+	return mathx.TopKSelect(c.scores[t], c.hasSeen, c.cfg.K, nil)
 }
 
 // Accuracies returns Accuracy@R (Eq. 6) for every target against the
-// provided ground-truth communities (truths[t] for target t).
+// provided ground-truth communities (truths[t] for target t). One
+// selection buffer serves every target.
 func (c *CIA) Accuracies(truths []map[int]struct{}) []float64 {
 	if len(truths) != len(c.scores) {
 		panic(fmt.Sprintf("attack: %d truths for %d targets", len(truths), len(c.scores)))
 	}
 	out := make([]float64, len(truths))
+	var top []int
 	for t := range truths {
-		out[t] = evalx.Accuracy(c.Predict(t), truths[t])
+		top = mathx.TopKSelect(c.scores[t], c.hasSeen, c.cfg.K, top)
+		out[t] = evalx.Accuracy(top, truths[t])
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/dataset"
@@ -282,5 +284,119 @@ func TestCIAZeroBetaTracksLatest(t *testing.T) {
 	cia.Observe(0, mk(-3))
 	if got := cia.State(0).Get("x")[0]; got != -3 {
 		t.Fatalf("beta=0 state = %v, want -3", got)
+	}
+}
+
+// perTargetEval hides RecommenderEval's batched ScoreTargets, so CIA
+// takes the per-(sender, target) Score path: the reference the batched
+// path must reproduce.
+type perTargetEval struct{ ev *RecommenderEval }
+
+func (p perTargetEval) Load(s *param.Set)           { p.ev.Load(s) }
+func (p perTargetEval) Score(sender, t int) float64 { return p.ev.Score(sender, t) }
+func (p perTargetEval) NumTargets() int             { return p.ev.NumTargets() }
+
+// decoratedModel stands for a decorator that embeds a Recommender: it
+// forwards only Recommender's methods, hiding model.TargetRelevancer,
+// and counts the Relevance calls that reach it.
+type decoratedModel struct {
+	model.Recommender
+	calls *int
+}
+
+func (m decoratedModel) Relevance(owner int, items []int) float64 {
+	*m.calls++
+	return m.Recommender.Relevance(owner, items)
+}
+
+// TestScoreTargetsDecoratedScratch checks RecommenderEval.ScoreTargets
+// on a scratch model that hides the batched relevance: it scores every
+// target through the decorator's own Relevance, one call per target,
+// and writes what the undecorated batched path writes, bit for bit.
+func TestScoreTargetsDecoratedScratch(t *testing.T) {
+	d := attackDataset(t)
+	targets := allTargets(d)
+	f := model.NewGMFFactory(d.NumUsers, d.NumItems, 8)
+	var calls int
+	plain := NewRecommenderEval(f(0), targets)
+	decorated := NewRecommenderEval(decoratedModel{f(0), &calls}, targets)
+	want, got := make([]float64, len(targets)), make([]float64, len(targets))
+	for s := 0; s < 3; s++ {
+		state := f(uint64(s + 1)).Params()
+		plain.Load(state)
+		decorated.Load(state)
+		plain.ScoreTargets(s, want)
+		decorated.ScoreTargets(s, got)
+		for ti := range want {
+			if math.Float64bits(got[ti]) != math.Float64bits(want[ti]) {
+				t.Fatalf("sender %d target %d: decorated %v != batched %v", s, ti, got[ti], want[ti])
+			}
+		}
+	}
+	if calls != 3*len(targets) {
+		t.Fatalf("decorator saw %d Relevance calls, want %d", calls, 3*len(targets))
+	}
+}
+
+// TestCIABatchedMatchesPerTarget holds the batched EndRound (one
+// catalogue sweep per sender) to the per-target Score path: the same
+// score matrix bit for bit and the same Predict output for every
+// target, over three momentum rounds that each leave a different third
+// of the senders unobserved, for GMF and PRME at 1 and 2 workers.
+func TestCIABatchedMatchesPerTarget(t *testing.T) {
+	if _, ok := Evaluator(perTargetEval{}).(targetScorer); ok {
+		t.Fatal("perTargetEval exposes the batched path")
+	}
+	d := attackDataset(t)
+	targets := allTargets(d)
+	for _, fam := range []struct {
+		name    string
+		factory model.Factory
+	}{
+		{"gmf", model.NewGMFFactory(d.NumUsers, d.NumItems, 8)},
+		{"prme", model.NewPRMEFactory(d.NumUsers, d.NumItems, 8)},
+	} {
+		// Independently initialized models stand in for each sender's
+		// successive uploads.
+		uploads := make([][]*param.Set, 3)
+		for r := range uploads {
+			uploads[r] = make([]*param.Set, d.NumUsers)
+			for u := range uploads[r] {
+				uploads[r][u] = fam.factory(uint64(100*r + u + 1)).Params()
+			}
+		}
+		run := func(workers int, wrap func(*RecommenderEval) Evaluator) *CIA {
+			newEval := func() Evaluator { return wrap(NewRecommenderEval(fam.factory(0), targets)) }
+			cfg := Config{Beta: 0.9, K: 8, NumUsers: d.NumUsers, Eval: newEval(), Workers: workers}
+			if workers > 1 {
+				cfg.NewEval = newEval
+			}
+			c := New(cfg)
+			for r, round := range uploads {
+				for u, p := range round {
+					if (u+r)%3 != 0 {
+						c.Observe(u, p)
+					}
+				}
+				c.EndRound()
+			}
+			return c
+		}
+		for _, workers := range []int{1, 2} {
+			batched := run(workers, func(ev *RecommenderEval) Evaluator { return ev })
+			perTarget := run(workers, func(ev *RecommenderEval) Evaluator { return perTargetEval{ev} })
+			for ti := range batched.scores {
+				for s, v := range batched.scores[ti] {
+					if w := perTarget.scores[ti][s]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("%s workers=%d target %d sender %d: batched %v != per-target %v",
+							fam.name, workers, ti, s, v, w)
+					}
+				}
+				if got, want := batched.Predict(ti), perTarget.Predict(ti); !slices.Equal(got, want) {
+					t.Fatalf("%s workers=%d target %d: batched Predict %v != per-target %v",
+						fam.name, workers, ti, got, want)
+				}
+			}
+		}
 	}
 }

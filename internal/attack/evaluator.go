@@ -22,12 +22,18 @@ import (
 //     a fabricated interaction matrix R_A.
 type RecommenderEval struct {
 	scratch model.Recommender
+	// batch is scratch's batched relevance, nil when scratch does not
+	// implement model.TargetRelevancer.
+	batch   model.TargetRelevancer
 	targets [][]int
 	// fictive[t] is e_A for target t; nil selects full-model mode.
 	fictive [][]float64
 }
 
-var _ Evaluator = (*RecommenderEval)(nil)
+var (
+	_ Evaluator    = (*RecommenderEval)(nil)
+	_ targetScorer = (*RecommenderEval)(nil)
+)
 
 // NewRecommenderEval builds a full-model evaluator. scratch must be a
 // dedicated model instance (its parameters are overwritten on Load).
@@ -35,7 +41,8 @@ func NewRecommenderEval(scratch model.Recommender, targets [][]int) *Recommender
 	if len(targets) == 0 {
 		panic("attack: NewRecommenderEval requires at least one target")
 	}
-	return &RecommenderEval{scratch: scratch, targets: targets}
+	batch, _ := scratch.(model.TargetRelevancer)
+	return &RecommenderEval{scratch: scratch, batch: batch, targets: targets}
 }
 
 // NewShareLessEval builds a fictive-user evaluator for the Share-less
@@ -77,6 +84,24 @@ func (e *RecommenderEval) Score(sender, t int) float64 {
 		panic(fmt.Sprintf("attack: fictive user for target %d not fitted; call RefreshFictive", t))
 	}
 	return e.scratch.RelevanceWithUserVec(vec, e.targets[t])
+}
+
+// ScoreTargets writes Score(sender, t) for every registered target into
+// dst (len(dst) == NumTargets()), bit for bit — the batched path CIA
+// prefers. In full-model mode on a model.TargetRelevancer scratch it
+// is one RelevanceTargets call, a single catalogue sweep when the
+// targets cover the catalogue. Otherwise targets are scored one by one:
+// in fictive-user mode every target has its own e_A, and a scratch
+// without the batched method (a decorated model) is scored through its
+// own Relevance.
+func (e *RecommenderEval) ScoreTargets(sender int, dst []float64) {
+	if e.fictive == nil && e.batch != nil {
+		e.batch.RelevanceTargets(sender, e.targets, dst)
+		return
+	}
+	for t := range e.targets {
+		dst[t] = e.Score(sender, t)
+	}
 }
 
 // RefreshFictive fits the fictive user embedding e_A for every target

@@ -114,21 +114,20 @@ func (m *MIA) Observe(sender int, payload *param.Set) {
 
 // Predict returns the top-K users by member count for target t.
 func (m *MIA) Predict(t int) []int {
-	ranked := evalx.SortedByScoreDesc(m.counts[t], m.hasSeen)
-	if len(ranked) > m.K {
-		ranked = ranked[:m.K]
-	}
-	return ranked
+	return mathx.TopKSelect(m.counts[t], m.hasSeen, m.K, nil)
 }
 
-// Accuracies returns Accuracy@R for every target.
+// Accuracies returns Accuracy@R for every target, reusing one selection
+// buffer across targets.
 func (m *MIA) Accuracies(truths []map[int]struct{}) []float64 {
 	if len(truths) != len(m.targets) {
 		panic(fmt.Sprintf("attack: %d truths for %d targets", len(truths), len(m.targets)))
 	}
 	out := make([]float64, len(truths))
+	var top []int
 	for t := range truths {
-		out[t] = evalx.Accuracy(m.Predict(t), truths[t])
+		top = mathx.TopKSelect(m.counts[t], m.hasSeen, m.K, top)
+		out[t] = evalx.Accuracy(top, truths[t])
 	}
 	return out
 }

@@ -6,7 +6,6 @@ package evalx
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/mathx"
@@ -201,17 +200,3 @@ func (c *UtilityCurve) Best() float64 {
 
 // Values returns the recorded series.
 func (c *UtilityCurve) Values() []float64 { return append([]float64(nil), c.vals...) }
-
-// SortedByScoreDesc returns user ids ordered by descending score with
-// ascending-id tie-break; unseen users (NaN scores) are excluded.
-// It is the ranking primitive shared by the attack implementations.
-func SortedByScoreDesc(scores []float64, isSet []bool) []int {
-	var ids []int
-	for u := range scores {
-		if isSet == nil || isSet[u] {
-			ids = append(ids, u)
-		}
-	}
-	sort.SliceStable(ids, func(a, b int) bool { return scores[ids[a]] > scores[ids[b]] })
-	return ids
-}

@@ -170,22 +170,6 @@ func TestUtilityCurve(t *testing.T) {
 	}
 }
 
-func TestSortedByScoreDesc(t *testing.T) {
-	scores := []float64{0.1, 0.9, 0.5, 0.7}
-	got := SortedByScoreDesc(scores, nil)
-	want := []int{1, 3, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SortedByScoreDesc = %v, want %v", got, want)
-		}
-	}
-	// Mask filters unseen users.
-	got = SortedByScoreDesc(scores, []bool{true, false, true, false})
-	if len(got) != 2 || got[0] != 2 || got[1] != 0 {
-		t.Fatalf("masked sort = %v", got)
-	}
-}
-
 // A zero-round run (nothing recorded) must summarize to a zero Result
 // carrying only the configuration-derived bounds, not panic.
 func TestSummarizeNoRounds(t *testing.T) {

@@ -161,6 +161,22 @@ func DotNormRows(m *Matrix, rows []int, v, dots, sqnorms []float64) {
 	}
 }
 
+// GatherMean returns (x[idx[0]] + x[idx[1]] + …) / len(idx), summed
+// strictly left to right from +0 — the reduction of every relevance
+// metric, so a mean gathered from a precomputed catalogue sweep is
+// bit-identical to Sum over the gathered values. An empty idx yields 0;
+// duplicate indices count once per occurrence.
+func GatherMean(x []float64, idx []int) float64 {
+	if len(idx) == 0 {
+		return 0
+	}
+	var s float64
+	for _, i := range idx {
+		s += x[i]
+	}
+	return s / float64(len(idx))
+}
+
 // SigmoidInto writes Sigmoid(x[i]) into dst[i]. dst may alias x.
 // It panics if the lengths differ.
 func SigmoidInto(x, dst []float64) {

@@ -157,6 +157,21 @@ func TestElementwiseHelpers(t *testing.T) {
 			}
 		}
 
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = r.IntN(n)
+		}
+		var mean float64
+		for _, i := range idx {
+			mean += a[i]
+		}
+		if n > 0 {
+			mean /= float64(n)
+		}
+		if got := GatherMean(a, idx); got != mean {
+			t.Fatalf("GatherMean n=%d: %v != %v", n, got, mean)
+		}
+
 		NegScaleInto(0.3, a, dst)
 		for i := range dst {
 			if dst[i] != -(0.3 * a[i]) {

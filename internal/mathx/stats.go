@@ -28,72 +28,91 @@ func TopK(x []float64, k int) []int {
 	return ArgsortDesc(x)[:k]
 }
 
-// TopKSelect writes the indices of the k largest values of x into dst
-// in the exact order TopK returns them (decreasing value, ascending
-// index on ties) and returns dst[:min(k, len(x))]. It is the
-// allocation-free variant for hot evaluation sweeps: dst must have
-// capacity for min(k, len(x)) entries.
+// TopKSelect writes into dst the indices of the k largest values of x
+// among the eligible ones — mask[i] set, or every index when mask is
+// nil — and returns dst[:min(k, #eligible)]. It is the ranking
+// primitive of the F1 slate and of the attacks' community selection
+// over observed senders.
 //
-// The selection runs as one pass over x maintaining a size-k min-heap
-// of candidates (O(n log k) instead of the former k full scans), then
-// heap-sorts the survivors into the output order. The output is a pure
-// function of the values — identical, index for index, to the scan
-// implementation — and x is no longer mutated (earlier versions
-// consumed selected positions; no caller relied on that).
-func TopKSelect(x []float64, k int, dst []int) []int {
-	if k > len(x) {
-		k = len(x)
-	}
+// The order is total: decreasing value, NaN below every number (−Inf
+// included), ties (NaN ties too) by ascending index — for NaN-free
+// input exactly TopK's order. dst is reused when it has capacity for
+// the result and allocated otherwise, so a caller ranking many vectors
+// allocates once; x is not modified.
+//
+// The selection runs as one pass over x maintaining a size-k heap of
+// candidates rooted at the worst kept one (O(n log k) instead of a full
+// sort), then heap-sorts the survivors into the output order.
+func TopKSelect(x []float64, mask []bool, k int, dst []int) []int {
+	k = min(k, len(x))
 	if k <= 0 {
 		return dst[:0]
 	}
-	dst = dst[:k]
-	// worse reports whether candidate index a ranks below candidate b:
-	// smaller value, or equal value with larger index. The heap keeps
-	// the worst kept candidate at the root.
-	worse := func(a, b int) bool {
-		if x[a] != x[b] {
-			return x[a] < x[b]
-		}
-		return a > b
+	if cap(dst) < k {
+		dst = make([]int, 0, k)
 	}
-	siftDown := func(h []int, i int) {
-		for {
-			l := 2*i + 1
-			if l >= len(h) {
-				return
-			}
-			c := l
-			if r := l + 1; r < len(h) && worse(h[r], h[l]) {
-				c = r
-			}
-			if !worse(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := 0; i < k; i++ {
-		dst[i] = i
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(dst, i)
-	}
-	for i := k; i < len(x); i++ {
-		if worse(i, dst[0]) {
+	h := dst[:0]
+	for i := range x {
+		if mask != nil && !mask[i] {
 			continue
 		}
-		dst[0] = i
-		siftDown(dst, 0)
+		if len(h) < k {
+			h = append(h, i)
+			siftUp(x, h, len(h)-1)
+		} else if !ranksBelow(x, i, h[0]) {
+			h[0] = i
+			siftDown(x, h, 0)
+		}
 	}
-	// Pop ascending-badness candidates to the tail: the slice ends up
-	// ordered best first (decreasing value, ascending index on ties).
-	for n := k - 1; n > 0; n-- {
-		dst[0], dst[n] = dst[n], dst[0]
-		siftDown(dst[:n], 0)
+	// Pop the worst remaining candidate to the tail: the slice ends up
+	// ordered best first.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(x, h[:n], 0)
 	}
-	return dst
+	return h
+}
+
+// ranksBelow reports whether index a ranks strictly below index b in
+// TopKSelect's order.
+func ranksBelow(x []float64, a, b int) bool {
+	va, vb := x[a], x[b]
+	if na, nb := math.IsNaN(va), math.IsNaN(vb); na != nb {
+		return na
+	} else if !na && va != vb {
+		return va < vb
+	}
+	return a > b
+}
+
+// siftUp and siftDown restore TopKSelect's heap order (the worst-ranked
+// candidate at the root) after h[i] changed.
+func siftUp(x []float64, h []int, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ranksBelow(x, h[i], h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(x []float64, h []int, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && ranksBelow(x, h[r], h[c]) {
+			c = r
+		}
+		if !ranksBelow(x, h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of x using linear

@@ -2,6 +2,8 @@ package mathx
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -166,7 +168,7 @@ func TestTopKSelectMatchesTopK(t *testing.T) {
 		for _, k := range []int{0, 1, 3, n, n + 5} {
 			want := TopK(x, k)
 			input := append([]float64(nil), x...)
-			got := TopKSelect(input, k, make([]int, 0, n))
+			got := TopKSelect(input, nil, k, make([]int, 0, n))
 			for i := range input {
 				if input[i] != x[i] {
 					t.Fatalf("n=%d k=%d: TopKSelect mutated input at %d", n, k, i)
@@ -181,5 +183,77 @@ func TestTopKSelectMatchesTopK(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The masked selection the attacks rank observed senders with: only set
+// indices are eligible, k beyond their number returns them all, and a
+// dst with capacity is reused.
+func TestTopKSelectMask(t *testing.T) {
+	x := []float64{0.1, 0.9, 0.5, 0.7}
+	if got := TopKSelect(x, nil, 4, nil); !slices.Equal(got, []int{1, 3, 2, 0}) {
+		t.Fatalf("unmasked = %v, want [1 3 2 0]", got)
+	}
+	if got := TopKSelect(x, []bool{true, false, true, false}, 3, nil); !slices.Equal(got, []int{2, 0}) {
+		t.Fatalf("masked = %v, want [2 0]", got)
+	}
+	if got := TopKSelect(x, make([]bool, len(x)), 2, nil); len(got) != 0 {
+		t.Fatalf("nothing eligible = %v, want empty", got)
+	}
+	buf := make([]int, 0, 3)
+	if got := TopKSelect(x, nil, 2, buf); &got[0] != &buf[:1][0] {
+		t.Fatal("dst with capacity was not reused")
+	}
+}
+
+// TopKSelect's order is total: NaN ranks below every number, −Inf
+// included, and NaN ties break by ascending index like any other tie.
+func TestTopKSelectNaNRanksLast(t *testing.T) {
+	nan := math.NaN()
+	x := []float64{nan, 1, nan, math.Inf(-1), 2, 1}
+	want := []int{4, 1, 5, 3, 0, 2}
+	for k := 0; k <= len(x)+1; k++ {
+		if got := TopKSelect(x, nil, k, nil); !slices.Equal(got, want[:min(k, len(want))]) {
+			t.Fatalf("k=%d: %v, want %v", k, got, want[:min(k, len(want))])
+		}
+	}
+}
+
+// Property: TopKSelect equals the first k of a stable sort of the
+// eligible indices by descending value — the full sort the attacks'
+// community selection used before — on heavily tied values (a handful
+// of levels, ±0, ±Inf and NaN), random masks, and k on both sides of
+// the eligible count. The reference comparator puts NaN last, the total
+// order TopKSelect documents.
+func TestTopKSelectMatchesStableSortProperty(t *testing.T) {
+	levels := []float64{-1, 0, math.Copysign(0, -1), 0.5, 1, math.Inf(1), math.Inf(-1), math.NaN()}
+	f := func(seed uint64) bool {
+		r := NewRand(seed)
+		n := r.IntN(40)
+		x := make([]float64, n)
+		var mask []bool
+		if r.IntN(4) != 0 {
+			mask = make([]bool, n)
+		}
+		var ids []int
+		for i := range x {
+			x[i] = levels[r.IntN(len(levels))]
+			if mask != nil {
+				mask[i] = r.IntN(3) != 0
+			}
+			if mask == nil || mask[i] {
+				ids = append(ids, i)
+			}
+		}
+		sort.SliceStable(ids, func(a, b int) bool {
+			va, vb := x[ids[a]], x[ids[b]]
+			return !math.IsNaN(va) && (math.IsNaN(vb) || va > vb)
+		})
+		k := r.IntN(n + 3)
+		got := TopKSelect(x, mask, k, make([]int, 0, r.IntN(4)))
+		return slices.Equal(got, ids[:min(k, len(ids))])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"testing"
+
+	"github.com/collablearn/ciarec/internal/mathx"
 )
 
 // BenchmarkScoreItems prices one full-catalogue scoring sweep per model
@@ -43,5 +45,53 @@ func BenchmarkScoreItems(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRelevanceSweep locates the catalogue-sweep rule's crossover
+// (sweepPays): for batches of 45-item targets (a Table II user's
+// training set) over a 700-item, dim-8 catalogue whose items the batch
+// names frac times over in total, it prices both RelevanceTargets
+// branches — one catalogue sweep gathered per target against one
+// Relevance call per target.
+func BenchmarkRelevanceSweep(b *testing.B) {
+	const users, items, dim, size = 20, 700, 8, 45
+	factories := []struct {
+		name string
+		f    Factory
+	}{
+		{"gmf", NewGMFFactory(users, items, dim)},
+		{"prme", NewPRMEFactory(users, items, dim)},
+		{"bprmf", NewBPRMFFactory(users, items, dim)},
+		{"neumf", NewNeuMFFactory(users, items, dim)},
+	}
+	for _, frac := range []float64{0.0625, 0.5, 0.75, 1, 1.5} {
+		nt := max(1, int(frac*items/size+0.5))
+		targets := make([][]int, nt)
+		for t := range targets {
+			targets[t] = make([]int, size)
+			for i := range targets[t] {
+				targets[t][i] = (t*size + i*13) % items
+			}
+		}
+		dst := make([]float64, nt)
+		for _, fam := range factories {
+			m := fam.f(1).(catalogueScorer)
+			b.Run(fmt.Sprintf("%s/frac=%g/sweep", fam.name, frac), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					vals := m.catalogueRelevance(i % users)
+					for t, items := range targets {
+						dst[t] = mathx.GatherMean(vals, items)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/frac=%g/per-target", fam.name, frac), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for t, items := range targets {
+						dst[t] = m.Relevance(i%users, items)
+					}
+				}
+			})
+		}
 	}
 }

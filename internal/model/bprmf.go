@@ -127,6 +127,20 @@ func (m *BPRMF) RelevanceWithUserVec(vec []float64, items []int) float64 {
 	return mathx.Sum(buf) / float64(len(items))
 }
 
+// RelevanceTargets implements TargetRelevancer.
+func (m *BPRMF) RelevanceTargets(owner int, targets [][]int, dst []float64) {
+	relevanceTargets(m, owner, targets, dst)
+}
+
+// catalogueRelevance is the raw score p·q_i + b_i for every catalogue
+// item (ScoreAll's output), the per-item value RelevanceWithUserVec
+// averages.
+func (m *BPRMF) catalogueRelevance(owner int) []float64 {
+	m.scoreBuf = growFloats(m.scoreBuf, m.items)
+	m.ScoreAll(owner, -1, m.scoreBuf)
+	return m.scoreBuf
+}
+
 // ScoreItems ranks candidates by raw score on the batched kernels
 // (bias gathered by item id); prev is ignored.
 func (m *BPRMF) ScoreItems(owner, prev int, items []int, dst []float64) {

@@ -162,6 +162,20 @@ func (m *GMF) RelevanceWithUserVec(vec []float64, items []int) float64 {
 	return mathx.Sum(buf) / float64(len(items))
 }
 
+// RelevanceTargets implements TargetRelevancer.
+func (m *GMF) RelevanceTargets(owner int, targets [][]int, dst []float64) {
+	relevanceTargets(m, owner, targets, dst)
+}
+
+// catalogueRelevance is σ(logit) for every catalogue item, the per-item
+// value RelevanceWithUserVec averages.
+func (m *GMF) catalogueRelevance(owner int) []float64 {
+	m.scoreBuf = growFloats(m.scoreBuf, m.items)
+	m.ScoreAll(owner, -1, m.scoreBuf)
+	mathx.SigmoidInto(m.scoreBuf, m.scoreBuf)
+	return m.scoreBuf
+}
+
 // ScoreItems ranks candidates by raw logit on the batched kernels;
 // prev is ignored (GMF is not sequence-aware).
 func (m *GMF) ScoreItems(owner, prev int, items []int, dst []float64) {

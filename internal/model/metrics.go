@@ -94,7 +94,7 @@ func f1ForUserInto(m Recommender, d *dataset.Dataset, u, k int, scores []float64
 	for _, it := range d.Train[u] {
 		scores[it] = negInf
 	}
-	top = mathx.TopKSelect(scores, k, top)
+	top = mathx.TopKSelect(scores, nil, k, top)
 	var hits int
 	for _, it := range top {
 		for _, h := range d.Test[u] {

@@ -38,6 +38,7 @@ type Recommender interface {
 	// items when asked on behalf of owner — the quantity
 	// Ŷ(Θ_u, V_target) from Eq. 3. Higher means "owner likes these
 	// items more". Scores are comparable across models of one family.
+	// TargetRelevancer is its batched form over many item sets.
 	Relevance(owner int, items []int) float64
 
 	// RelevanceWithUserVec scores items against an explicit user
@@ -81,6 +82,31 @@ type Recommender interface {
 	// Share-less drift regularizer (Eq. 2).
 	ItemEntries() []string
 }
+
+// TargetRelevancer is the batched form of Relevance, implemented by
+// every model family in this package: RelevanceTargets writes
+// Relevance(owner, targets[t]) into dst[t] for every target
+// (len(dst) == len(targets)), bit for bit. CIA re-scores each observed
+// model with one such call. When the targets together name at least
+// NumItems() items it scores the whole catalogue once with the batched
+// kernels and reduces every target from that sweep (mathx.GatherMean,
+// Relevance's own addition order); smaller batches fall back to
+// per-target Relevance (see sweepPays).
+//
+// It is an optional interface rather than a Recommender method so that
+// a decorator embedding a Recommender, which forwards only
+// Recommender's methods, is scored through its own Relevance: callers
+// type-assert for it and fall back to one Relevance call per target.
+type TargetRelevancer interface {
+	RelevanceTargets(owner int, targets [][]int, dst []float64)
+}
+
+var (
+	_ TargetRelevancer = (*GMF)(nil)
+	_ TargetRelevancer = (*PRME)(nil)
+	_ TargetRelevancer = (*BPRMF)(nil)
+	_ TargetRelevancer = (*NeuMF)(nil)
+)
 
 // TrainOptions configures one local-training call. The zero value asks
 // the model for its defaults (per-family learning rate, one epoch,

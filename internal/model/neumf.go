@@ -208,6 +208,20 @@ func (m *NeuMF) Relevance(owner int, items []int) float64 {
 	return mathx.Sum(buf) / float64(len(items))
 }
 
+// RelevanceTargets implements TargetRelevancer.
+func (m *NeuMF) RelevanceTargets(owner int, targets [][]int, dst []float64) {
+	relevanceTargets(m, owner, targets, dst)
+}
+
+// catalogueRelevance is σ(logit) for every catalogue item from one
+// scoreBatch sweep, the per-item value Relevance averages.
+func (m *NeuMF) catalogueRelevance(owner int) []float64 {
+	m.scoreBuf = growFloats(m.scoreBuf, m.items)
+	m.ScoreAll(owner, -1, m.scoreBuf)
+	mathx.SigmoidInto(m.scoreBuf, m.scoreBuf)
+	return m.scoreBuf
+}
+
 // scoreBatch writes the logit of every candidate into dst (items nil
 // selects the full catalogue, dst then spans NumItems) for explicit
 // tower user vectors ug/um.

@@ -46,6 +46,9 @@ type PRME struct {
 	// scoreBuf is the grown-on-demand staging area of the batched
 	// scoring sweeps (two halves: preference and sequential distances).
 	scoreBuf []float64
+	// allItems is the identity row list 0..items-1 the relevance sweep
+	// hands DotNormRows (a gather kernel), built on first use.
+	allItems []int
 }
 
 var _ Recommender = (*PRME)(nil)
@@ -202,6 +205,37 @@ func (m *PRME) RelevanceWithUserVec(vec []float64, items []int) float64 {
 		s += 2*dots[i] - norms[i]
 	}
 	return s / float64(n)
+}
+
+// RelevanceTargets implements TargetRelevancer.
+func (m *PRME) RelevanceTargets(owner int, targets [][]int, dst []float64) {
+	relevanceTargets(m, owner, targets, dst)
+}
+
+// catalogueRelevance is the per-item value RelevanceWithUserVec
+// averages, for every catalogue item: 2·p·L_i − ‖L_i‖² from one
+// DotNormRows pass (−‖p − L_i‖² from one SqDistRows pass in raw mode).
+func (m *PRME) catalogueRelevance(owner int) []float64 {
+	vec, n := m.userEmb.Row(owner), m.items
+	m.scoreBuf = growFloats(m.scoreBuf, 2*n)
+	vals := m.scoreBuf[:n]
+	if m.rawRelevance {
+		mathx.SqDistRows(m.itemPref, vec, vals)
+		mathx.NegScaleInto(1, vals, vals)
+		return vals
+	}
+	if len(m.allItems) != n {
+		m.allItems = make([]int, n)
+		for i := range m.allItems {
+			m.allItems[i] = i
+		}
+	}
+	norms := m.scoreBuf[n:]
+	mathx.DotNormRows(m.itemPref, m.allItems, vec, vals, norms)
+	for i, d := range vals {
+		vals[i] = 2*d - norms[i]
+	}
+	return vals
 }
 
 // ScoreItems ranks candidates with the full two-space score, using
