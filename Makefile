@@ -67,7 +67,7 @@ chaos:
 #	benchstat old.txt new.txt
 bench:
 	$(GO) test -run='^$$' -count=$(BENCH_COUNT) -benchmem \
-		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCIAEndRound|BenchmarkCodecThroughput' \
+		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCIAEndRound|BenchmarkRefreshFictive|BenchmarkCodecThroughput' \
 		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/
 
 # Full paper-table reproduction pass (one iteration per table).

@@ -4,14 +4,16 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
 // MapIter flags range-over-map loops in golden-pinned packages whose
 // bodies do order-sensitive work. Go randomizes map iteration order,
 // so a loop that draws from a threaded RNG, appends to an
-// outer-scoped slice, accumulates floats or strings, sends on a
-// channel, or pushes into a transport/encoder produces
+// outer-scoped slice, accumulates floats or strings, assigns the key
+// or value to an outer-scoped variable (the first or last key wins),
+// sends on a channel, or pushes into a transport/encoder produces
 // run-to-run-different bytes. Sanctioned sites (the body is provably
 // order-insensitive, or keys are drained and sorted first) carry a
 // justified //lint:sorted directive.
@@ -93,6 +95,9 @@ func orderSensitive(pass *Pass, rng *ast.RangeStmt) string {
 			if r := orderSensitiveAssign(pass, n, body); r != "" {
 				set(r)
 			}
+			if assignsIterVar(pass, n, rng) {
+				set("assigns the key or value to a variable declared outside the loop (the first or last key wins)")
+			}
 		}
 		return true
 	})
@@ -144,6 +149,82 @@ func orderSensitiveAssign(pass *Pass, as *ast.AssignStmt, body *ast.BlockStmt) s
 		}
 	}
 	return ""
+}
+
+// assignsIterVar reports whether as is a plain assignment that stores
+// an expression of the range statement's key or value into a variable
+// declared outside the loop body — `any = k; break` or `last = v`.
+// Writes into a slot indexed by the key or value (`out[k] = v`) are
+// keyed, not order-sensitive, and are left alone; `s = append(s, k)`
+// is reported by the append rule.
+func assignsIterVar(pass *Pass, as *ast.AssignStmt, rng *ast.RangeStmt) bool {
+	if as.Tok != token.ASSIGN {
+		return false
+	}
+	for _, rhs := range as.Rhs {
+		if call, ok := rhs.(*ast.CallExpr); ok && isAppendToOuter(pass, call, rng.Body) {
+			return false
+		}
+	}
+	var iter []types.Object
+	for _, e := range []ast.Expr{rng.Key, rng.Value} {
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
+			if obj := pass.ObjectOf(id); obj != nil {
+				iter = append(iter, obj)
+			}
+		}
+	}
+	if len(iter) == 0 {
+		return false
+	}
+	mentions := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				for _, obj := range iter {
+					if pass.ObjectOf(id) == obj {
+						found = true
+					}
+				}
+			}
+			return !found
+		})
+		return found
+	}
+	if !slices.ContainsFunc(as.Rhs, mentions) {
+		return false
+	}
+	for _, lhs := range as.Lhs {
+		if keyedSlot(lhs, mentions) {
+			continue
+		}
+		if id, ok := rootIdent(lhs); ok && id.Name != "_" && declaredOutside(pass, id, rng.Body) {
+			return true
+		}
+	}
+	return false
+}
+
+// keyedSlot reports whether lhs indexes anywhere along its path with an
+// expression for which keyed reports true.
+func keyedSlot(lhs ast.Expr, keyed func(ast.Expr) bool) bool {
+	for {
+		switch v := lhs.(type) {
+		case *ast.IndexExpr:
+			if keyed(v.Index) {
+				return true
+			}
+			lhs = v.X
+		case *ast.SelectorExpr:
+			lhs = v.X
+		case *ast.StarExpr:
+			lhs = v.X
+		case *ast.ParenExpr:
+			lhs = v.X
+		default:
+			return false
+		}
+	}
 }
 
 // consumesRand reports whether the call advances a *rand.Rand stream:

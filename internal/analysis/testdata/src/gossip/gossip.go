@@ -78,3 +78,41 @@ func badUnjustified(pool map[int]bool) []int {
 	sort.Ints(out)
 	return out
 }
+
+// badAnyKey is the "pick any member" shape: the first key wins, and
+// which key comes first changes from run to run.
+func badAnyKey(colluders map[int]struct{}) int {
+	var anyC int
+	for c := range colluders { // want `assigns the key or value to a variable declared outside the loop`
+		anyC = c
+		break
+	}
+	return anyC
+}
+
+// badLastValue keeps whichever value the iteration visits last.
+func badLastValue(w map[int]float64) float64 {
+	var last float64
+	for _, v := range w { // want `assigns the key or value to a variable declared outside the loop`
+		last = v
+	}
+	return last
+}
+
+// Writes into slots indexed by the key are keyed, not ordered: no
+// finding.
+func okKeyedWrite(w map[int]float64, out []float64) {
+	for k, v := range w {
+		out[k] = v
+	}
+}
+
+func okSanctionedAnyKey(members map[int]struct{}) bool {
+	found := false
+	//lint:sorted only whether the map is non-empty escapes the loop, never which key was seen
+	for k := range members {
+		found = k >= 0
+		break
+	}
+	return found
+}

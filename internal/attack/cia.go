@@ -29,10 +29,19 @@ import (
 // Concurrency contract: implementations need NOT be safe for
 // concurrent use. CIA partitions senders across at most Workers
 // goroutines, gives each goroutine its own evaluator (the configured
-// Eval plus instances from NewEval), and guarantees that Load and the
-// Score calls that follow it are issued from a single goroutine at a
-// time per evaluator. Evaluators sharing read-only state (e.g. target
-// item sets) is fine; sharing a mutable scratch model is not.
+// Eval plus Workers−1 instances from NewEval, or forks of Eval), and
+// guarantees that Load and the Score calls that follow it are issued
+// from a single goroutine at a time per evaluator. Evaluators sharing
+// read-only state (e.g. target item sets) is fine; sharing a mutable
+// scratch model is not.
+//
+// Worker evaluators: an evaluator that also has the method
+//
+//	Fork() Evaluator
+//
+// returning an independent evaluator that scores exactly as it does
+// (RecommenderEval: a clone of its scratch model sharing its targets
+// and fictive users) stands in for Config.NewEval when that is nil.
 //
 // Batched scoring: an evaluator that also has the method
 //
@@ -60,6 +69,12 @@ type targetScorer interface {
 	ScoreTargets(sender int, dst []float64)
 }
 
+// forker is the optional worker-evaluator method described on
+// Evaluator.
+type forker interface {
+	Fork() Evaluator
+}
+
 // Config parameterizes one CIA instance.
 type Config struct {
 	// Beta is the momentum coefficient β of Eq. 4 (paper default 0.99;
@@ -71,12 +86,14 @@ type Config struct {
 	NumUsers int
 	// Eval scores momentum states (required).
 	Eval Evaluator
-	// NewEval optionally supplies extra evaluators for parallel
-	// scoring; Workers > 1 requires it.
+	// NewEval optionally supplies the extra evaluators of parallel
+	// scoring. When nil and Eval has a Fork method, forks of Eval are
+	// used. Workers > 1 requires one or the other.
 	NewEval func() Evaluator
 	// Workers bounds scoring concurrency. 0 defaults to
-	// runtime.NumCPU() when NewEval is set (parallel scoring is
-	// available) and to 1 otherwise; negative forces serial.
+	// runtime.NumCPU() when worker evaluators can be made (NewEval is
+	// set or Eval forks) and to 1 otherwise; negative forces serial.
+	// New builds the Workers−1 extra evaluators up front.
 	Workers int
 }
 
@@ -87,13 +104,12 @@ type CIA struct {
 	scores  [][]float64        // [target][sender]
 	hasSeen []bool             // sender observed at least once
 	dirty   map[int]struct{}   // senders whose state changed since last EndRound
-	// extraEvals caches the NewEval-built evaluators for workers 1..W-1
-	// across rounds (worker 0 uses cfg.Eval); evaluators carry no
-	// state between rounds, so building them once is enough.
-	extraEvals []Evaluator
+	// evals[w] is worker w's evaluator: cfg.Eval, then the Workers−1
+	// built by New. Evaluators carry no state between rounds, so
+	// building them once is enough.
+	evals []Evaluator
 	// rows[w] is worker w's target-score row for batched evaluators,
-	// allocated on first use by that worker and kept across rounds like
-	// extraEvals.
+	// allocated on first use by that worker and kept across rounds.
 	rows [][]float64
 }
 
@@ -109,6 +125,9 @@ func New(cfg Config) *CIA {
 	if cfg.Beta < 0 || cfg.Beta >= 1 {
 		panic(fmt.Sprintf("attack: Beta %v out of [0,1)", cfg.Beta))
 	}
+	if f, ok := cfg.Eval.(forker); ok && cfg.NewEval == nil {
+		cfg.NewEval = f.Fork
+	}
 	if cfg.Workers == 0 {
 		if cfg.NewEval != nil {
 			cfg.Workers = runtime.NumCPU()
@@ -120,7 +139,12 @@ func New(cfg Config) *CIA {
 		cfg.Workers = 1
 	}
 	if cfg.Workers > 1 && cfg.NewEval == nil {
-		panic("attack: Workers > 1 requires NewEval")
+		panic("attack: Workers > 1 requires NewEval or a forking Eval")
+	}
+	evals := make([]Evaluator, cfg.Workers)
+	evals[0] = cfg.Eval
+	for w := 1; w < cfg.Workers; w++ {
+		evals[w] = cfg.NewEval()
 	}
 	nt := cfg.Eval.NumTargets()
 	scores := make([][]float64, nt)
@@ -133,6 +157,7 @@ func New(cfg Config) *CIA {
 		scores:  scores,
 		hasSeen: make([]bool, cfg.NumUsers),
 		dirty:   make(map[int]struct{}),
+		evals:   evals,
 		rows:    make([][]float64, cfg.Workers),
 	}
 }
@@ -169,7 +194,7 @@ func (c *CIA) EndRound() {
 	sort.Ints(senders)
 
 	if c.cfg.Workers == 1 || len(senders) < 2*c.cfg.Workers {
-		c.scoreSenders(c.cfg.Eval, 0, senders)
+		c.scoreSenders(0, senders)
 		return
 	}
 	var wg sync.WaitGroup
@@ -183,26 +208,20 @@ func (c *CIA) EndRound() {
 		if hi > len(senders) {
 			hi = len(senders)
 		}
-		ev := c.cfg.Eval
-		if w > 0 {
-			for len(c.extraEvals) < w {
-				c.extraEvals = append(c.extraEvals, c.cfg.NewEval())
-			}
-			ev = c.extraEvals[w-1]
-		}
 		wg.Add(1)
-		go func(ev Evaluator, w int, part []int) {
+		go func(w int, part []int) {
 			defer wg.Done()
-			c.scoreSenders(ev, w, part)
-		}(ev, w, senders[lo:hi])
+			c.scoreSenders(w, part)
+		}(w, senders[lo:hi])
 	}
 	wg.Wait()
 }
 
-// scoreSenders re-scores senders on worker w's evaluator ev: one
-// ScoreTargets call per sender (through the worker's row) when ev is
+// scoreSenders re-scores senders on worker w's evaluator: one
+// ScoreTargets call per sender (through the worker's row) when it is
 // batched, one Score call per (sender, target) otherwise.
-func (c *CIA) scoreSenders(ev Evaluator, w int, senders []int) {
+func (c *CIA) scoreSenders(w int, senders []int) {
+	ev := c.evals[w]
 	batch, batched := ev.(targetScorer)
 	if !batched {
 		for _, s := range senders {

@@ -45,11 +45,11 @@ func allTargets(d *dataset.Dataset) [][]int { return d.Train }
 func TestNewCIAValidation(t *testing.T) {
 	ev := NewRecommenderEval(model.NewGMF(2, 3, 2, 1), [][]int{{0}})
 	bad := []func(){
-		func() { New(Config{K: 5, NumUsers: 10}) },                       // no eval
-		func() { New(Config{Eval: ev, K: 0, NumUsers: 10}) },             // bad K
-		func() { New(Config{Eval: ev, K: 5, NumUsers: 10, Beta: 1}) },    // bad beta
-		func() { New(Config{Eval: ev, K: 5, NumUsers: 10, Workers: 2}) }, // workers without NewEval
-		func() { NewRecommenderEval(model.NewGMF(2, 3, 2, 1), nil) },     // no targets
+		func() { New(Config{K: 5, NumUsers: 10}) },                                      // no eval
+		func() { New(Config{Eval: ev, K: 0, NumUsers: 10}) },                            // bad K
+		func() { New(Config{Eval: ev, K: 5, NumUsers: 10, Beta: 1}) },                   // bad beta
+		func() { New(Config{Eval: perTargetEval{ev}, K: 5, NumUsers: 10, Workers: 2}) }, // workers without NewEval, no Fork
+		func() { NewRecommenderEval(model.NewGMF(2, 3, 2, 1), nil) },                    // no targets
 	}
 	for i, f := range bad {
 		func() {
@@ -245,6 +245,105 @@ func TestCIAShareLessAdaptation(t *testing.T) {
 	}
 	if !ev.ShareLess() {
 		t.Fatal("evaluator should report share-less mode")
+	}
+}
+
+// TestShareLessForkedWorkersMatchSerial runs a Share-less CIA whose
+// worker evaluators are forks of its Eval — refits spread over the
+// group, scoring over the forks — against the one-worker run: every
+// round's fictive users, the final score matrix and every target's
+// prediction must agree bit for bit, at 2 and 4 workers. Each round
+// refits against a different state and leaves a different third of the
+// senders unobserved.
+func TestShareLessForkedWorkersMatchSerial(t *testing.T) {
+	d := attackDataset(t)
+	targets := allTargets(d)
+	f := model.NewGMFFactory(d.NumUsers, d.NumItems, 8)
+	private := f(0).PrivateEntries()
+	const rounds = 3
+	uploads := make([][]*param.Set, rounds)
+	refits := make([]*param.Set, rounds)
+	for r := range uploads {
+		refits[r] = f(uint64(1000 + r)).Params()
+		uploads[r] = make([]*param.Set, d.NumUsers)
+		for u := range uploads[r] {
+			uploads[r][u] = f(uint64(100*r + u + 1)).Params().Without(private...)
+		}
+	}
+	type result struct {
+		cia     *CIA
+		fictive [][][]float64 // [round][target]
+	}
+	run := func(workers int) result {
+		ev := NewShareLessEval(f(0), targets)
+		c := New(Config{Beta: 0.9, K: 5, NumUsers: d.NumUsers, Eval: ev, Workers: workers})
+		if len(c.evals) != workers || len(ev.group.members) != workers {
+			t.Fatalf("workers=%d: %d evaluators, group of %d", workers, len(c.evals), len(ev.group.members))
+		}
+		rng := mathx.NewRand(11)
+		res := result{cia: c}
+		for r, round := range uploads {
+			ev.RefreshFictive(refits[r], 3, rng)
+			snap := make([][]float64, len(targets))
+			for ti := range targets {
+				snap[ti] = slices.Clone(ev.Fictive(ti))
+			}
+			res.fictive = append(res.fictive, snap)
+			for u, p := range round {
+				if (u+r)%3 != 0 {
+					c.Observe(u, p)
+				}
+			}
+			c.EndRound()
+		}
+		return res
+	}
+	serial := run(1)
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
+		for r := range serial.fictive {
+			for ti, want := range serial.fictive[r] {
+				if !slices.Equal(got.fictive[r][ti], want) {
+					t.Fatalf("workers=%d round %d target %d: fictive user differs", workers, r, ti)
+				}
+			}
+		}
+		for ti := range serial.cia.scores {
+			for s, v := range serial.cia.scores[ti] {
+				if w := got.cia.scores[ti][s]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("workers=%d target %d sender %d: score %v != serial %v", workers, ti, s, w, v)
+				}
+			}
+			if g, w := got.cia.Predict(ti), serial.cia.Predict(ti); !slices.Equal(g, w) {
+				t.Fatalf("workers=%d target %d: Predict %v != serial %v", workers, ti, g, w)
+			}
+		}
+	}
+}
+
+// TestForkSharesFictiveTable checks what a fork shares with its
+// evaluator: the fictive table (a refit through either is seen by
+// both) but not the scratch model.
+func TestForkSharesFictiveTable(t *testing.T) {
+	d := attackDataset(t)
+	f := model.NewGMFFactory(d.NumUsers, d.NumItems, 8)
+	ev := NewShareLessEval(f(0), allTargets(d))
+	fork := ev.Fork().(*RecommenderEval)
+	if fork.scratch == ev.scratch {
+		t.Fatal("fork shares the scratch model")
+	}
+	fork.RefreshFictive(f(1).Params(), 2, mathx.NewRand(1))
+	for ti := range d.Train {
+		if got, want := ev.Fictive(ti), fork.Fictive(ti); got == nil || &got[0] != &want[0] {
+			t.Fatalf("target %d: refit through the fork not visible to the evaluator", ti)
+		}
+	}
+	// Scoring through either gives the same value.
+	state := f(2).Params()
+	ev.Load(state)
+	fork.Load(state)
+	if a, b := ev.Score(3, 4), fork.Score(3, 4); a != b {
+		t.Fatalf("fork scores %v, evaluator %v", b, a)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/parx"
 )
 
 // RecommenderEval is the Evaluator used against recommendation models.
@@ -20,19 +21,37 @@ import (
 //     payloads carry no user embeddings, so relevance is computed with
 //     the adversary's fictive user embedding e_A fitted per target on
 //     a fabricated interaction matrix R_A.
+//
+// Fork makes a worker evaluator: CIA scores senders in parallel on an
+// evaluator and its forks, and a fictive-user refit spreads its fits
+// over the same group.
 type RecommenderEval struct {
 	scratch model.Recommender
 	// batch is scratch's batched relevance, nil when scratch does not
 	// implement model.TargetRelevancer.
 	batch   model.TargetRelevancer
 	targets [][]int
-	// fictive[t] is e_A for target t; nil selects full-model mode.
+	// fictive[t] is e_A for target t; nil selects full-model mode. An
+	// evaluator and its forks share the table's backing array.
 	fictive [][]float64
+	group   *evalGroup
+}
+
+// evalGroup is an evaluator and its forks: the evaluators a fictive
+// refit loads and fits on.
+type evalGroup struct {
+	// members holds the original evaluator, then its forks in creation
+	// order.
+	members []*RecommenderEval
+	// plans[t] is target t's fictive-fit plan, reused by every refit
+	// (nil in full-model mode).
+	plans []model.FictivePlan
 }
 
 var (
 	_ Evaluator    = (*RecommenderEval)(nil)
 	_ targetScorer = (*RecommenderEval)(nil)
+	_ forker       = (*RecommenderEval)(nil)
 )
 
 // NewRecommenderEval builds a full-model evaluator. scratch must be a
@@ -41,8 +60,10 @@ func NewRecommenderEval(scratch model.Recommender, targets [][]int) *Recommender
 	if len(targets) == 0 {
 		panic("attack: NewRecommenderEval requires at least one target")
 	}
-	batch, _ := scratch.(model.TargetRelevancer)
-	return &RecommenderEval{scratch: scratch, batch: batch, targets: targets}
+	ev := &RecommenderEval{scratch: scratch, targets: targets, group: &evalGroup{}}
+	ev.batch, _ = scratch.(model.TargetRelevancer)
+	ev.group.members = []*RecommenderEval{ev}
+	return ev
 }
 
 // NewShareLessEval builds a fictive-user evaluator for the Share-less
@@ -51,7 +72,19 @@ func NewRecommenderEval(scratch model.Recommender, targets [][]int) *Recommender
 func NewShareLessEval(scratch model.Recommender, targets [][]int) *RecommenderEval {
 	ev := NewRecommenderEval(scratch, targets)
 	ev.fictive = make([][]float64, len(targets))
+	ev.group.plans = make([]model.FictivePlan, len(targets))
 	return ev
+}
+
+// Fork returns a worker evaluator for e's group: a clone of the scratch
+// model, the same targets and the same fictive table, so a refit
+// through any member is seen by all of them. A fork has its own scratch
+// and may be used concurrently with e; creating forks may not.
+func (e *RecommenderEval) Fork() Evaluator {
+	f := &RecommenderEval{scratch: e.scratch.Clone(), targets: e.targets, fictive: e.fictive, group: e.group}
+	f.batch, _ = f.scratch.(model.TargetRelevancer)
+	e.group.members = append(e.group.members, f)
+	return f
 }
 
 // ShareLess reports whether the evaluator is in fictive-user mode.
@@ -110,32 +143,51 @@ func (e *RecommenderEval) ScoreTargets(sender int, dst []float64) {
 // items and trains a user embedding on it, holding everything else
 // fixed. epochs controls the fit length (the paper's adversary is
 // cheap; a handful of epochs suffices).
+//
+// Every target's draws are planned from r in target order, so the
+// result does not depend on the group size; the fits then run in
+// parallel, one group member per worker, each on its own scratch model
+// loaded with state.
 func (e *RecommenderEval) RefreshFictive(state *param.Set, epochs int, r *rand.Rand) {
 	if e.fictive == nil {
 		panic("attack: RefreshFictive on a full-model evaluator")
 	}
-	e.Load(state)
+	plans := e.group.plans
+	opt := model.TrainOptions{Epochs: epochs, Rand: r}
 	for t, target := range e.targets {
-		e.fictive[t] = e.scratch.FitFictiveUser(target, model.TrainOptions{
-			Epochs: epochs,
-			Rand:   r,
-		})
+		e.scratch.PlanFictiveUser(target, opt, &plans[t])
 	}
+	members := e.group.members[:min(len(e.group.members), len(e.targets))]
+	for _, m := range members {
+		m.Load(state)
+	}
+	opt.Rand = nil
+	parx.ForEach(len(members), len(e.targets), func(w, t int) {
+		e.fictive[t] = members[w].scratch.FitFictiveUser(e.targets[t], &plans[t], opt)
+	})
 }
 
 // RefreshFictiveOne re-fits the fictive user for a single target
-// against the item embeddings in state. Gossip adversaries use this:
-// each adversary placement refreshes only its own target against its
-// own node's parameters.
+// against the item embeddings in state, on this evaluator alone.
+// Gossip adversaries use this: each adversary placement refreshes only
+// its own target against its own node's parameters.
 func (e *RecommenderEval) RefreshFictiveOne(t int, state *param.Set, epochs int, r *rand.Rand) {
 	if e.fictive == nil {
 		panic("attack: RefreshFictiveOne on a full-model evaluator")
 	}
 	e.Load(state)
-	e.fictive[t] = e.scratch.FitFictiveUser(e.targets[t], model.TrainOptions{
-		Epochs: epochs,
-		Rand:   r,
-	})
+	plan := &e.group.plans[t]
+	e.scratch.PlanFictiveUser(e.targets[t], model.TrainOptions{Epochs: epochs, Rand: r}, plan)
+	e.fictive[t] = e.scratch.FitFictiveUser(e.targets[t], plan, model.TrainOptions{Epochs: epochs})
+}
+
+// Fictive returns target t's fictive user e_A: nil in full-model mode
+// and before the first refit. Callers must not mutate it.
+func (e *RecommenderEval) Fictive(t int) []float64 {
+	if e.fictive == nil {
+		return nil
+	}
+	return e.fictive[t]
 }
 
 // SetFictive installs the same explicit user vector as every target's
@@ -147,16 +199,5 @@ func (e *RecommenderEval) SetFictive(vec []float64) {
 	}
 	for t := range e.fictive {
 		e.fictive[t] = append([]float64(nil), vec...)
-	}
-}
-
-// CloneFictive copies fitted fictive vectors from src (used to share
-// one fit across parallel evaluators).
-func (e *RecommenderEval) CloneFictive(src *RecommenderEval) {
-	if e.fictive == nil || src.fictive == nil {
-		panic("attack: CloneFictive requires share-less evaluators")
-	}
-	for t, v := range src.fictive {
-		e.fictive[t] = append([]float64(nil), v...)
 	}
 }

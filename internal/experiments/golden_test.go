@@ -350,6 +350,8 @@ func TestGoldenDeterminism(t *testing.T) {
 		hashes["fed-gmf-byz-median/"+backend] = goldenByzMedianFedRun(t, backend)
 		hashes["fed-gmf-byz-clip/"+backend] = goldenByzClipFedRun(t, backend)
 	}
+	hashes["cia-shareless/fed-gmf"] = goldenShareLessFedRun(t)
+	hashes["cia-shareless/gossip-gmf"] = goldenShareLessGossipRun(t)
 	// The transport backends must agree with each other regardless of
 	// what the golden file says (this half runs on every architecture).
 	// "socket" runs the complete RPC network path over a loopback

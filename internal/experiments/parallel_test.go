@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/gossip"
 )
 
@@ -41,8 +44,32 @@ func TestWorkersInvariance(t *testing.T) {
 		row := AttackRow{Dataset: "movielens", Model: "gmf", Setting: "rand-gossip", Result: res.Attack}
 		return res, row.String()
 	}
+	shareLess := defense.ShareLess{Tau: DefaultShareLessTau}
+	runFLShareLess := func(workers int) (RunResult, string) {
+		s := base
+		s.Workers = workers
+		res, err := RunFLCIA(FLOpts{Data: d, Family: "gmf", Policy: shareLess, Spec: s, Utility: UtilityNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := AttackRow{Dataset: "movielens", Model: "gmf", Setting: "FL share-less", Result: res.Attack}
+		return res, row.String()
+	}
+	runCoalition := func(workers int) (RunResult, string) {
+		s := base
+		s.Workers = workers
+		res, err := RunGLCIA(GLOpts{Data: d, Family: "gmf", Variant: gossip.RandGossip, Spec: s,
+			Policy: shareLess, ColluderFrac: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := AttackRow{Dataset: "movielens", Model: "gmf", Setting: "20% colluders share-less", Result: res.Attack}
+		return res, row.String()
+	}
 
-	for name, run := range map[string]func(int) (RunResult, string){"fl": runFL, "gl": runGL} {
+	for name, run := range map[string]func(int) (RunResult, string){
+		"fl": runFL, "gl": runGL, "fl-shareless": runFLShareLess, "gl-coalition-shareless": runCoalition,
+	} {
 		t.Run(name, func(t *testing.T) {
 			serial, serialRow := run(-1) // forced serial
 			parallel, parallelRow := run(4)
@@ -63,5 +90,36 @@ func TestWorkersInvariance(t *testing.T) {
 				t.Fatalf("rendered rows differ:\n%s\n%s", serialRow, parallelRow)
 			}
 		})
+	}
+}
+
+// TestShareLessCoalitionRepeatable pins the Share-less coalition to one
+// outcome: the coalition refits every target against the lowest-id
+// colluder, so repeated identical runs give byte-identical AAC series.
+func TestShareLessCoalitionRepeatable(t *testing.T) {
+	spec := BenchSpec()
+	spec.Rounds = 5
+	spec.GLRounds = 6
+	d, err := MakeDataset("movielens", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SplitFor("gmf", d)
+	var first []float64
+	for i := 0; i < 4; i++ {
+		res, err := RunGLCIA(GLOpts{Data: d, Family: "gmf", Variant: gossip.RandGossip, Spec: spec,
+			Policy: defense.ShareLess{Tau: DefaultShareLessTau}, ColluderFrac: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = res.Attack.Series
+			continue
+		}
+		if !slices.EqualFunc(res.Attack.Series, first, func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			t.Fatalf("run %d AAC series %v != first run %v", i, res.Attack.Series, first)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 
 	"github.com/collablearn/ciarec/internal/attack"
@@ -138,22 +139,16 @@ func RunFLCIA(o FLOpts) (RunResult, error) {
 	} else {
 		ev = attack.NewRecommenderEval(factory(0), targets)
 	}
-	cfg := attack.Config{
+	// CIA scores (and, under Share-less, refits) on forks of ev, one
+	// per worker: Workers == 0 resolves to runtime.NumCPU() inside
+	// attack.New.
+	cia := attack.New(attack.Config{
 		Beta:     o.Spec.Beta,
 		K:        k,
 		NumUsers: o.Data.NumUsers,
 		Eval:     ev,
-	}
-	// Parallel CIA scoring whenever the spec doesn't force serial
-	// execution: Workers == 0 resolves to runtime.NumCPU() inside
-	// attack.New once NewEval is supplied.
-	if !shareLess && (o.Spec.Workers == 0 || o.Spec.Workers > 1) {
-		cfg.Workers = o.Spec.Workers
-		cfg.NewEval = func() attack.Evaluator {
-			return attack.NewRecommenderEval(factory(0), targets)
-		}
-	}
-	cia := attack.New(cfg)
+		Workers:  o.Spec.Workers,
+	})
 
 	flObs := &flObserver{
 		cia:           cia,
@@ -329,12 +324,10 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 		if nc < 1 {
 			nc = 1
 		}
-		glObs.colluders = make(map[int]struct{}, nc)
-		for _, c := range mathx.SampleWithoutReplacement(glObs.rng, n, nc) {
-			glObs.colluders[c] = struct{}{}
-		}
+		glObs.colluders = mathx.SampleWithoutReplacement(glObs.rng, n, nc)
+		slices.Sort(glObs.colluders)
 		glObs.coalition = attack.New(attack.Config{
-			Beta: beta, K: k, NumUsers: n, Eval: ev,
+			Beta: beta, K: k, NumUsers: n, Eval: ev, Workers: o.Spec.Workers,
 		})
 	} else {
 		glObs.perNode = make([]*attack.CIA, n)
@@ -428,8 +421,9 @@ type glObserver struct {
 
 	// single-adversary mode: one CIA per placement.
 	perNode []*attack.CIA
-	// colluder mode: one coalition fed by all colluders' inboxes.
-	colluders map[int]struct{}
+	// colluder mode: one coalition fed by all colluders' inboxes;
+	// colluders is sorted ascending.
+	colluders []int
 	coalition *attack.CIA
 
 	shareLess     bool
@@ -438,7 +432,7 @@ type glObserver struct {
 
 func (o *glObserver) OnReceive(msg gossip.Message) {
 	if o.coalition != nil {
-		if _, ok := o.colluders[msg.To]; ok {
+		if _, ok := slices.BinarySearch(o.colluders, msg.To); ok {
 			o.coalition.Observe(msg.From, msg.Params)
 		}
 		return
@@ -449,14 +443,9 @@ func (o *glObserver) OnReceive(msg gossip.Message) {
 func (o *glObserver) OnRoundEnd(round int) {
 	if o.coalition != nil {
 		if o.shareLess {
-			// The coalition refreshes every target's e_A against one
-			// colluder's item embeddings.
-			var anyC int
-			for c := range o.colluders {
-				anyC = c
-				break
-			}
-			o.ev.RefreshFictive(o.sim.Node(anyC).Params(), o.fictiveEpochs, o.rng)
+			// The coalition refreshes every target's e_A against the
+			// lowest-id colluder's item embeddings.
+			o.ev.RefreshFictive(o.sim.Node(o.colluders[0]).Params(), o.fictiveEpochs, o.rng)
 		}
 		o.coalition.EndRound()
 		o.rec.Record(o.coalition.Accuracies(o.truths))

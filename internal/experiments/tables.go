@@ -663,9 +663,12 @@ func RunTable9(spec Spec) (Table9Result, error) {
 	measured := make(map[string]float64)
 
 	start := time.Now() //lint:ignore detrand wall-clock timing is reporting-only; it never enters table values or golden hashes
+	// Workers: -1 keeps CIA single-threaded like the MIA and AIA it is
+	// compared against.
 	cia := attack.New(attack.Config{
 		Beta: spec.Beta, K: k, NumUsers: d.NumUsers,
-		Eval: attack.NewRecommenderEval(factory(0), targets),
+		Eval:    attack.NewRecommenderEval(factory(0), targets),
+		Workers: -1,
 	})
 	for u, p := range uploads {
 		cia.Observe(u, p)

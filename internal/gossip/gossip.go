@@ -667,7 +667,6 @@ func (s *Simulation) scheduleRefresh(u int) {
 
 // refreshView resamples node u's out-view according to the variant.
 func (s *Simulation) refreshView(u int) {
-	n := len(s.nodes)
 	p := s.cfg.OutDegree
 	switch s.cfg.Variant {
 	case PersGossip:
@@ -675,7 +674,6 @@ func (s *Simulation) refreshView(u int) {
 	default:
 		s.nodes[u].view = s.randView(u, p)
 	}
-	_ = n
 }
 
 // randView draws P distinct peers uniformly, excluding u itself.

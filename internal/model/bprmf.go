@@ -38,6 +38,8 @@ type BPRMF struct {
 	// scoreBuf is the grown-on-demand staging area of the batched
 	// relevance sweeps.
 	scoreBuf []float64
+	// fictiveMask is PlanFictiveUser's item-membership scratch.
+	fictiveMask []bool
 }
 
 var _ Recommender = (*BPRMF)(nil)
@@ -233,31 +235,34 @@ func (m *BPRMF) bprStep(u, pos, neg int, opt TrainOptions) {
 	}
 }
 
+// PlanFictiveUser draws the starting vector and the negatives of a
+// fictive-user fit (see Recommender).
+func (m *BPRMF) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan) {
+	opt = opt.withDefaults(bprmfDefaultLR, bprmfDefaultL2)
+	planFictive(plan, &m.fictiveMask, m.items, m.dim, bprmfInitStd, items, opt)
+}
+
 // FitFictiveUser trains a fresh user vector by BPR against the target
 // items with sampled negatives, holding everything else fixed (§IV-C).
 // Unlike PRME there is no metric-space repulsion pathology: the dot-
 // product objective is maximized by aligning with the target items'
 // direction, so plain SGD converges to a useful reference basis.
-func (m *BPRMF) FitFictiveUser(items []int, opt TrainOptions) []float64 {
-	opt = opt.withDefaults(bprmfDefaultLR, bprmfDefaultL2)
-	vec := make([]float64, m.dim)
-	mathx.FillNormal(opt.Rand, vec, 0, bprmfInitStd)
-	if len(items) == 0 {
-		return vec
-	}
-	positives := asSet(items)
+func (m *BPRMF) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
+	opt = opt.defaults(bprmfDefaultLR, bprmfDefaultL2)
+	vec := plan.start(m.dim)
+	neg := plan.negatives(items, opt)
 	for e := 0; e < opt.Epochs; e++ {
 		for _, pos := range items {
-			for n := 0; n < opt.NegPerPos; n++ {
-				neg := negativeOutside(opt.Rand, m.items, positives)
-				z := m.score(vec, pos) - m.score(vec, neg)
+			for _, n := range neg[:opt.NegPerPos] {
+				z := m.score(vec, pos) - m.score(vec, int(n))
 				g := -mathx.Sigmoid(-z)
-				qp, qn := m.itemEmb.Row(pos), m.itemEmb.Row(neg)
+				qp, qn := m.itemEmb.Row(pos), m.itemEmb.Row(int(n))
 				//lint:ignore mathxseam fused BPR step couples vec into its own update; no bit-identical kernel exists yet
 				for k := 0; k < m.dim; k++ {
 					vec[k] -= opt.LR * (g*(qp[k]-qn[k]) + opt.L2*vec[k])
 				}
 			}
+			neg = neg[opt.NegPerPos:]
 		}
 	}
 	return vec

@@ -114,7 +114,7 @@ func TestBPRMFFictiveUser(t *testing.T) {
 		}
 	}
 	target := d.Train[0]
-	vec := m.FitFictiveUser(target, TrainOptions{Rand: r, Epochs: 15})
+	vec := fitFictive(m, target, TrainOptions{Rand: r, Epochs: 15})
 	random := make([]float64, 8)
 	mathx.FillNormal(mathx.NewRand(99), random, 0, bprmfInitStd)
 	if m.RelevanceWithUserVec(vec, target) <= m.RelevanceWithUserVec(random, target) {

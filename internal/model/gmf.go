@@ -39,6 +39,8 @@ type GMF struct {
 	// scoring kernels dot against item rows; scoreBuf is the grown-on-
 	// demand per-item staging area of the relevance/predict sweeps.
 	wuser, scoreBuf []float64
+	// fictiveMask is PlanFictiveUser's item-membership scratch.
+	fictiveMask []bool
 }
 
 var _ Recommender = (*GMF)(nil)
@@ -264,23 +266,27 @@ func (m *GMF) sgdStep(u, item int, label float64, opt TrainOptions) {
 	}
 }
 
+// PlanFictiveUser draws the starting vector and the negatives of a
+// fictive-user fit (see Recommender).
+func (m *GMF) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan) {
+	opt = opt.withDefaults(gmfDefaultLR, gmfDefaultL2)
+	planFictive(plan, &m.fictiveMask, m.items, m.dim, gmfInitStd, items, opt)
+}
+
 // FitFictiveUser trains a fresh user vector on the fabricated
 // interaction matrix R_A = {(A, i) : i ∈ items}, holding item
 // embeddings, h and bias fixed (§IV-C).
-func (m *GMF) FitFictiveUser(items []int, opt TrainOptions) []float64 {
-	opt = opt.withDefaults(gmfDefaultLR, gmfDefaultL2)
-	vec := make([]float64, m.dim)
-	mathx.FillNormal(opt.Rand, vec, 0, gmfInitStd)
-	if len(items) == 0 {
-		return vec
-	}
-	positives := asSet(items)
+func (m *GMF) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
+	opt = opt.defaults(gmfDefaultLR, gmfDefaultL2)
+	vec := plan.start(m.dim)
+	neg := plan.negatives(items, opt)
 	for e := 0; e < opt.Epochs; e++ {
 		for _, pos := range items {
 			m.fictiveStep(vec, pos, 1, opt)
-			for n := 0; n < opt.NegPerPos; n++ {
-				m.fictiveStep(vec, negativeOutside(opt.Rand, m.items, positives), 0, opt)
+			for _, it := range neg[:opt.NegPerPos] {
+				m.fictiveStep(vec, int(it), 0, opt)
 			}
+			neg = neg[opt.NegPerPos:]
 		}
 	}
 	return vec

@@ -184,7 +184,7 @@ func TestGMFFitFictiveUser(t *testing.T) {
 		}
 	}
 	target := d.Train[0]
-	vec := m.FitFictiveUser(target, TrainOptions{Rand: r, Epochs: 20})
+	vec := fitFictive(m, target, TrainOptions{Rand: r, Epochs: 20})
 	if len(vec) != 8 {
 		t.Fatalf("fictive vector dim %d", len(vec))
 	}

@@ -8,8 +8,10 @@ package model
 
 import (
 	"math/rand/v2"
+	"slices"
 
 	"github.com/collablearn/ciarec/internal/dataset"
+	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/param"
 )
 
@@ -46,9 +48,18 @@ type Recommender interface {
 	// (§IV-C) passes the adversary's fictive-user embedding here.
 	RelevanceWithUserVec(vec []float64, items []int) float64
 
-	// FitFictiveUser trains a fresh user vector representing "a user
-	// who likes items", holding every other parameter fixed (§IV-C).
-	FitFictiveUser(items []int, opt TrainOptions) []float64
+	// PlanFictiveUser and FitFictiveUser train a fresh user vector
+	// representing "a user who likes items", holding every other
+	// parameter fixed (§IV-C), in two phases. PlanFictiveUser is the
+	// only one that consumes opt.Rand: it draws the fit's starting
+	// vector and sampled negatives into plan, in the order an
+	// interleaved fit would draw them. FitFictiveUser then runs the fit
+	// from plan without any RNG; it reads the parameters and writes
+	// only model-owned scratch, so fits on distinct model copies may
+	// run concurrently. items and the epoch/negative options must be
+	// those of the plan; the vector it returns is fresh storage.
+	PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan)
+	FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64
 
 	// Predict returns the model's probability-like confidence in
 	// owner liking item, in (0,1). The entropy-based MIA thresholds
@@ -141,6 +152,19 @@ type TrainOptions struct {
 }
 
 func (o TrainOptions) withDefaults(lr, l2 float64) TrainOptions {
+	o = o.defaults(lr, l2)
+	if o.Rand == nil {
+		panic("model: TrainOptions.Rand is required")
+	}
+	if o.DriftTau > 0 && o.DriftRef == nil {
+		panic("model: DriftTau requires DriftRef")
+	}
+	return o
+}
+
+// defaults fills the zero-valued knobs without requiring Rand: the
+// RNG-free fictive fit runs on it.
+func (o TrainOptions) defaults(lr, l2 float64) TrainOptions {
 	if o.Epochs <= 0 {
 		o.Epochs = 1
 	}
@@ -155,12 +179,6 @@ func (o TrainOptions) withDefaults(lr, l2 float64) TrainOptions {
 	} else if o.L2 == 0 {
 		o.L2 = l2
 	}
-	if o.Rand == nil {
-		panic("model: TrainOptions.Rand is required")
-	}
-	if o.DriftTau > 0 && o.DriftRef == nil {
-		panic("model: DriftTau requires DriftRef")
-	}
 	return o
 }
 
@@ -169,28 +187,78 @@ func (o TrainOptions) withDefaults(lr, l2 float64) TrainOptions {
 // its global model.
 type Factory func(seed uint64) Recommender
 
-// negativeOutside draws an item id outside the given positive set —
-// the negative-sampling rule of the fictive interaction matrix R_A
-// (§IV-C): non-member examples come from V ∖ V_target. Sampling
-// negatives from the full catalogue would let them collide with the
-// target items and cancel the positive updates.
-func negativeOutside(r *rand.Rand, numItems int, positives map[int]struct{}) int {
-	if len(positives) >= numItems {
-		panic("model: no negatives outside the positive set")
-	}
-	for {
-		it := r.IntN(numItems)
-		if _, ok := positives[it]; !ok {
-			return it
-		}
-	}
+// FictivePlan holds the random draws of one fictive-user fit, written
+// by Recommender.PlanFictiveUser and read by FitFictiveUser. Its
+// storage is reused from plan to plan, so one plan per target serves
+// every refit of a run.
+type FictivePlan struct {
+	// init is the fit's starting vector.
+	init []float64
+	// neg lists the sampled negatives in fit order: epoch-major, then
+	// by position in items, NegPerPos per positive.
+	neg []int32
 }
 
-// asSet converts an item list to a set for negativeOutside.
-func asSet(items []int) map[int]struct{} {
-	s := make(map[int]struct{}, len(items))
-	for _, it := range items {
-		s[it] = struct{}{}
+// start returns a fresh copy of the planned starting vector, which must
+// have n entries.
+func (p *FictivePlan) start(n int) []float64 {
+	if len(p.init) != n {
+		panic("model: fictive plan was drawn for another model")
 	}
-	return s
+	return append([]float64(nil), p.init...)
+}
+
+// negatives returns the planned negatives of a fit of items under opt
+// (defaults applied).
+func (p *FictivePlan) negatives(items []int, opt TrainOptions) []int32 {
+	if len(p.neg) != opt.Epochs*len(items)*opt.NegPerPos {
+		panic("model: fictive plan was drawn for other items or options")
+	}
+	return p.neg
+}
+
+// planFictive is the draw phase the SGD-fitted families (GMF, BPRMF,
+// NeuMF) share: initLen N(0, initStd) draws for the starting vector,
+// then, for a non-empty target, opt.Epochs × len(items) × opt.NegPerPos
+// negatives from V ∖ items. That is the negative-sampling rule of the
+// fictive interaction matrix R_A (§IV-C): sampling negatives from the
+// full catalogue would let them collide with the target items and
+// cancel the positive updates. mask is the planning model's
+// catalogue-sized membership scratch, grown on first use and left
+// all-false.
+func planFictive(plan *FictivePlan, mask *[]bool, numItems, initLen int, initStd float64, items []int, opt TrainOptions) {
+	plan.init = growFloats(plan.init, initLen)
+	mathx.FillNormal(opt.Rand, plan.init, 0, initStd)
+	plan.neg = plan.neg[:0]
+	if len(items) == 0 {
+		return
+	}
+	if len(*mask) < numItems {
+		*mask = make([]bool, numItems)
+	}
+	member := *mask
+	distinct := 0
+	for _, it := range items {
+		if !member[it] {
+			member[it] = true
+			distinct++
+		}
+	}
+	defer func() {
+		for _, it := range items {
+			member[it] = false
+		}
+	}()
+	if distinct >= numItems {
+		panic("model: no negatives outside the positive set")
+	}
+	n := opt.Epochs * len(items) * opt.NegPerPos
+	plan.neg = slices.Grow(plan.neg, n)[:n]
+	for i := range plan.neg {
+		it := opt.Rand.IntN(numItems)
+		for member[it] {
+			it = opt.Rand.IntN(numItems)
+		}
+		plan.neg[i] = int32(it)
+	}
 }

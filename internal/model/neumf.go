@@ -60,6 +60,8 @@ type NeuMF struct {
 	// hoisted once per scored user, scoreBuf the grown-on-demand
 	// per-item staging area. Allocated lazily by scoreBatch.
 	wg, uPart, scoreBuf []float64
+	// fictiveMask is PlanFictiveUser's item-membership scratch.
+	fictiveMask []bool
 }
 
 // gradViews carves the lazily-allocated backprop workspace into its
@@ -431,23 +433,27 @@ func (m *NeuMF) sgdStep(u, it int, label float64, opt TrainOptions) {
 	}
 }
 
+// PlanFictiveUser draws the starting vectors of both towers and the
+// negatives of a fictive-user fit (see Recommender).
+func (m *NeuMF) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan) {
+	opt = opt.withDefaults(neumfDefaultLR, neumfDefaultL2)
+	planFictive(plan, &m.fictiveMask, m.items, 2*m.dim, neumfInitStd, items, opt)
+}
+
 // FitFictiveUser trains fresh user vectors for both towers against the
 // target items (§IV-C) and returns them concatenated [p_g ; p_m].
-func (m *NeuMF) FitFictiveUser(items []int, opt TrainOptions) []float64 {
-	opt = opt.withDefaults(neumfDefaultLR, neumfDefaultL2)
-	vec := make([]float64, 2*m.dim)
-	mathx.FillNormal(opt.Rand, vec, 0, neumfInitStd)
-	if len(items) == 0 {
-		return vec
-	}
+func (m *NeuMF) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
+	opt = opt.defaults(neumfDefaultLR, neumfDefaultL2)
+	vec := plan.start(2 * m.dim)
+	neg := plan.negatives(items, opt)
 	ug, um := vec[:m.dim], vec[m.dim:]
-	positives := asSet(items)
 	for e := 0; e < opt.Epochs; e++ {
 		for _, pos := range items {
 			m.fictiveStep(ug, um, pos, 1, opt)
-			for n := 0; n < opt.NegPerPos; n++ {
-				m.fictiveStep(ug, um, negativeOutside(opt.Rand, m.items, positives), 0, opt)
+			for _, it := range neg[:opt.NegPerPos] {
+				m.fictiveStep(ug, um, int(it), 0, opt)
 			}
+			neg = neg[opt.NegPerPos:]
 		}
 	}
 	return vec

@@ -137,7 +137,7 @@ func TestNeuMFFictiveUser(t *testing.T) {
 	target := d.Train[0]
 	// NeuMF's fictive fit needs a longer run than the shallow models:
 	// the MLP tower's gradient path is weaker at init.
-	vec := m.FitFictiveUser(target, TrainOptions{Rand: r, Epochs: 30})
+	vec := fitFictive(m, target, TrainOptions{Rand: r, Epochs: 30})
 	if len(vec) != 16 {
 		t.Fatalf("fictive vector length %d, want 16 ([gmf ; mlp])", len(vec))
 	}

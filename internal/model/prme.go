@@ -413,6 +413,17 @@ func (m *PRME) drift(item int, entry string, mat *mathx.Matrix, opt TrainOptions
 	mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+m.dim], mat.Row(item))
 }
 
+// PlanFictiveUser draws the random starting point of an empty
+// target's fictive user; a non-empty target's closed-form fit draws
+// nothing (see FitFictiveUser).
+func (m *PRME) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan) {
+	opt = opt.withDefaults(prmeDefaultLR, prmeDefaultL2)
+	if len(items) == 0 {
+		plan.init = growFloats(plan.init, m.dim)
+		mathx.FillNormal(opt.Rand, plan.init, 0, prmeInitStd)
+	}
+}
+
 // FitFictiveUser returns a preference-space user point representing "a
 // user who likes items", holding every other parameter fixed (§IV-C).
 //
@@ -421,14 +432,13 @@ func (m *PRME) drift(item int, entry string, mat *mathx.Matrix, opt TrainOptions
 // of the target items' preference points, so we use it directly.
 // Running BPR with sampled negatives here would let the repulsion term
 // push v to the max-norm boundary — away from every item point — which
-// destroys the comparison basis CIA needs.
-func (m *PRME) FitFictiveUser(items []int, opt TrainOptions) []float64 {
-	opt = opt.withDefaults(prmeDefaultLR, prmeDefaultL2)
-	vec := make([]float64, m.dim)
+// destroys the comparison basis CIA needs. An empty target keeps its
+// planned random point.
+func (m *PRME) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
 	if len(items) == 0 {
-		mathx.FillNormal(opt.Rand, vec, 0, prmeInitStd)
-		return vec
+		return plan.start(m.dim)
 	}
+	vec := make([]float64, m.dim)
 	for _, it := range items {
 		mathx.Axpy(1, m.itemPref.Row(it), vec)
 	}

@@ -143,7 +143,7 @@ func TestPRMEFitFictiveUserApproachesTarget(t *testing.T) {
 		}
 	}
 	target := d.Train[0]
-	vec := m.FitFictiveUser(target, TrainOptions{Rand: r, Epochs: 20})
+	vec := fitFictive(m, target, TrainOptions{Rand: r, Epochs: 20})
 	random := make([]float64, 8)
 	mathx.FillNormal(mathx.NewRand(99), random, 0, prmeInitStd)
 	if m.RelevanceWithUserVec(vec, target) <= m.RelevanceWithUserVec(random, target) {
