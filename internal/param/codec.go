@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -136,11 +137,19 @@ func (c Compression) levelBytes() int { return c.Bits / 8 }
 type quantizer struct {
 	lo, hi, step float64
 	max          int
+	// fast marks a well-conditioned grid — a normal (not subnormal)
+	// step and a span of at least 2^-20 of the range's magnitude —
+	// on which level may skip the neighbour probe (see guess).
+	fast bool
 }
 
 func newQuantizer(c Compression, lo, hi float64) quantizer {
 	m := int(1)<<c.Bits - 1
-	return quantizer{lo: lo, hi: hi, step: (hi - lo) / float64(m), max: m}
+	step := (hi - lo) / float64(m)
+	return quantizer{
+		lo: lo, hi: hi, step: step, max: m,
+		fast: step >= 0x1p-1022 && hi-lo >= 0x1p-20*max(math.Abs(lo), math.Abs(hi)),
+	}
 }
 
 // value reconstructs a level.
@@ -156,15 +165,50 @@ func (q quantizer) value(l int) float64 {
 
 // level returns the canonical level for v: the level whose
 // reconstruction is nearest to v, lowest level on ties. The ±1
-// neighbor probe after the arithmetic guess makes grid points
+// neighbour probe after the arithmetic guess makes grid points
 // quantize back to themselves even when (v−lo)/step cannot be
 // evaluated exactly — which is what makes encode∘decode∘encode
-// byte-stable.
+// byte-stable. The probe is skipped where guess proves it would not
+// move the answer.
 func (q quantizer) level(v float64) int {
+	l, r, ok := q.guess(v)
+	if !ok {
+		l = q.probe(v, r)
+	}
+	return l
+}
+
+// guess is level's probe-free fast path, small enough to inline into
+// the encode loops: it returns the quotient r = (v−lo)/step, a
+// candidate level l = int(r + 0.5), and ok when l is certainly the
+// level the probe would pick — on a fast grid, l interior
+// (0 < l < max) and |r − l| < 0.49, which also makes l the nearest
+// integer to r. Otherwise the caller runs probe(v, r).
+//
+// Why ok is safe: r is within 2^-36 steps of the exact quotient (two
+// roundings, |r| < 2^16), so v lies within 0.49 + 2^-36 steps of grid
+// point lo + l·step and at least 0.51 − 2^-36 steps from lo + (l±1)·step.
+// Each reconstruction value(k) the probe compares is within ~2^-16
+// steps of lo + k·step: a normal step keeps k·step at full precision,
+// the span condition bounds the rounding of the sum by
+// 2^-53·max(|lo|, |hi|) ≤ 2^-17 steps, and hi is within 2^-36 steps of
+// lo + max·step. So the probe's computed distance to l is smaller than
+// to l±1 by at least ~0.02 steps, its guess round(r) is l too, and it
+// returns l. codec_kernel_test.go holds level to the frozen
+// probe-only implementation in codec_oracle_test.go.
+func (q quantizer) guess(v float64) (l int, r float64, ok bool) {
+	r = (v - q.lo) / q.step
+	l = int(r + 0.5)
+	return l, r, q.fast && l > 0 && l < q.max && math.Abs(r-float64(l)) < 0.49
+}
+
+// probe is level's general path: clamp the arithmetic guess round(r)
+// to the grid, then take the nearest of it and its two neighbours.
+func (q quantizer) probe(v, r float64) int {
 	if q.step <= 0 {
 		return 0
 	}
-	f := math.Round((v - q.lo) / q.step)
+	f := math.Round(r)
 	var l int
 	switch {
 	case f < 0:
@@ -205,6 +249,149 @@ func (q quantizer) levelNonzero(v float64) int {
 			return d
 		}
 	}
+}
+
+// quantize writes the level of every coordinate of data − ref (data
+// alone when ref is nil) to dst, lb bytes per level.
+func (q quantizer) quantize(dst []byte, lb int, data, ref []float64) {
+	if ref != nil {
+		ref = ref[:len(data)]
+	}
+	if lb == 1 {
+		dst = dst[:len(data)]
+		for j, v := range data {
+			if ref != nil {
+				v -= ref[j]
+			}
+			l, r, ok := q.guess(v)
+			if !ok {
+				l = q.probe(v, r)
+			}
+			dst[j] = byte(l)
+		}
+		return
+	}
+	dst = dst[:2*len(data)]
+	for j, v := range data {
+		if ref != nil {
+			v -= ref[j]
+		}
+		l, r, ok := q.guess(v)
+		if !ok {
+			l = q.probe(v, r)
+		}
+		binary.LittleEndian.PutUint16(dst[2*j:], uint16(l))
+	}
+}
+
+// quantizeSparse writes (index, level) pairs for the nonzero
+// coordinates of data − ref (data alone when ref is nil), starting at
+// index from, until data is exhausted or dst has no room for another
+// pair. It returns the bytes written and the index to resume from.
+func (q quantizer) quantizeSparse(dst []byte, lb int, data, ref []float64, from int) (k, next int) {
+	if ref != nil {
+		ref = ref[:len(data)]
+	}
+	j := from
+	if lb == 1 {
+		for ; j < len(data) && k+5 <= len(dst); j++ {
+			v := data[j]
+			if ref != nil {
+				v -= ref[j]
+			}
+			if v == 0 {
+				continue
+			}
+			l, _, ok := q.guess(v)
+			if !ok || q.value(l) == 0 {
+				l = q.levelNonzero(v)
+			}
+			binary.LittleEndian.PutUint32(dst[k:], uint32(j))
+			dst[k+4] = byte(l)
+			k += 5
+		}
+		return k, j
+	}
+	for ; j < len(data) && k+6 <= len(dst); j++ {
+		v := data[j]
+		if ref != nil {
+			v -= ref[j]
+		}
+		if v == 0 {
+			continue
+		}
+		l, _, ok := q.guess(v)
+		if !ok || q.value(l) == 0 {
+			l = q.levelNonzero(v)
+		}
+		binary.LittleEndian.PutUint32(dst[k:], uint32(j))
+		binary.LittleEndian.PutUint16(dst[k+4:], uint16(l))
+		k += 6
+	}
+	return k, j
+}
+
+// payloadRange summarizes one entry's (delta) payload for the encoder:
+// the range of all coordinates, the range of the nonzero ones, and how
+// many are nonzero. Empty ranges are [0, 0].
+type payloadRange struct {
+	lo, hi     float64
+	loNZ, hiNZ float64
+	nnz        int
+}
+
+// scanPayload computes the payloadRange of data − ref (data alone when
+// ref is nil), or returns the index of the first value that is NaN or
+// beyond ±codecRangeLimit (bad is −1 otherwise). The loop tracks only
+// the nonzero range and counts zeros by sign; the full range follows
+// from them. lo and hi go on the wire, so they must equal what
+// math.Min/math.Max would give, signed zeros included: where a zero is
+// an end of the range, lo is −0 if any −0 occurred and hi is +0 if any
+// +0 did.
+func scanPayload(data, ref []float64) (pr payloadRange, bad int) {
+	if ref != nil {
+		ref = ref[:len(data)]
+	}
+	loNZ, hiNZ := math.Inf(1), math.Inf(-1)
+	var nnz, negZeros int
+	for j, v := range data {
+		if ref != nil {
+			v -= ref[j]
+		}
+		if !(math.Abs(v) <= codecRangeLimit) {
+			return pr, j
+		}
+		if v != 0 {
+			nnz++
+			if v < loNZ {
+				loNZ = v
+			}
+			if v > hiNZ {
+				hiNZ = v
+			}
+		} else {
+			negZeros += int(math.Float64bits(v) >> 63)
+		}
+	}
+	if nnz == 0 {
+		loNZ, hiNZ = 0, 0
+	}
+	lo, hi := loNZ, hiNZ
+	if zeros := len(data) - nnz; zeros > 0 {
+		if !(lo < 0) {
+			lo = 0
+			if negZeros > 0 {
+				lo = math.Copysign(0, -1)
+			}
+		}
+		if !(hi > 0) {
+			hi = math.Copysign(0, -1)
+			if negZeros < zeros {
+				hi = 0
+			}
+		}
+	}
+	return payloadRange{lo: lo, hi: hi, loNZ: loNZ, hiNZ: hiNZ, nnz: nnz}, -1
 }
 
 // WriteCompressedTo serializes the set with the lossy CPQ1 codec.
@@ -257,13 +444,6 @@ func (s *Set) encodeCompressed(w io.Writer, c Compression, ref *Set) (int64, err
 		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(v))
 		return write(scratch[:8])
 	}
-	putLevel := func(b []byte, l int) {
-		if lb == 1 {
-			b[0] = byte(l)
-			return
-		}
-		binary.LittleEndian.PutUint16(b, uint16(l))
-	}
 	if _, err := io.WriteString(w, compressMagic); err != nil {
 		return n, err
 	}
@@ -286,32 +466,16 @@ func (s *Set) encodeCompressed(w io.Writer, c Compression, ref *Set) (int64, err
 			}
 		}
 		// First pass: value range and sparsity of the (delta) payload.
-		var nnz int
-		loAll, hiAll := math.Inf(1), math.Inf(-1)
-		loNZ, hiNZ := math.Inf(1), math.Inf(-1)
-		for j, v := range e.Data {
+		pr, bad := scanPayload(e.Data, refData)
+		if bad >= 0 {
+			v := e.Data[bad]
 			if refData != nil {
-				v -= refData[j]
+				v -= refData[bad]
 			}
-			if math.IsNaN(v) || v < -codecRangeLimit || v > codecRangeLimit {
-				return n, fmt.Errorf("param: entry %q: value %g at %d outside the codec's ±%g range",
-					e.Name, v, j, float64(codecRangeLimit))
-			}
-			loAll = math.Min(loAll, v)
-			hiAll = math.Max(hiAll, v)
-			if v != 0 {
-				nnz++
-				loNZ = math.Min(loNZ, v)
-				hiNZ = math.Max(hiNZ, v)
-			}
+			return n, fmt.Errorf("param: entry %q: value %g at %d outside the codec's ±%g range",
+				e.Name, v, bad, float64(codecRangeLimit))
 		}
-		if len(e.Data) == 0 {
-			loAll, hiAll = 0, 0
-		}
-		if nnz == 0 {
-			loNZ, hiNZ = 0, 0
-		}
-		sparse := 20+nnz*(4+lb) < 16+len(e.Data)*lb
+		sparse := 20+pr.nnz*(4+lb) < 16+len(e.Data)*lb
 		flags := byte(0)
 		if sparse {
 			flags |= flagSparse
@@ -337,64 +501,45 @@ func (s *Set) encodeCompressed(w io.Writer, c Compression, ref *Set) (int64, err
 			return n, err
 		}
 		if sparse {
-			if err := writeU32(uint32(nnz)); err != nil {
+			if err := writeU32(uint32(pr.nnz)); err != nil {
 				return n, err
 			}
-			if err := writeF64(loNZ); err != nil {
+			if err := writeF64(pr.loNZ); err != nil {
 				return n, err
 			}
-			if err := writeF64(hiNZ); err != nil {
+			if err := writeF64(pr.hiNZ); err != nil {
 				return n, err
 			}
-			q := newQuantizer(c, loNZ, hiNZ)
-			pair := 4 + lb
-			k := 0
-			for j, v := range e.Data {
-				if refData != nil {
-					v -= refData[j]
-				}
-				if v == 0 {
-					continue
-				}
-				binary.LittleEndian.PutUint32(scratch[k:], uint32(j))
-				putLevel(scratch[k+4:], q.levelNonzero(v))
-				if k += pair; k+pair > len(scratch) {
+			q := newQuantizer(c, pr.loNZ, pr.hiNZ)
+			for j := 0; j < len(e.Data); {
+				var k int
+				k, j = q.quantizeSparse(scratch, lb, e.Data, refData, j)
+				if k > 0 {
 					if err := write(scratch[:k]); err != nil {
 						return n, err
 					}
-					k = 0
 				}
 			}
-			if k > 0 {
-				if err := write(scratch[:k]); err != nil {
-					return n, err
-				}
+			continue
+		}
+		if err := writeF64(pr.lo); err != nil {
+			return n, err
+		}
+		if err := writeF64(pr.hi); err != nil {
+			return n, err
+		}
+		q := newQuantizer(c, pr.lo, pr.hi)
+		per := len(scratch) / lb
+		for lo := 0; lo < len(e.Data); lo += per {
+			hi := min(lo+per, len(e.Data))
+			var rd []float64
+			if refData != nil {
+				rd = refData[lo:hi]
 			}
-		} else {
-			if err := writeF64(loAll); err != nil {
+			buf := scratch[:lb*(hi-lo)]
+			q.quantize(buf, lb, e.Data[lo:hi], rd)
+			if err := write(buf); err != nil {
 				return n, err
-			}
-			if err := writeF64(hiAll); err != nil {
-				return n, err
-			}
-			q := newQuantizer(c, loAll, hiAll)
-			k := 0
-			for j, v := range e.Data {
-				if refData != nil {
-					v -= refData[j]
-				}
-				putLevel(scratch[k:], q.level(v))
-				if k += lb; k+lb > len(scratch) {
-					if err := write(scratch[:k]); err != nil {
-						return n, err
-					}
-					k = 0
-				}
-			}
-			if k > 0 {
-				if err := write(scratch[:k]); err != nil {
-					return n, err
-				}
 			}
 		}
 	}
@@ -435,21 +580,105 @@ func (d *wireReader) quantRange(c Compression) (quantizer, error) {
 	return newQuantizer(c, lo, hi), nil
 }
 
-// levelAt reads one stored level.
-func levelAt(b []byte, lb int) int {
-	if lb == 1 {
-		return int(b[0])
-	}
-	return int(binary.LittleEndian.Uint16(b))
+// dequantizer reconstructs the stored levels of one entry. At 8 bits
+// an entry storing at least 256 levels decodes through a table of all
+// 256 reconstructions, filled from quantizer.value — bit-identical by
+// construction, and one load per coordinate instead of a multiply-add
+// and two compares (below 256 levels the fill would cost more than it
+// saves).
+type dequantizer struct {
+	q      quantizer
+	lb     int
+	tabled bool
+	table  [256]float64
 }
 
-// sparseBody walks a sparse entry payload — nnz (index, level) pairs —
-// calling fn with each reconstructed coordinate in ascending index
-// order. Indices must be strictly ascending and below size; the pairs
-// stream through scratch, so a lying nnz costs no allocation.
-func (d *wireReader) sparseBody(q quantizer, c Compression, size uint64, nnz uint32, fn func(idx int, v float64)) error {
-	lb := c.levelBytes()
-	pair := 4 + lb
+// reset prepares dq for an entry on grid q storing n levels.
+func (dq *dequantizer) reset(q quantizer, lb int, n uint64) {
+	dq.q, dq.lb = q, lb
+	dq.tabled = lb == 1 && n >= uint64(len(dq.table))
+	if dq.tabled {
+		for l := range dq.table {
+			dq.table[l] = q.value(l)
+		}
+	}
+}
+
+// dense reconstructs len(dst) consecutive levels stored in src into
+// dst, each added to ref's coordinate when ref is non-nil.
+func (dq *dequantizer) dense(dst []float64, src []byte, ref []float64) {
+	if ref != nil {
+		ref = ref[:len(dst)]
+	}
+	q := dq.q
+	switch {
+	case dq.tabled:
+		t := &dq.table
+		for j, b := range src[:len(dst)] {
+			v := t[b]
+			if ref != nil {
+				v = ref[j] + v
+			}
+			dst[j] = v
+		}
+	case dq.lb == 1:
+		for j, b := range src[:len(dst)] {
+			v := q.value(int(b))
+			if ref != nil {
+				v = ref[j] + v
+			}
+			dst[j] = v
+		}
+	default:
+		src = src[:2*len(dst)]
+		for j := range dst {
+			v := q.value(int(binary.LittleEndian.Uint16(src[2*j:])))
+			if ref != nil {
+				v = ref[j] + v
+			}
+			dst[j] = v
+		}
+	}
+}
+
+// sparse scatters the (index, level) pairs stored in src into dst —
+// dst[idx] = v, or dst[idx] += v when add is set — checking that the
+// indices ascend strictly from prev and stay inside dst. It returns
+// the last index scattered.
+func (dq *dequantizer) sparse(dst []float64, src []byte, prev int, add bool) (int, error) {
+	pair := 4 + dq.lb
+	for off := 0; off+pair <= len(src); off += pair {
+		idx := int(binary.LittleEndian.Uint32(src[off:]))
+		if idx <= prev {
+			return prev, fmt.Errorf("sparse index %d after %d (want strictly ascending)", idx, prev)
+		}
+		if idx >= len(dst) {
+			return prev, fmt.Errorf("sparse index %d out of range (size %d)", idx, len(dst))
+		}
+		prev = idx
+		var v float64
+		switch {
+		case dq.tabled:
+			v = dq.table[src[off+4]]
+		case dq.lb == 1:
+			v = dq.q.value(int(src[off+4]))
+		default:
+			v = dq.q.value(int(binary.LittleEndian.Uint16(src[off+4:])))
+		}
+		if add {
+			dst[idx] += v
+		} else {
+			dst[idx] = v
+		}
+	}
+	return prev, nil
+}
+
+// sparseBody reads a sparse entry payload — nnz (index, level) pairs —
+// and scatters it into dst through dq.sparse. The pairs stream through
+// scratch, so a lying nnz costs no allocation.
+func (d *wireReader) sparseBody(dq *dequantizer, dst []float64, nnz uint32, add bool) error {
+	pair := 4 + dq.lb
 	perChunk := len(d.scratch) / pair
 	prev := -1
 	for read := 0; read < int(nnz); {
@@ -458,38 +687,11 @@ func (d *wireReader) sparseBody(q quantizer, c Compression, size uint64, nnz uin
 		if err := d.full(buf); err != nil {
 			return err
 		}
-		for j := 0; j < cn; j++ {
-			off := pair * j
-			idx := int(binary.LittleEndian.Uint32(buf[off:]))
-			if idx <= prev {
-				return fmt.Errorf("sparse index %d after %d (want strictly ascending)", idx, prev)
-			}
-			if uint64(idx) >= size {
-				return fmt.Errorf("sparse index %d out of range (size %d)", idx, size)
-			}
-			prev = idx
-			fn(idx, q.value(levelAt(buf[off+4:], lb)))
-		}
-		read += cn
-	}
-	return nil
-}
-
-// denseBody walks a dense-quantized entry payload of size levels,
-// calling fn with each reconstructed coordinate in order.
-func (d *wireReader) denseBody(q quantizer, c Compression, size uint64, fn func(idx int, v float64)) error {
-	lb := c.levelBytes()
-	perChunk := len(d.scratch) / lb
-	for done := 0; uint64(done) < size; {
-		cn := min(int(size-uint64(done)), perChunk)
-		buf := d.scratch[:lb*cn]
-		if err := d.full(buf); err != nil {
+		var err error
+		if prev, err = dq.sparse(dst, buf, prev, add); err != nil {
 			return err
 		}
-		for j := 0; j < cn; j++ {
-			fn(done+j, q.value(levelAt(buf[lb*j:], lb)))
-		}
-		done += cn
+		read += cn
 	}
 	return nil
 }
@@ -502,6 +704,8 @@ func (d *wireReader) denseBody(q quantizer, c Compression, size uint64, fn func(
 func (s *Set) readCompressed(d *wireReader, c Compression, count uint32) error {
 	out := New()
 	budget := int64(sparseExpandBudget)
+	lb := c.levelBytes()
+	var dq dequantizer
 	for i := uint32(0); i < count; i++ {
 		nameBytes, rows, cols, err := d.entryHeader(i)
 		if err != nil {
@@ -543,21 +747,32 @@ func (s *Set) readCompressed(d *wireReader, c Compression, count uint32) error {
 			}
 			budget -= int64(size)
 			data := make([]float64, size)
-			if err := d.sparseBody(q, c, size, nnz, func(idx int, v float64) { data[idx] = v }); err != nil {
+			dq.reset(q, lb, uint64(nnz))
+			if err := d.sparseBody(&dq, data, nnz, false); err != nil {
 				return fmt.Errorf("param: entry %q: %w", name, err)
 			}
 			out.Add(name, int(rows), int(cols), data)
-		} else {
-			q, err := d.quantRange(c)
-			if err != nil {
-				return fmt.Errorf("param: entry %q %w", name, err)
-			}
-			data := make([]float64, 0, min(size, floatChunk))
-			if err := d.denseBody(q, c, size, func(_ int, v float64) { data = append(data, v) }); err != nil {
+			continue
+		}
+		q, err := d.quantRange(c)
+		if err != nil {
+			return fmt.Errorf("param: entry %q %w", name, err)
+		}
+		dq.reset(q, lb, size)
+		// Storage grows only after each chunk's bytes have arrived.
+		data := make([]float64, 0, min(size, floatChunk))
+		per := uint64(len(d.scratch) / lb)
+		for uint64(len(data)) < size {
+			cn := int(min(size-uint64(len(data)), per))
+			buf := d.scratch[:lb*cn]
+			if err := d.full(buf); err != nil {
 				return fmt.Errorf("param: entry %q data: %w", name, err)
 			}
-			out.Add(name, int(rows), int(cols), data)
+			lo := len(data)
+			data = slices.Grow(data, cn)[:lo+cn]
+			dq.dense(data[lo:], buf, nil)
 		}
+		out.Add(name, int(rows), int(cols), data)
 	}
 	*s = *out
 	return nil
@@ -569,6 +784,8 @@ func (s *Set) readCompressed(d *wireReader, c Compression, count uint32) error {
 // reconstruct against ref, which must carry a same-name same-shape
 // entry (the transports pass the broadcast source the encoder used).
 func (s *Set) decodeCompressed(d *wireReader, c Compression, ref *Set) error {
+	lb := c.levelBytes()
+	var dq dequantizer
 	for i := range s.entries {
 		e := &s.entries[i]
 		name, rows, cols, err := d.entryHeader(uint32(i))
@@ -622,21 +839,29 @@ func (s *Set) decodeCompressed(d *wireReader, c Compression, ref *Set) error {
 			} else {
 				clear(e.Data)
 			}
-			if err := d.sparseBody(q, c, size, nnz, func(idx int, v float64) { e.Data[idx] += v }); err != nil {
+			dq.reset(q, lb, uint64(nnz))
+			if err := d.sparseBody(&dq, e.Data, nnz, true); err != nil {
 				return fmt.Errorf("param: entry %q: %w", e.Name, err)
 			}
-		} else {
-			q, err := d.quantRange(c)
-			if err != nil {
-				return fmt.Errorf("param: entry %q %w", e.Name, err)
-			}
-			fn := func(idx int, v float64) { e.Data[idx] = v }
-			if refData != nil {
-				fn = func(idx int, v float64) { e.Data[idx] = refData[idx] + v }
-			}
-			if err := d.denseBody(q, c, size, fn); err != nil {
+			continue
+		}
+		q, err := d.quantRange(c)
+		if err != nil {
+			return fmt.Errorf("param: entry %q %w", e.Name, err)
+		}
+		dq.reset(q, lb, size)
+		per := len(d.scratch) / lb
+		for lo := 0; lo < len(e.Data); lo += per {
+			hi := min(lo+per, len(e.Data))
+			buf := d.scratch[:lb*(hi-lo)]
+			if err := d.full(buf); err != nil {
 				return fmt.Errorf("param: entry %q data: %w", e.Name, err)
 			}
+			var rd []float64
+			if refData != nil {
+				rd = refData[lo:hi]
+			}
+			dq.dense(e.Data[lo:hi], buf, rd)
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,15 +25,16 @@ func sparseCodecSeeds() []struct {
 	name string
 	data []byte
 } {
-	encode := func(c Compression, build func(s *Set)) []byte {
+	encodeRef := func(c Compression, ref *Set, build func(s *Set)) []byte {
 		s := New()
 		build(s)
 		var buf bytes.Buffer
-		if _, err := s.WriteCompressedTo(&buf, c, nil); err != nil {
+		if _, err := s.WriteCompressedTo(&buf, c, ref); err != nil {
 			panic(err)
 		}
 		return buf.Bytes()
 	}
+	encode := func(c Compression, build func(s *Set)) []byte { return encodeRef(c, nil, build) }
 	dense8 := encode(Compression{Bits: 8}, func(s *Set) {
 		s.Add("emb", 3, 4, []float64{1.5, -2, 0.25, 4.25, 1e-3, 0.5, -0.5, 2, 3, 4, 5, 6})
 		s.AddVector("bias", []float64{0.25, -0.75})
@@ -43,6 +45,26 @@ func sparseCodecSeeds() []struct {
 		s.Add("delta", 8, 8, d)
 	})
 	empty := encode(Compression{Bits: 8}, func(s *Set) {})
+	// Delta-coded uploads against a reference: one entry moved in most
+	// coordinates (dense levels), one in few (sparse pairs), one not at
+	// all (an empty sparse payload).
+	deltaRef := New()
+	deltaRef.Add("emb", 4, 4, []float64{1, 2, 3, 4, 5, 6, 7, 8, -1, -2, -3, -4, 0.5, 0.25, 0, -0.5})
+	deltaRef.AddVector("h", []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8})
+	deltaRef.AddVector("bias", []float64{3})
+	deltaUpload := func(bits int) []byte {
+		return encodeRef(Compression{Bits: bits}, deltaRef, func(s *Set) {
+			emb := slices.Clone(deltaRef.Get("emb"))
+			for j := range emb {
+				emb[j] += 0.01 * float64(j%5-2)
+			}
+			h := slices.Clone(deltaRef.Get("h"))
+			h[6] -= 0.125
+			s.Add("emb", 4, 4, emb)
+			s.AddVector("h", h)
+			s.AddVector("bias", []float64{3})
+		})
+	}
 	// A sparse entry header: u32 nnz=2 | lo=-1 | hi=1 | 2 (u32 idx, u8
 	// level) pairs — reused below with broken index orders.
 	sparsePair := func(i0, i1 uint32) []byte {
@@ -80,6 +102,9 @@ func sparseCodecSeeds() []struct {
 		{"duplicate-indices", sparsePair(3, 3)},
 		{"index-out-of-range", sparsePair(3, 9)},
 		{"delta-without-reference", deltaFlagged},
+		{"valid-delta-8bit", deltaUpload(8)},
+		{"valid-delta-16bit", deltaUpload(16)},
+		{"delta-truncated", func() []byte { d := deltaUpload(8); return d[:len(d)-3] }()},
 		{"bad-bit-width", []byte("CPQ1\x07")},
 		{"huge-count", []byte("CPQ1\x08\xff\xff\xff\xff")},
 		// One sparse entry claiming a 2^16 × 2^15 dense shape with a
@@ -143,7 +168,13 @@ var updateCorpus = flag.Bool("update", false, "rewrite the FuzzSparseCodecDecode
 //     prefix (the encoder picks the smaller payload form per entry);
 //   - the transport's in-place decode (DecodeFrom on a receiver with
 //     the parsed structure) accepts everything ReadFrom accepts and
-//     produces the same values.
+//     produces the same values;
+//   - both decoders match the frozen pre-optimisation decoders of
+//     codec_oracle_test.go — same acceptance, same consumed bytes,
+//     bit-identical values — with DecodeFromRef driven against a
+//     reference shaped from the stream's own headers, which is what
+//     lets delta-coded input (rejected by ReadFrom) reach the delta
+//     reconstruction kernels.
 func FuzzSparseCodecDecode(f *testing.F) {
 	for _, seed := range sparseCodecSeeds() {
 		f.Add(seed.data)
@@ -153,6 +184,8 @@ func FuzzSparseCodecDecode(f *testing.F) {
 			// Dense CPS1 space is FuzzParamSetReadFrom's.
 			return
 		}
+		recv, ref := cpq1Receiver(data)
+		checkDecodeMatchesOracle(t, data, recv, ref)
 		s := New()
 		n, err := s.ReadFrom(bytes.NewReader(data))
 		if n > int64(len(data)) {
@@ -174,13 +207,7 @@ func FuzzSparseCodecDecode(f *testing.F) {
 		if _, err := redec.ReadFrom(bytes.NewReader(re.Bytes())); err != nil {
 			t.Fatalf("decode of canonical re-encoding failed: %v", err)
 		}
-		dst := s.Clone()
-		for i := 0; i < dst.Len(); i++ {
-			d := dst.At(i).Data
-			for j := range d {
-				d[j] = 7 // scrub so agreement is not vacuous
-			}
-		}
+		dst := scrubbedClone(s)
 		dn, err := dst.DecodeFrom(bytes.NewReader(data[:n]))
 		if err != nil {
 			t.Fatalf("DecodeFrom rejected a ReadFrom-accepted stream: %v", err)
