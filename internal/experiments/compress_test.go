@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/fed"
@@ -53,8 +50,8 @@ func compressionOffFedRun(t *testing.T, backend string, workers int) (string, tr
 
 // TestCompressionOffByteIdentical pins the compression-off contract:
 // threading a zero Compression through transport.Options must leave
-// every run byte-identical to the pre-codec dense path — the same
-// golden hashes, on every backend, at every worker count — and must
+// every run byte-identical to the dense codec's golden hash — on every
+// backend, at every worker count — and must
 // not engage the codec's raw-vs-moved accounting (RawBytes == Bytes).
 func TestCompressionOffByteIdentical(t *testing.T) {
 	type cell struct {
@@ -83,29 +80,16 @@ func TestCompressionOffByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The golden file's dense fed hashes were recorded before the codec
-	// layer existed (and re-verified since); compression off must still
-	// land exactly on them. Architecture-gated like TestGoldenDeterminism.
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden hashes are recorded on amd64; GOARCH=%s may round differently", runtime.GOARCH)
-	}
-	blob, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-	for _, backend := range []string{"inproc", "wire", "socket"} {
-		if ref != want["fed-gmf/"+backend] {
-			t.Errorf("compression-off run hashes %s, golden fed-gmf/%s is %s", ref, backend, want["fed-gmf/"+backend])
-		}
+	// Compression off must land exactly on the golden file's dense fed
+	// hash. Architecture-gated like TestGoldenDeterminism.
+	want := readGolden(t)
+	if ref != want["fed-gmf"] {
+		t.Errorf("compression-off run hashes %s, golden fed-gmf is %s", ref, want["fed-gmf"])
 	}
 	// And the compressed cells must NOT collide with the dense hash —
 	// otherwise the compressed goldens would be pinning a codec that
 	// never engaged.
-	for _, k := range []string{"fed-gmf-compressed8/inproc", "fed-gmf-compressed16/inproc"} {
+	for _, k := range []string{"fed-gmf-compressed8", "fed-gmf-compressed16"} {
 		if want[k] == "" {
 			t.Errorf("golden file is missing %s (regenerate with -update)", k)
 		}

@@ -140,15 +140,14 @@ func runCompressionRatioCell(spec Spec, bits int, keep float64) (CompressionRati
 	var utility []float64
 	aiaRound := s.Rounds / 2
 	sim, err := fed.New(fed.Config{
-		Dataset:     d,
-		Factory:     factory,
-		Policy:      policy,
-		Rounds:      s.Rounds,
-		Train:       model.TrainOptions{Epochs: s.LocalEpochs},
-		Workers:     s.Workers,
-		Transport:   tr,
-		Compression: s.Compression,
-		Observer:    obs,
+		Dataset:   d,
+		Factory:   factory,
+		Policy:    policy,
+		Rounds:    s.Rounds,
+		Train:     model.TrainOptions{Epochs: s.LocalEpochs},
+		Workers:   s.Workers,
+		Transport: tr,
+		Observer:  obs,
 		OnRound: func(round int, fs *fed.Simulation) {
 			utility = append(utility, fs.UtilityHR(s.HRK, s.NumNeg))
 			if round == aiaRound && obs.aia == nil && obs.aiaErr == nil {

@@ -12,7 +12,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -339,36 +338,38 @@ func goldenGossipRun(t *testing.T, backend string) string {
 // on amd64; other architectures may fuse multiply-adds differently, so
 // the comparison is gated to amd64 (where CI runs).
 func TestGoldenDeterminism(t *testing.T) {
+	// One hash per run: every transport backend must reproduce it,
+	// whatever the golden file says (this half runs on every
+	// architecture). "socket" runs the complete RPC network path over a
+	// loopback Unix-domain socket server, so agreement here means the
+	// framed protocol is value-transparent end to end — and for the
+	// faulty workload, that the injected fault schedule is
+	// backend-independent.
+	runs := []struct {
+		name string
+		run  func(t *testing.T, backend string) string
+	}{
+		{"fed-gmf", goldenFedRun},
+		{"gossip-prme", goldenGossipRun},
+		{"fed-gmf-faulty", goldenFaultyFedRun},
+		{"fed-gmf-compressed8", func(t *testing.T, backend string) string { return goldenCompressedFedRun(t, backend, 8) }},
+		{"fed-gmf-compressed16", func(t *testing.T, backend string) string { return goldenCompressedFedRun(t, backend, 16) }},
+		{"fed-gmf-churn", goldenChurnFedRun},
+		{"fed-gmf-byz-median", goldenByzMedianFedRun},
+		{"fed-gmf-byz-clip", goldenByzClipFedRun},
+	}
 	hashes := map[string]string{}
-	for _, backend := range []string{"inproc", "wire", "socket"} {
-		hashes["fed-gmf/"+backend] = goldenFedRun(t, backend)
-		hashes["gossip-prme/"+backend] = goldenGossipRun(t, backend)
-		hashes["fed-gmf-faulty/"+backend] = goldenFaultyFedRun(t, backend)
-		hashes["fed-gmf-compressed8/"+backend] = goldenCompressedFedRun(t, backend, 8)
-		hashes["fed-gmf-compressed16/"+backend] = goldenCompressedFedRun(t, backend, 16)
-		hashes["fed-gmf-churn/"+backend] = goldenChurnFedRun(t, backend)
-		hashes["fed-gmf-byz-median/"+backend] = goldenByzMedianFedRun(t, backend)
-		hashes["fed-gmf-byz-clip/"+backend] = goldenByzClipFedRun(t, backend)
+	for _, r := range runs {
+		ref := r.run(t, "inproc")
+		for _, backend := range []string{"wire", "socket"} {
+			if h := r.run(t, backend); h != ref {
+				t.Fatalf("%s: %s hash %s differs from inproc %s", r.name, backend, h, ref)
+			}
+		}
+		hashes[r.name] = ref
 	}
 	hashes["cia-shareless/fed-gmf"] = goldenShareLessFedRun(t)
 	hashes["cia-shareless/gossip-gmf"] = goldenShareLessGossipRun(t)
-	// The transport backends must agree with each other regardless of
-	// what the golden file says (this half runs on every architecture).
-	// "socket" runs the complete RPC network path over a loopback
-	// Unix-domain socket server, so agreement here means the framed
-	// protocol is value-transparent end to end — and for the faulty
-	// workload, that the injected fault schedule is backend-independent.
-	for _, workload := range []string{
-		"fed-gmf", "gossip-prme", "fed-gmf-faulty",
-		"fed-gmf-compressed8", "fed-gmf-compressed16",
-		"fed-gmf-churn", "fed-gmf-byz-median", "fed-gmf-byz-clip",
-	} {
-		for _, backend := range []string{"wire", "socket"} {
-			if hashes[workload+"/inproc"] != hashes[workload+"/"+backend] {
-				t.Fatalf("%s: %s and inproc hashes differ", workload, backend)
-			}
-		}
-	}
 
 	if *updateGolden {
 		blob, err := json.MarshalIndent(hashes, "", "  ")
@@ -384,17 +385,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Logf("rewrote %s", goldenPath)
 		return
 	}
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden hashes are recorded on amd64; GOARCH=%s may round differently", runtime.GOARCH)
-	}
-	blob, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	want := map[string]string{}
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readGolden(t)
 	keys := make([]string, 0, len(want))
 	for k := range want {
 		keys = append(keys, k)

@@ -132,11 +132,11 @@ func obsGossipRun(t *testing.T, backend string, workers int, tracer *obs.Tracer)
 func TestObsOffByteIdentical(t *testing.T) {
 	want := readGolden(t)
 	for _, backend := range []string{"inproc", "wire", "socket"} {
-		if got := obsFedRun(t, backend, 2, nil); got != want["fed-gmf/"+backend] {
-			t.Errorf("fed-gmf/%s with metrics registry attached: hash %s != golden %s", backend, got, want["fed-gmf/"+backend])
+		if got := obsFedRun(t, backend, 2, nil); got != want["fed-gmf"] {
+			t.Errorf("fed-gmf/%s with metrics registry attached: hash %s != golden %s", backend, got, want["fed-gmf"])
 		}
-		if got := obsGossipRun(t, backend, 2, nil); got != want["gossip-prme/"+backend] {
-			t.Errorf("gossip-prme/%s with metrics registry attached: hash %s != golden %s", backend, got, want["gossip-prme/"+backend])
+		if got := obsGossipRun(t, backend, 2, nil); got != want["gossip-prme"] {
+			t.Errorf("gossip-prme/%s with metrics registry attached: hash %s != golden %s", backend, got, want["gossip-prme"])
 		}
 	}
 }
@@ -153,15 +153,15 @@ func TestObsOnByteIdentical(t *testing.T) {
 	for _, backend := range []string{"inproc", "wire", "socket"} {
 		for _, workers := range []int{2, 3} {
 			tracer := obs.NewTracer(64) // tiny rings: force wraparound
-			if got := obsFedRun(t, backend, workers, tracer); got != want["fed-gmf/"+backend] {
-				t.Errorf("fed-gmf/%s workers=%d traced: hash %s != golden %s", backend, workers, got, want["fed-gmf/"+backend])
+			if got := obsFedRun(t, backend, workers, tracer); got != want["fed-gmf"] {
+				t.Errorf("fed-gmf/%s workers=%d traced: hash %s != golden %s", backend, workers, got, want["fed-gmf"])
 			}
 			if tracer.Recorded() == 0 {
 				t.Fatalf("fed-gmf/%s workers=%d: tracer recorded nothing", backend, workers)
 			}
 			tracer = obs.NewTracer(64)
-			if got := obsGossipRun(t, backend, workers, tracer); got != want["gossip-prme/"+backend] {
-				t.Errorf("gossip-prme/%s workers=%d traced: hash %s != golden %s", backend, workers, got, want["gossip-prme/"+backend])
+			if got := obsGossipRun(t, backend, workers, tracer); got != want["gossip-prme"] {
+				t.Errorf("gossip-prme/%s workers=%d traced: hash %s != golden %s", backend, workers, got, want["gossip-prme"])
 			}
 			if tracer.Recorded() == 0 {
 				t.Fatalf("gossip-prme/%s workers=%d: tracer recorded nothing", backend, workers)

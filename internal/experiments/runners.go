@@ -177,7 +177,6 @@ func RunFLCIA(o FLOpts) (RunResult, error) {
 		FaultPlan:         effectivePlan(o.Spec),
 		StragglerDeadline: o.Spec.StragglerDeadline,
 		Quorum:            o.Spec.Quorum,
-		Compression:       o.Spec.Compression,
 		ChurnPlan:         o.Spec.ChurnPlan,
 		Byzantine:         o.Spec.Byzantine,
 		Aggregator:        o.Spec.Aggregator,
@@ -361,7 +360,6 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 		Workers:     o.Spec.Workers,
 		Transport:   tr,
 		FaultPlan:   effectivePlan(o.Spec),
-		Compression: o.Spec.Compression,
 		ChurnPlan:   o.Spec.ChurnPlan,
 		Byzantine:   o.Spec.Byzantine,
 		Tracer:      o.Spec.Trace,

@@ -8,6 +8,27 @@ import (
 	"github.com/collablearn/ciarec/internal/model"
 )
 
+// foldUploads drives the server's real streaming folder over the given
+// uploads as one fault-free round in which exactly these clients were
+// sampled, in this order. Indices resolve in reverse, so the fold's
+// cursor must hold every arrival until the earlier ones resolved.
+// Weights come from the dataset (len(Train[u])), like in a live round,
+// and the folder takes ownership of the payloads: it recycles them into
+// the simulation's pool.
+func foldUploads(s *Simulation, uploads []upload) {
+	sampled := make([]int, len(uploads))
+	s.payloads = s.payloads[:0]
+	for i, up := range uploads {
+		sampled[i] = up.from
+		s.payloads = append(s.payloads, up.payload)
+	}
+	s.fold.start(s.round, sampled)
+	for i := len(sampled) - 1; i >= 0; i-- {
+		s.fold.resolve(i)
+	}
+	s.fold.finish()
+}
+
 // Hand-crafted aggregation check: with two uploads of known values and
 // known weights, every shared entry must land exactly on the
 // weighted-delta FedAvg result, while user-embedding rows route from
@@ -42,9 +63,9 @@ func TestAggregateWeightedDeltaMath(t *testing.T) {
 		up1.Get(model.GMFUserEmb)[i] = 200
 	}
 
-	s.aggregate([]upload{
-		{from: 0, payload: up0, weight: 2}, // user 0 has 2 items
-		{from: 1, payload: up1, weight: 1}, // user 1 has 1 item
+	foldUploads(s, []upload{
+		{from: 0, payload: up0}, // user 0 has 2 items: weight 2
+		{from: 1, payload: up1}, // user 1 has 1 item: weight 1
 	})
 
 	// h entry: delta = (2/3)*1 + (1/3)*3 = 5/3.
@@ -88,7 +109,7 @@ func TestAggregateSkipsMissingEntries(t *testing.T) {
 	for i := range partial.Get(model.GMFItemEmb) {
 		partial.Get(model.GMFItemEmb)[i] += 2
 	}
-	s.aggregate([]upload{{from: 0, payload: partial, weight: 1}})
+	foldUploads(s, []upload{{from: 0, payload: partial}})
 
 	after := s.Global().Params()
 	for i, v := range after.Get(model.GMFUserEmb) {
@@ -124,7 +145,7 @@ func TestAggregateEmptyRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Global().Params().Clone()
-	s.aggregate(nil)
+	foldUploads(s, nil)
 	if s.Global().Params().L2Norm() != before.L2Norm() {
 		t.Fatal("empty aggregation modified the global model")
 	}

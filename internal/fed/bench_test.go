@@ -301,47 +301,57 @@ func BenchmarkUtilityF1(b *testing.B) {
 	}
 }
 
-// BenchmarkFedAggregate isolates the sharded weighted-delta FedAvg
-// reduce at a paper-ish catalogue size (2000 items × dim 16 ≈ 32k-
-// element item table, 40 full-model uploads), without the local
-// training that dominates BenchmarkFedRound.
+// BenchmarkFedAggregate isolates the server's streaming fold — one
+// round's observe/fold/apply over 40 full-model uploads at a paper-ish
+// catalogue size (2000 items × dim 16 ≈ 32k-element item table) —
+// without the local training that dominates BenchmarkFedRound. The
+// fold runs on one goroutine whatever Workers says, so there is one
+// cell. Each iteration hands the folder fresh pooled copies of the
+// uploads (it recycles what it consumes); the copies are made with the
+// timer stopped, so the measurement is the fold alone.
 func BenchmarkFedAggregate(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
-				Name: "agg-bench", NumUsers: 40, NumItems: 2000,
-				NumCommunities: 4, MeanItemsPerUser: 40, MinItemsPerUser: 10,
-				Affinity: 0.85, ZipfExponent: 0.8, Seed: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
+	d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+		Name: "agg-bench", NumUsers: 40, NumItems: 2000,
+		NumCommunities: 4, MeanItemsPerUser: 40, MinItemsPerUser: 10,
+		Affinity: 0.85, ZipfExponent: 0.8, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{
+		Dataset: d,
+		Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 16),
+		Rounds:  1,
+		Seed:    1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payloads := make([]*param.Set, d.NumUsers)
+	for u := range payloads {
+		payload := s.Global().Params().Clone()
+		for _, name := range payload.Names() {
+			data := payload.Get(name)
+			for i := range data {
+				data[i] += float64(u+1) * 1e-4
 			}
-			s, err := New(Config{
-				Dataset: d,
-				Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 16),
-				Rounds:  1,
-				Workers: workers,
-				Seed:    1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			uploads := make([]upload, d.NumUsers)
-			for u := range uploads {
-				payload := s.Global().Params().Clone()
-				for _, name := range payload.Names() {
-					data := payload.Get(name)
-					for i := range data {
-						data[i] += float64(u+1) * 1e-4
-					}
-				}
-				uploads[u] = upload{from: u, payload: payload, weight: float64(1 + u%5)}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.aggregate(uploads)
-			}
-		})
+		}
+		payloads[u] = payload
+	}
+	uploads := make([]upload, d.NumUsers)
+	stage := func() {
+		for u := range uploads {
+			uploads[u] = upload{from: u, payload: s.pool.Clone(payloads[u])}
+		}
+	}
+	stage()
+	foldUploads(s, uploads) // warm the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		stage()
+		b.StartTimer()
+		foldUploads(s, uploads)
 	}
 }

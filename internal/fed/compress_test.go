@@ -160,48 +160,3 @@ func TestCompressedFaultyRunDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// Config.Compression and Config.Transport must agree: a conflicting
-// pair is rejected, a zero Config.Compression adopts the transport's
-// setting, and a nil transport builds a compressed inproc.
-func TestCompressionConfigValidation(t *testing.T) {
-	d := fedTestDataset(t)
-	tr, err := transport.NewOptions("inproc", transport.Options{Compression: param.Compression{Bits: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	cfg := fedConfig(d)
-	cfg.Transport = tr
-	cfg.Compression = param.Compression{Bits: 16}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("conflicting Config.Compression and transport codec must be rejected")
-	}
-
-	cfg.Compression = param.Compression{}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.cfg.Compression; got.Bits != 8 {
-		t.Fatalf("zero Config.Compression must adopt the transport's codec, got %v", got)
-	}
-
-	cfg = fedConfig(d)
-	cfg.Compression = param.Compression{Bits: 12}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid bit width must be rejected")
-	}
-
-	cfg = fedConfig(d)
-	cfg.Compression = param.Compression{Bits: 8}
-	s, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.tr.Compression(); got.Bits != 8 {
-		t.Fatalf("nil transport must build a compressed default, got %v", got)
-	}
-	s.Run()
-}

@@ -3,10 +3,7 @@ package fed
 import (
 	"testing"
 
-	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/defense"
-	"github.com/collablearn/ciarec/internal/model"
-	"github.com/collablearn/ciarec/internal/param"
 )
 
 // utilityCurves runs cfg to completion recording both metrics each
@@ -89,65 +86,5 @@ func TestUtilityIndependentOfEvalCadence(t *testing.T) {
 	// And re-evaluating the same round is idempotent.
 	if again := s.UtilityHR(10, 20); again != lastOnly {
 		t.Fatalf("re-evaluating the same round is not idempotent: %v != %v", again, lastOnly)
-	}
-}
-
-// shardTestSim builds a simulation whose item table spans several
-// reduce shards (600 items × 8 dims > 2 × aggShard).
-func shardTestSim(t *testing.T, workers int) *Simulation {
-	t.Helper()
-	d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
-		NumUsers: 12, NumItems: 600, NumCommunities: 3,
-		MeanItemsPerUser: 20, MinItemsPerUser: 6, Affinity: 0.9, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SplitLeaveOneOut(3)
-	s, err := New(Config{
-		Dataset: d,
-		Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 8),
-		Rounds:  1,
-		Train:   model.TrainOptions{Epochs: 1},
-		Workers: workers,
-		Seed:    3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// The sharded weighted-delta reduce must be byte-identical to the
-// serial reduce, including with partial (Share-less-style) payloads
-// that skip entries.
-func TestAggregateShardedEquivalence(t *testing.T) {
-	serial := shardTestSim(t, -1)
-	parallel := shardTestSim(t, 4)
-	if !param.Equal(serial.Global().Params(), parallel.Global().Params(), 0) {
-		t.Fatal("sims start from different globals")
-	}
-
-	buildUploads := func(s *Simulation) []upload {
-		var ups []upload
-		for u := 0; u < 6; u++ {
-			payload := s.Global().Params().Clone()
-			for _, name := range payload.Names() {
-				data := payload.Get(name)
-				for i := range data {
-					data[i] += float64(u+1) * 0.01 * float64(i%7)
-				}
-			}
-			if u%2 == 1 {
-				payload = payload.Without(model.GMFUserEmb)
-			}
-			ups = append(ups, upload{from: u, payload: payload, weight: float64(u + 1)})
-		}
-		return ups
-	}
-	serial.aggregate(buildUploads(serial))
-	parallel.aggregate(buildUploads(parallel))
-	if !param.Equal(serial.Global().Params(), parallel.Global().Params(), 0) {
-		t.Fatal("sharded reduce differs from serial reduce")
 	}
 }

@@ -44,15 +44,16 @@ type Message struct {
 
 // Observer receives the traffic a server-side adversary can see.
 // msg.Params is only valid for the duration of the OnUpload call: the
-// simulator recycles payload storage once the round that produced it
-// is aggregated, so implementations must clone anything they retain.
+// simulator recycles payload storage as soon as the upload is folded
+// (or, under a robust aggregator, once the round is aggregated), so
+// implementations must clone anything they retain.
 // Calls are never concurrent and always arrive in the round's sampling
 // order (ascending client index under full participation; the
 // sampler's draw order under ClientFraction < 1) — identical for every
-// Workers setting. On an uncompressed transport all calls come from
-// the goroutine running the simulation; on a compressed transport
-// OnUpload fires from the round's streaming-fold goroutine, still
-// strictly ordered before the same round's OnRoundEnd.
+// Workers setting. OnUpload fires from the round's streaming-fold
+// goroutine while later clients may still be training, strictly
+// ordered before the same round's OnRoundEnd, which (like OnRound)
+// comes from the goroutine running the simulation.
 type Observer interface {
 	// OnUpload is called for every client upload, before aggregation.
 	OnUpload(msg Message)
@@ -82,20 +83,22 @@ type Config struct {
 	Train model.TrainOptions
 
 	// Workers bounds the number of goroutines running per-client local
-	// training, the sharded FedAvg reduce and the UtilityHR/UtilityF1
-	// sweeps concurrently. 0 defaults to runtime.NumCPU(); negative
-	// forces serial execution. Results are byte-identical whatever the
-	// worker count: every client owns its RNG stream and private state,
-	// round-level randomness (sampling, dropout) is drawn before
-	// dispatch, uploads are observed and aggregated in client-index
-	// order, reduce shards preserve the serial addition order, and
-	// utility evaluation derives one counter-based stream per
-	// (seed, round, user).
+	// training, the robust aggregators' coordinate reduce and the
+	// UtilityHR/UtilityF1 sweeps concurrently. 0 defaults to
+	// runtime.NumCPU(); negative forces serial execution. Results are
+	// byte-identical whatever the worker count: every client owns its
+	// RNG stream and private state, round-level randomness (sampling,
+	// dropout) is drawn before dispatch, uploads are observed and folded
+	// in the round's sampling order, and utility evaluation derives one
+	// counter-based stream per (seed, round, user).
 	Workers int
 
 	// Transport carries all parameter traffic: the global-model
 	// broadcast each sampled client downloads and the upload it sends
-	// back. nil defaults to a fresh transport.Inproc (pointer passing).
+	// back, through the payload codec it was built with (dense float64
+	// by default; transport.Options.Compression selects the sparse+
+	// quantized CPQ1 codec). nil defaults to a fresh dense
+	// transport.Inproc (pointer passing).
 	// Pass transport.NewWire() to round-trip every transfer through the
 	// binary wire codec, or a transport.New("socket")/transport.Dial
 	// instance to push it through the framed RPC protocol over a real
@@ -105,18 +108,6 @@ type Config struct {
 	// never closes the transport. Instances accumulate per-simulation
 	// traffic stats, so do not share one across simulations.
 	Transport transport.Transport
-
-	// Compression selects the transport payload codec: the zero value
-	// keeps the dense float64 codec (bit-exact transfers, the golden
-	// reference), 8 or 16 bits switches every transfer to the
-	// sparse+quantized CPQ1 codec and the server to streaming
-	// aggregation — each upload is folded into the accumulator as it
-	// arrives, in sampling order, instead of being staged until the
-	// round ends. When Transport is nil the default inproc transport is
-	// built at this level; a non-nil Transport must either match (its
-	// own Compression equals this one) or this field must be zero, in
-	// which case the transport's setting is adopted.
-	Compression param.Compression
 
 	// FaultPlan is the declarative failure scenario the simulator
 	// consults for protocol-level decisions the transport cannot make —
@@ -208,9 +199,6 @@ func (c *Config) validate() error {
 	if c.StragglerDeadline < 0 {
 		return fmt.Errorf("fed: Config.StragglerDeadline %v is negative", c.StragglerDeadline)
 	}
-	if err := c.Compression.Validate(); err != nil {
-		return fmt.Errorf("fed: %w", err)
-	}
 	switch c.Aggregator {
 	case AggFedAvg, AggMedian, AggTrimmedMean, AggNormClip:
 	default:
@@ -230,11 +218,6 @@ func (c *Config) validate() error {
 	if c.Byzantine != nil {
 		if err := c.Byzantine.Validate(); err != nil {
 			return fmt.Errorf("fed: %w", err)
-		}
-	}
-	if c.Transport != nil {
-		if tc := c.Transport.Compression(); c.Compression.Enabled() && tc != c.Compression {
-			return fmt.Errorf("fed: Config.Compression %v conflicts with the transport's %v", c.Compression, tc)
 		}
 	}
 	return nil
@@ -277,17 +260,15 @@ type Simulation struct {
 	workers   int
 	scratches []model.Recommender // per-worker client workspaces
 	pool      param.Buffers       // payload free-list
-	payloads  []*param.Set        // per-round payload staging, by sample index
+	payloads  []*param.Set        // per-round payload hand-off to the folder, by sample index
 	dropped   []bool              // per-round dropout decisions, by sample index
-	uploads   []upload            // reusable aggregation input
+	fold      *folder             // the server's streaming aggregator, reused every round
 
-	// Sharded-reduce state: one accumulator region per entry (offsets
-	// into aggBuf), a reusable chunk work-list and normalized weights.
-	aggBuf     []float64
-	aggOff     []int
-	aggChunks  []aggChunk
-	aggW       []float64
-	aggFactors []float64 // per-upload norm-clip scales
+	// Aggregation state: one accumulator region per entry (offsets into
+	// aggBuf) and the robust reduce's reusable chunk work-list.
+	aggBuf    []float64
+	aggOff    []int
+	aggChunks []aggChunk
 
 	// Utility-evaluation state: the deterministic parallel engine plus,
 	// per worker, the user whose private rows are currently installed in
@@ -302,8 +283,9 @@ type Simulation struct {
 
 	// Resilience accounting. deliverFailures, uploadFailures and
 	// byzantineUploads are incremented from worker goroutines (atomic);
-	// the rest only from the sequential round phase (the streaming
-	// folder's clip count is merged after its goroutine drains).
+	// stragglers and clippedUploads only from the folder goroutine, and
+	// the rest from the goroutine running the simulation — the folder
+	// drains before RunRound returns, so reads between rounds are safe.
 	deliverFailures  atomic.Int64
 	uploadFailures   atomic.Int64
 	byzantineUploads atomic.Int64
@@ -416,15 +398,7 @@ func New(cfg Config) (*Simulation, error) {
 		cfg.TrimFraction = 0.1
 	}
 	if cfg.Transport == nil {
-		tr, err := transport.NewOptions("inproc", transport.Options{Compression: cfg.Compression})
-		if err != nil {
-			return nil, fmt.Errorf("fed: %w", err)
-		}
-		cfg.Transport = tr
-	} else {
-		// Adopt the transport's codec so the streaming-aggregation
-		// decision below sees one authoritative setting.
-		cfg.Compression = cfg.Transport.Compression()
+		cfg.Transport = transport.NewInproc()
 	}
 	rng := mathx.NewRand(cfg.Seed)
 	global := cfg.Factory(rng.Uint64())
@@ -455,8 +429,8 @@ func New(cfg Config) (*Simulation, error) {
 	for _, n := range s.privateEntries {
 		s.privateSet[n] = struct{}{}
 	}
-	// One accumulator region per entry so reduce chunks from different
-	// entries never share storage.
+	// One accumulator region per entry: the fold sums shared entries'
+	// deltas into theirs and stashes routed private rows in theirs.
 	gp := global.Params()
 	s.aggOff = make([]int, gp.Len())
 	var total int
@@ -465,6 +439,7 @@ func New(cfg Config) (*Simulation, error) {
 		total += len(gp.At(ei).Data)
 	}
 	s.aggBuf = make([]float64, total)
+	s.fold = newFolder(s)
 	s.scratches = []model.Recommender{s.scratch}
 	for w := 1; w < s.workers; w++ {
 		s.scratches = append(s.scratches, global.Clone())
@@ -501,7 +476,9 @@ func (s *Simulation) Run() {
 }
 
 // RunRound executes a single FedAvg round: sample clients, local
-// training (on the worker pool), observation, aggregation, callbacks.
+// training (on the worker pool) streamed into the folder — which
+// observes and aggregates each upload in sampling order as soon as it
+// and every earlier one resolved — then callbacks.
 //
 // Determinism: the round RNG is consumed in exactly the same order as
 // a serial round (sampling, then one dropout draw per sampled client),
@@ -551,8 +528,8 @@ func (s *Simulation) RunRound() {
 	// client decodes/installs it and sends its payload inside the
 	// parallel region (transport stats are atomic sums, so totals do not
 	// depend on worker interleaving), and the order-sensitive effects
-	// (observation, aggregation) are applied afterwards, indexed by
-	// sample position.
+	// (observation, aggregation) are applied by the folder goroutine in
+	// sample order.
 	s.payloads = s.payloads[:0]
 	for range sampled {
 		s.payloads = append(s.payloads, nil)
@@ -569,15 +546,7 @@ func (s *Simulation) RunRound() {
 		s.finishRound(round)
 		return
 	}
-	// On a compressed transport the server aggregates streamingly: a
-	// folder goroutine consumes each upload in sampling order as soon
-	// as it (and all earlier ones) resolved, folding it into the
-	// accumulator and recycling it immediately instead of staging every
-	// decoded set until the round ends.
-	var fold *folder
-	if s.cfg.Compression.Enabled() {
-		fold = s.startFold(round, sampled)
-	}
+	s.fold.start(round, sampled)
 	parx.ForEach(s.workers, len(sampled), func(w, i int) {
 		payload := s.clientRound(round, sampled[i], w, s.scratches[w], bcast)
 		switch {
@@ -598,57 +567,11 @@ func (s *Simulation) RunRound() {
 				s.payloads[i] = sent
 			}
 		}
-		if fold != nil {
-			fold.resolve(i)
-		}
+		s.fold.resolve(i)
 	})
 	bcast.Close()
-	if fold != nil {
-		aggStart := s.cfg.Tracer.Start()
-		s.finishFold(fold, sampled)
-		s.cfg.Tracer.Span(s.workers, obs.PhaseAggregate, round, obs.RoundLevel, aggStart)
-		s.finishRound(round)
-		return
-	}
-
-	// Sequential phase: observe and aggregate in client-index order.
-	// Straggler decisions are pure plan functions, so drawing them here
-	// (not in the parallel region) changes nothing and keeps the
-	// exclusion logic next to the aggregation it affects.
 	aggStart := s.cfg.Tracer.Start()
-	uploads := s.uploads[:0]
-	for i, u := range sampled {
-		payload := s.payloads[i]
-		s.payloads[i] = nil
-		if payload == nil {
-			continue // dropped, skipped or lost before arrival
-		}
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.OnUpload(Message{Round: round, From: u, Params: payload})
-		}
-		if s.isStraggler(round, u) {
-			// Too late for aggregation; the adversary saw it anyway.
-			s.stragglers++
-			s.pool.Put(payload)
-			continue
-		}
-		uploads = append(uploads, upload{
-			from:    u,
-			payload: payload,
-			weight:  float64(len(s.cfg.Dataset.Train[u])),
-		})
-	}
-	if s.cfg.Quorum > 0 && len(uploads) < int(math.Ceil(s.cfg.Quorum*float64(len(sampled)))) {
-		// Quorum miss: keep the previous global model.
-		s.quorumMisses++
-	} else {
-		s.aggregate(uploads)
-	}
-	for i := range uploads {
-		s.pool.Put(uploads[i].payload)
-		uploads[i].payload = nil
-	}
-	s.uploads = uploads[:0]
+	s.fold.finish()
 	s.cfg.Tracer.Span(s.workers, obs.PhaseAggregate, round, obs.RoundLevel, aggStart)
 	s.finishRound(round)
 }
@@ -784,192 +707,76 @@ func (s *Simulation) capturePrivateRows(m model.Recommender, u int) {
 	}
 }
 
-// upload is one client's contribution to a round's aggregation.
-type upload struct {
-	from    int
-	payload *param.Set
-	weight  float64
-}
-
-// aggChunk is one unit of the sharded reduce: the element range
-// [lo, hi) of parameter entry ei.
-type aggChunk struct {
-	ei, lo, hi int
-}
-
-// aggShard is the reduce chunk size in elements. Entries smaller than
-// this (biases, output layers) stay single-chunk; paper-scale item
-// tables (tens of thousands of rows) split into enough chunks to keep
-// every worker busy.
-const aggShard = 2048
-
-// aggregate folds the uploads into the global model: row routing for
-// the private user tables, then the weighted-delta FedAvg reduce
-// sharded per entry element-range over the worker pool. Chunks of one
-// entry write disjoint ranges of that entry's accumulator region and of
-// the entry itself, and every element sees the same upload-order
-// addition sequence as a serial reduce — so the result is byte-
-// identical for every worker count.
-func (s *Simulation) aggregate(uploads []upload) {
-	if len(uploads) == 0 {
-		return
-	}
-	if s.cfg.Aggregator.robust() {
-		// Median / trimmed mean need every coordinate column staged;
-		// they replace the weighted-delta reduce wholesale.
-		s.aggregateRobust(uploads)
-		return
-	}
-	// Norm-clip keeps the FedAvg reduce but scales each upload's
-	// normalized weight by its clip factor, computed against the
-	// pre-reduce global model.
-	s.aggFactors = s.aggFactors[:0]
-	if s.cfg.Aggregator == AggNormClip {
-		for i := range uploads {
-			f, clipped := s.clipFactor(uploads[i].payload)
-			if clipped {
-				s.clippedUploads++
-			}
-			s.aggFactors = append(s.aggFactors, f)
-		}
-	}
-	var totalW float64
-	for _, up := range uploads {
-		totalW += up.weight
-	}
-	if totalW == 0 {
-		totalW = 1
-	}
-	s.aggW = s.aggW[:0]
-	for i, up := range uploads {
-		w := up.weight / totalW
-		if len(s.aggFactors) > 0 {
-			w *= s.aggFactors[i]
-		}
-		s.aggW = append(s.aggW, w)
-	}
-	globalParams := s.global.Params()
-	s.aggChunks = s.aggChunks[:0]
-	for ei := 0; ei < globalParams.Len(); ei++ {
-		ge := globalParams.At(ei)
-		name := ge.Name
-		if _, isUserTable := s.privateSet[name]; isUserTable {
-			// Row routing: take row u from client u's upload (if the
-			// policy shared it at all). Cheap — stays serial.
-			for _, up := range uploads {
-				if !up.payload.Has(name) {
-					continue
-				}
-				pe := up.payload.Entry(name)
-				u := up.from
-				copy(ge.Data[u*ge.Cols:(u+1)*ge.Cols], pe.Data[u*pe.Cols:(u+1)*pe.Cols])
-			}
-			continue
-		}
-		var any bool
-		for _, up := range uploads {
-			if up.payload.Has(name) {
-				any = true
-				break
-			}
-		}
-		if !any {
-			continue
-		}
-		for lo := 0; lo < len(ge.Data); lo += aggShard {
-			hi := lo + aggShard
-			if hi > len(ge.Data) {
-				hi = len(ge.Data)
-			}
-			s.aggChunks = append(s.aggChunks, aggChunk{ei: ei, lo: lo, hi: hi})
-		}
-	}
-	parx.ForEach(s.workers, len(s.aggChunks), func(_, ci int) {
-		c := s.aggChunks[ci]
-		ge := globalParams.At(c.ei)
-		acc := s.aggBuf[s.aggOff[c.ei]+c.lo : s.aggOff[c.ei]+c.hi]
-		mathx.Zero(acc)
-		gd := ge.Data[c.lo:c.hi]
-		for ui := range uploads {
-			if !uploads[ui].payload.Has(ge.Name) {
-				continue
-			}
-			pe := uploads[ui].payload.Get(ge.Name)[c.lo:c.hi]
-			mathx.AxpyDiff(s.aggW[ui], pe, gd, acc)
-		}
-		mathx.Axpy(1, acc, gd)
-	})
-}
-
-// routedRow is a private user-table row captured from a streamed
-// upload: row routing must wait until the round's quorum is known, so
-// the row (a few floats) is stashed while the rest of the payload is
+// routedRow marks a private user-table row captured from a streamed
+// upload. Row routing must wait until the round's quorum is known, so
+// row u of entry ei is stashed at row u of that entry's accumulator
+// region (only client u's upload routes to row u, and each client
+// uploads at most once a round) while the rest of the payload is
 // folded and recycled.
-type routedRow struct {
-	name string
-	u    int
-	row  []float64
-}
+type routedRow struct{ ei, u int }
 
-// folder is the compressed path's streaming aggregator. Workers signal
-// each sample index once its upload resolved (arrived, dropped, lost
-// or skipped); the folder's goroutine advances a cursor through the
-// sampling order, and for every arrival in turn observes it, folds its
-// weighted delta into the accumulator (raw weights — the 1/totalW
-// normalization is applied once at the end, when totalW is known) and
-// recycles the payload. Peak live payloads shrink from "every upload
-// of the round" to the out-of-order window between the cursor and the
-// fastest worker. The global model is only read during the round
-// (concurrently with broadcast deliveries — also reads) and only
-// written in finishFold, after the parallel region and the broadcast
-// close.
+// folder is the server's streaming aggregator (Alg. 1's observe-then-
+// aggregate step). Workers signal each sample index once its upload
+// resolved (arrived, dropped, lost or skipped); the folder's goroutine
+// advances a cursor through the sampling order, and for every arrival
+// in turn observes it, excludes it if it straggled, and folds its
+// weighted delta into the accumulator (raw data-size weights — the
+// 1/totalW normalization is applied once at the end, when totalW is
+// known) before recycling the payload. Live payloads are bounded by
+// the out-of-order window between the cursor and the fastest worker,
+// and observation overlaps training. The global model is only read
+// during the round (concurrently with broadcast deliveries — also
+// reads) and only written in finish, after the parallel region and the
+// broadcast close.
+//
+// The robust rules (median, trimmed mean) need every upload's column
+// at once, so they stage the payloads instead (still consumed in
+// sampling order) and finish runs aggregateRobust over them. Norm-clip
+// streams like FedAvg, scaling each fold by its clip factor — the
+// global model is stable for the whole round, so the factor is
+// computable on arrival.
 //
 // Determinism: the fold order is the sampling order whatever the
 // worker interleaving, and every float operation sequence is fixed, so
-// a compressed run is byte-identical across Workers settings and
-// backends — it differs from the dense path (which normalizes each
-// weight before accumulating), but only by its own fixed rounding.
+// a run is byte-identical across Workers settings and backends.
+//
+// One folder serves every round of a Simulation: its channel, flags
+// and routing list are sized for a full-participation round up front.
 type folder struct {
 	s       *Simulation
 	round   int
 	sampled []int
-	ch      chan int
-	done    chan struct{}
-	ready   []bool
-	touched []bool // per-entry: accumulator region has folds
+	ch      chan int      // resolved sample indices; NumUsers bounds a round's sends, so resolve never blocks
+	done    chan struct{} // the fold goroutine's drain signal
+	ready   []bool        // by sample index: resolved, not yet consumed
+	touched []bool        // per entry: accumulator region zeroed and folded into
 	timely  int
 	totalW  float64
 	routed  []routedRow
-	// Robust-aggregator staging: coordinate-wise order statistics need
-	// every upload's column at once, so under AggMedian/AggTrimmedMean
-	// the folder keeps the decoded payloads (still consumed in
-	// sampling order — observation order is unchanged) and finishFold
-	// runs the shared robust reduce over them. This trades the
-	// streaming path's bounded payload residency for robustness; the
-	// norm-clip rule has no such trade-off and streams like FedAvg,
-	// scaling each fold by its clip factor (the global model is stable
-	// for the whole round, so the factor is computable on arrival).
-	robust  bool
-	stage   []upload
-	clipped int64
+	stage   []upload // robust rules only: the timely uploads, in order
 }
 
-// startFold zeroes the accumulator and launches the round's folder
-// goroutine.
-func (s *Simulation) startFold(round int, sampled []int) *folder {
-	f := &folder{
+func newFolder(s *Simulation) *folder {
+	n := s.cfg.Dataset.NumUsers
+	return &folder{
 		s:       s,
-		round:   round,
-		sampled: sampled,
-		ch:      make(chan int, len(sampled)),
+		ch:      make(chan int, n),
 		done:    make(chan struct{}),
-		ready:   make([]bool, len(sampled)),
+		ready:   make([]bool, n),
 		touched: make([]bool, s.global.Params().Len()),
-		robust:  s.cfg.Aggregator.robust(),
+		routed:  make([]routedRow, 0, n*len(s.privateEntries)),
 	}
-	mathx.Zero(s.aggBuf)
+}
+
+// start resets the per-round state and launches the round's fold
+// goroutine.
+func (f *folder) start(round int, sampled []int) {
+	f.round, f.sampled = round, sampled
+	clear(f.ready)
+	clear(f.touched)
+	f.timely, f.totalW = 0, 0
+	f.routed = f.routed[:0]
 	go f.run()
-	return f
 }
 
 // resolve signals that sample index i's outcome is final (s.payloads[i]
@@ -978,7 +785,6 @@ func (s *Simulation) startFold(round int, sampled []int) *folder {
 func (f *folder) resolve(i int) { f.ch <- i }
 
 func (f *folder) run() {
-	defer close(f.done)
 	next := 0
 	for n := len(f.sampled); next < n; {
 		f.ready[<-f.ch] = true
@@ -987,11 +793,12 @@ func (f *folder) run() {
 			next++
 		}
 	}
+	f.done <- struct{}{}
 }
 
 // consume processes one resolved sample index in cursor order:
-// observation, straggler exclusion, private-row capture, accumulator
-// fold, recycle.
+// observation, straggler exclusion, then staging (robust rules) or
+// private-row capture plus accumulator fold and recycle.
 func (f *folder) consume(i int) {
 	s := f.s
 	payload := s.payloads[i]
@@ -1014,9 +821,9 @@ func (f *folder) consume(i int) {
 	w := float64(len(s.cfg.Dataset.Train[u]))
 	f.timely++
 	f.totalW += w
-	if f.robust {
-		// Stage for the order-statistic reduce; finishFold recycles.
-		f.stage = append(f.stage, upload{from: u, payload: payload, weight: w})
+	if s.cfg.Aggregator.robust() {
+		// Stage for the order-statistic reduce; finish recycles.
+		f.stage = append(f.stage, upload{from: u, payload: payload})
 		return
 	}
 	factor := 1.0
@@ -1024,7 +831,7 @@ func (f *folder) consume(i int) {
 		var clipped bool
 		factor, clipped = s.clipFactor(payload)
 		if clipped {
-			f.clipped++
+			s.clippedUploads++
 		}
 	}
 	gp := s.global.Params()
@@ -1033,71 +840,67 @@ func (f *folder) consume(i int) {
 		if !payload.Has(ge.Name) {
 			continue
 		}
+		acc := s.aggBuf[s.aggOff[ei] : s.aggOff[ei]+len(ge.Data)]
 		if _, isUserTable := s.privateSet[ge.Name]; isUserTable {
 			pe := payload.Entry(ge.Name)
-			f.routed = append(f.routed, routedRow{
-				name: ge.Name,
-				u:    u,
-				row:  append([]float64(nil), pe.Data[u*pe.Cols:(u+1)*pe.Cols]...),
-			})
+			copy(acc[u*ge.Cols:(u+1)*ge.Cols], pe.Data[u*pe.Cols:(u+1)*pe.Cols])
+			f.routed = append(f.routed, routedRow{ei: ei, u: u})
 			continue
 		}
-		f.touched[ei] = true
-		acc := s.aggBuf[s.aggOff[ei] : s.aggOff[ei]+len(ge.Data)]
+		if !f.touched[ei] {
+			mathx.Zero(acc)
+			f.touched[ei] = true
+		}
 		mathx.AxpyDiff(w*factor, payload.Get(ge.Name), ge.Data, acc)
 	}
 	s.pool.Put(payload)
 }
 
-// finishFold waits for the folder to drain, then applies the round's
-// aggregate to the global model — unless the timely arrivals missed
-// quorum, in which case the accumulator (and the stashed private rows)
-// are discarded and the previous global model stands.
-func (s *Simulation) finishFold(f *folder, sampled []int) {
+// finish waits for the fold goroutine to drain, then applies the
+// round's aggregate to the global model — unless the timely arrivals
+// missed quorum, in which case the accumulator, the stashed private
+// rows and any staged uploads are discarded and the previous global
+// model stands.
+func (f *folder) finish() {
 	<-f.done
-	s.clippedUploads += f.clipped
-	if s.cfg.Quorum > 0 && f.timely < int(math.Ceil(s.cfg.Quorum*float64(len(sampled)))) {
-		// Quorum miss: keep the previous global model.
+	s := f.s
+	switch {
+	case s.cfg.Quorum > 0 && f.timely < int(math.Ceil(s.cfg.Quorum*float64(len(f.sampled)))):
 		s.quorumMisses++
-		s.recycleStage(f)
-		return
-	}
-	if f.timely == 0 {
-		return
-	}
-	if f.robust {
-		// The shared order-statistic reduce over the staged uploads
-		// (same code as the dense path — streaming robust runs are
-		// byte-identical to dense robust runs modulo the codec).
+	case f.timely == 0:
+	case s.cfg.Aggregator.robust():
 		s.aggregateRobust(f.stage)
-		s.recycleStage(f)
-		return
+	default:
+		f.apply()
 	}
+	for i := range f.stage {
+		s.pool.Put(f.stage[i].payload)
+		f.stage[i].payload = nil
+	}
+	f.stage = f.stage[:0]
+}
+
+// apply installs the routed private rows and adds the normalized
+// accumulated deltas to the global model.
+func (f *folder) apply() {
+	s := f.s
 	totalW := f.totalW
 	if totalW == 0 {
 		totalW = 1
 	}
 	gp := s.global.Params()
 	for _, r := range f.routed {
-		ge := gp.Entry(r.name)
-		copy(ge.Data[r.u*ge.Cols:(r.u+1)*ge.Cols], r.row)
+		ge := gp.At(r.ei)
+		lo := r.u * ge.Cols
+		copy(ge.Data[lo:lo+ge.Cols], s.aggBuf[s.aggOff[r.ei]+lo:s.aggOff[r.ei]+lo+ge.Cols])
 	}
-	for ei := 0; ei < gp.Len(); ei++ {
-		if !f.touched[ei] {
+	for ei, touched := range f.touched {
+		if !touched {
 			continue
 		}
 		ge := gp.At(ei)
 		mathx.Axpy(1/totalW, s.aggBuf[s.aggOff[ei]:s.aggOff[ei]+len(ge.Data)], ge.Data)
 	}
-}
-
-// recycleStage returns a robust folder's staged payloads to the pool.
-func (s *Simulation) recycleStage(f *folder) {
-	for i := range f.stage {
-		s.pool.Put(f.stage[i].payload)
-		f.stage[i].payload = nil
-	}
-	f.stage = f.stage[:0]
 }
 
 // UtilityHR computes the mean leave-one-out hit ratio across users,

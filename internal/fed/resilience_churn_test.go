@@ -132,7 +132,7 @@ func TestResilienceChurnInactivePlanIsFree(t *testing.T) {
 	}
 }
 
-// robustTestSim builds a tiny simulation for direct aggregate() tests.
+// robustTestSim builds a tiny simulation for direct aggregation tests.
 func robustTestSim(t *testing.T, cfg func(*Config)) *Simulation {
 	t.Helper()
 	d := fedTestDataset(t)
@@ -153,7 +153,7 @@ func robustTestUploads(s *Simulation, n int) []upload {
 		p := s.global.Params().Clone()
 		rng := mathx.NewStreamRand(1234, uint64(u))
 		p.AddNoise(rng.NormFloat64, 0.5)
-		uploads = append(uploads, upload{from: u, payload: p, weight: float64(u + 1)})
+		uploads = append(uploads, upload{from: u, payload: p})
 	}
 	return uploads
 }
@@ -174,7 +174,7 @@ func TestResiliencePermutationInvariantAggregators(t *testing.T) {
 				for i, j := range perm {
 					permuted[i] = uploads[j]
 				}
-				s.aggregate(permuted)
+				s.aggregateRobust(permuted)
 				return s.global.Params().Clone()
 			}
 			ref := run([]int{0, 1, 2, 3, 4, 5, 6})
@@ -199,7 +199,7 @@ func TestResilienceMedianIgnoresOutlier(t *testing.T) {
 	}
 	s, uploads := build(AggMedian)
 	honest := s.global.Params().Clone()
-	s.aggregate(uploads)
+	s.aggregateRobust(uploads)
 	// Every non-private coordinate of the median must be bounded by the
 	// honest uploads' value range (noise 0.5 around the global), far
 	// below the 1e6-scaled outlier.
@@ -217,7 +217,7 @@ func TestResilienceMedianIgnoresOutlier(t *testing.T) {
 	}
 
 	sAvg, uploadsAvg := build(AggFedAvg)
-	sAvg.aggregate(uploadsAvg)
+	foldUploads(sAvg, uploadsAvg)
 	if param.Equal(sAvg.global.Params(), s.global.Params(), 0) {
 		t.Fatal("FedAvg and median agreed under a scaled outlier; the outlier did nothing")
 	}
@@ -235,7 +235,7 @@ func TestResilienceNormClipBound(t *testing.T) {
 	p := s.global.Params().Clone()
 	rng := mathx.NewStreamRand(77)
 	p.AddNoise(rng.NormFloat64, 50) // enormous delta, must be clipped
-	s.aggregate([]upload{{from: 0, payload: p, weight: 3}})
+	foldUploads(s, []upload{{from: 0, payload: p}})
 
 	var sq float64
 	gp := s.global.Params()
@@ -260,7 +260,7 @@ func TestResilienceNormClipBound(t *testing.T) {
 	small := s2.global.Params().Clone()
 	rng2 := mathx.NewStreamRand(78)
 	small.AddNoise(rng2.NormFloat64, 0.01)
-	s2.aggregate([]upload{{from: 0, payload: small, weight: 1}})
+	foldUploads(s2, []upload{{from: 0, payload: small}})
 	if r := s2.Resilience(); r.ClippedUploads != 0 {
 		t.Fatalf("ClippedUploads = %d for an in-bound upload, want 0", r.ClippedUploads)
 	}
@@ -276,8 +276,7 @@ func TestResilienceRobustStreamingWorkerEquivalence(t *testing.T) {
 		cfg := fedConfig(d)
 		cfg.Rounds = 3
 		cfg.Workers = workers
-		cfg.Compression = param.Compression{Bits: 16}
-		tr, err := transport.NewOptions(backend, transport.Options{Compression: cfg.Compression})
+		tr, err := transport.NewOptions(backend, transport.Options{Compression: param.Compression{Bits: 16}})
 		if err != nil {
 			t.Fatal(err)
 		}

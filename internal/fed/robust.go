@@ -83,6 +83,24 @@ func trimCount(trim float64, m int) int {
 	return t
 }
 
+// upload is one timely client upload staged for the robust reduce.
+type upload struct {
+	from    int
+	payload *param.Set
+}
+
+// aggChunk is one unit of the robust reduce: the element range
+// [lo, hi) of parameter entry ei.
+type aggChunk struct {
+	ei, lo, hi int
+}
+
+// aggShard is the robust reduce's chunk size in elements. Entries
+// smaller than this (biases, output layers) stay single-chunk;
+// paper-scale item tables (tens of thousands of rows) split into
+// enough chunks to keep every worker busy.
+const aggShard = 2048
+
 // aggregateRobust applies a coordinate-wise order-statistic rule
 // (median or trimmed mean) to the uploads: private user-table rows are
 // routed exactly like FedAvg (client u is the only voter for its own
@@ -134,8 +152,8 @@ func (s *Simulation) aggregateRobust(uploads []upload) {
 		c := s.aggChunks[ci]
 		ge := globalParams.At(c.ei)
 		// The carriers of this entry, in upload order, and a per-chunk
-		// sort scratch. Robust aggregation trades the FedAvg path's
-		// zero-alloc reduce for one small slice pair per chunk.
+		// sort scratch. Robust aggregation trades the FedAvg fold's
+		// zero-alloc accumulation for one small slice pair per chunk.
 		cols := make([][]float64, 0, len(uploads))
 		for ui := range uploads {
 			if uploads[ui].payload.Has(ge.Name) {

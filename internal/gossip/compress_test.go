@@ -63,33 +63,3 @@ func TestCompressedGossipEquivalence(t *testing.T) {
 		})
 	}
 }
-
-// Gossip's Config.Compression follows the same agreement rules as
-// fed's: conflicts are rejected, zero adopts the transport's codec.
-func TestGossipCompressionConfigValidation(t *testing.T) {
-	d := gossipTestDataset(t)
-	tr, err := transport.NewOptions("inproc", transport.Options{Compression: param.Compression{Bits: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	cfg := gossipConfig(d)
-	cfg.Transport = tr
-	cfg.Compression = param.Compression{Bits: 16}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("conflicting Config.Compression and transport codec must be rejected")
-	}
-	cfg.Compression = param.Compression{}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cfg.Compression.Bits != 8 {
-		t.Fatalf("zero Config.Compression must adopt the transport's codec, got %v", s.cfg.Compression)
-	}
-	cfg = gossipConfig(d)
-	cfg.Compression = param.Compression{Bits: 3}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("invalid bit width must be rejected")
-	}
-}

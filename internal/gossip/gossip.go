@@ -145,21 +145,15 @@ type Config struct {
 	// round-trips every push through the binary wire codec and the
 	// socket backends (transport.New("socket") / transport.Dial) push
 	// it over a real RPC socket, all with byte-identical results
-	// (enforced by the cross-backend equivalence suite). The caller
-	// keeps ownership: the simulation never closes the transport.
-	// Instances accumulate per-simulation traffic stats, so do not
-	// share one across simulations.
+	// (enforced by the cross-backend equivalence suite). Pushes use the
+	// transport's payload codec: dense float64 by default, or the
+	// sparse+quantized CPQ1 codec when the transport was built with
+	// transport.Options.Compression — coded absolute, as gossip has no
+	// broadcast to delta against. The caller keeps ownership: the
+	// simulation never closes the transport. Instances accumulate
+	// per-simulation traffic stats, so do not share one across
+	// simulations.
 	Transport transport.Transport
-
-	// Compression selects the transport payload codec: the zero value
-	// keeps the dense float64 codec (bit-exact pushes, the golden
-	// reference), 8 or 16 bits switches every push to the
-	// sparse+quantized CPQ1 codec — coded absolute, as gossip has no
-	// broadcast to delta against. When Transport is nil the default
-	// inproc transport is built at this level; a non-nil Transport must
-	// either match or this field must be zero, in which case the
-	// transport's setting is adopted.
-	Compression param.Compression
 
 	// Workers bounds the number of goroutines running per-node work
 	// (view refresh, payload construction, inbox aggregation, local
@@ -206,9 +200,6 @@ func (c *Config) validate() error {
 	if c.LossProb < 0 || c.LossProb >= 1 {
 		return fmt.Errorf("gossip: LossProb %v out of [0,1)", c.LossProb)
 	}
-	if err := c.Compression.Validate(); err != nil {
-		return fmt.Errorf("gossip: %w", err)
-	}
 	if c.ChurnPlan != nil {
 		if err := c.ChurnPlan.Validate(); err != nil {
 			return fmt.Errorf("gossip: %w", err)
@@ -217,11 +208,6 @@ func (c *Config) validate() error {
 	if c.Byzantine != nil {
 		if err := c.Byzantine.Validate(); err != nil {
 			return fmt.Errorf("gossip: %w", err)
-		}
-	}
-	if c.Transport != nil {
-		if tc := c.Transport.Compression(); c.Compression.Enabled() && tc != c.Compression {
-			return fmt.Errorf("gossip: Config.Compression %v conflicts with the transport's %v", c.Compression, tc)
 		}
 	}
 	return nil
@@ -388,13 +374,7 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	if cfg.Transport == nil {
-		tr, err := transport.NewOptions("inproc", transport.Options{Compression: cfg.Compression})
-		if err != nil {
-			return nil, fmt.Errorf("gossip: %w", err)
-		}
-		cfg.Transport = tr
-	} else {
-		cfg.Compression = cfg.Transport.Compression()
+		cfg.Transport = transport.NewInproc()
 	}
 	rng := mathx.NewRand(cfg.Seed)
 	n := cfg.Dataset.NumUsers

@@ -189,8 +189,9 @@ func TestCompressedSendRefScopedToRound(t *testing.T) {
 	}
 }
 
-// The faulty wrapper forwards the inner backend's codec: simulators
-// validate their Config.Compression against it.
+// The faulty wrapper forwards the inner backend's codec: the transport
+// is the one place that says which codec a run uses, so a wrapped
+// backend must report the inner one's.
 func TestFaultyDelegatesCompression(t *testing.T) {
 	comp := param.Compression{Bits: 16}
 	tr, err := NewOptions("faulty:wire", Options{Compression: comp})
