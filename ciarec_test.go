@@ -1,8 +1,12 @@
 package ciarec
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 func quickDataset(t *testing.T) *Dataset {
@@ -86,6 +90,51 @@ func TestRunValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+}
+
+// TestRunValidationNamesField: bad knob fields fail up front, naming
+// the field, instead of at transport dial or fed.New.
+func TestRunValidationNamesField(t *testing.T) {
+	d := quickDataset(t)
+	d.SplitLeaveOneOut()
+	cases := map[string]RunConfig{
+		"transport":          {Dataset: d, Transport: "carrier-pigeon"},
+		"transport_addr":     {Dataset: d, TransportAddr: "/tmp/cia.sock"},
+		"faults":             {Dataset: d, Faults: "drop=2"},
+		"retry":              {Dataset: d, Retry: "attempts=maybe"},
+		"compression":        {Dataset: d, Compression: "4bit"},
+		"quorum":             {Dataset: d, Quorum: 2},
+		"straggler_deadline": {Dataset: d, StragglerDeadline: -time.Second},
+	}
+	for field, cfg := range cases {
+		_, err := Run(cfg)
+		if want := fmt.Sprintf("field %q", field); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v does not name %s", field, err, want)
+		}
+	}
+}
+
+// TestRunDisabledFaultPlan: a fault plan that injects nothing ("seed=7")
+// wraps the transport in the fault injector but reports exactly what
+// the plain run does, under both protocols.
+func TestRunDisabledFaultPlan(t *testing.T) {
+	d := quickDataset(t)
+	d.SplitLeaveOneOut()
+	for _, p := range []Protocol{Federated, RandGossip} {
+		cfg := RunConfig{Dataset: d, Protocol: p, Rounds: 3, TrackUtility: true, Seed: 4}
+		plain, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = "seed=7"
+		faulty, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, faulty) {
+			t.Fatalf("%s: disabled fault plan changed the report:\n  plain  %+v\n  faulty %+v", p, plain, faulty)
 		}
 	}
 }

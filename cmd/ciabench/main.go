@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,12 +21,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/experiments"
-	"github.com/collablearn/ciarec/internal/fed"
 	"github.com/collablearn/ciarec/internal/obs"
-	"github.com/collablearn/ciarec/internal/param"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 type runner func(spec experiments.Spec) (string, error)
@@ -250,36 +247,79 @@ func experimentIDs() []string {
 	return ids
 }
 
+// options is ciabench's decoded command line.
+type options struct {
+	exp, scenario                    string
+	paper, list                      bool
+	seed                             uint64
+	rounds                           int
+	knobs                            experiments.Knobs
+	traceOut, metricsAddr, pprofAddr string
+}
+
+// parseArgs decodes the command line (without the program name). Flag
+// syntax errors are reported on stderr by the flag set itself; knob
+// values are checked by options.spec.
+func parseArgs(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("ciabench", flag.ContinueOnError)
+	fs.StringVar(&o.exp, "exp", "all", "experiment id (see -list) or 'all'")
+	fs.BoolVar(&o.paper, "paper", false, "paper-scale datasets and rounds (slow, memory-hungry)")
+	fs.Uint64Var(&o.seed, "seed", 1, "master seed")
+	fs.IntVar(&o.rounds, "rounds", 0, "override FL round count (0 keeps the default)")
+	o.knobs.Flags(fs)
+	fs.StringVar(&o.scenario, "scenario", "", "run one declarative scenario instead of -exp: a JSON file or a preset name ("+scenarioNames()+"); all other knob flags except the observability ones are ignored")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.StringVar(&o.traceOut, "trace", "", "write a per-round phase trace of the run(s) to this file at exit: Chrome trace_event JSON (load in chrome://tracing or ui.perfetto.dev), or JSON lines with a .jsonl extension")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve the live metrics registry over HTTP at this address (host:port; port 0 picks one): /metrics Prometheus text exposition, /metrics.json, /debug/vars expvar")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof at this address (host:port; port 0 picks one)")
+	return o, fs.Parse(args)
+}
+
+// spec resolves the Spec the -exp experiments run under: sizing from
+// -paper, -seed and -rounds, the deployment from the knob flags.
+func (o options) spec() (experiments.Spec, error) {
+	spec := experiments.BenchSpec()
+	if o.paper {
+		spec = experiments.PaperSpec()
+	}
+	spec.Seed = o.seed
+	if o.rounds < 0 {
+		return spec, fmt.Errorf("-rounds %d must not be negative (0 keeps the default)", o.rounds)
+	}
+	if o.rounds > 0 {
+		spec.Rounds = o.rounds
+	}
+	return o.knobs.Apply(spec)
+}
+
 func main() {
-	var (
-		exp    = flag.String("exp", "all", "experiment id (see -list) or 'all'")
-		paper  = flag.Bool("paper", false, "paper-scale datasets and rounds (slow, memory-hungry)")
-		seed   = flag.Uint64("seed", 1, "master seed")
-		rounds = flag.Int("rounds", 0, "override FL round count")
-		trans  = flag.String("transport", "", "round transport backend: "+strings.Join(transport.Names(), " | ")+", optionally behind the fault-injecting prefix \"faulty:\" (default inproc; socket backends spin up a loopback server unless -addr is given)")
-		addr   = flag.String("addr", "", "external ciaworker address for the socket backends: a socket path (socket) or host:port (socket-tcp)")
-		faults = flag.String("faults", "", "deterministic fault-injection spec, e.g. 'seed=7,drop=0.05,send-loss=0.05,slow=0.1,slow-latency=500ms' or 'default'; wraps the transport in the fault injector and drives straggler latencies")
-		retry  = flag.String("retry", "", "socket RPC retry policy, e.g. 'attempts=6,backoff=5ms,timeout=2s' (empty keeps the defaults)")
-		comp   = flag.String("compress", "", "wire compression for every parameter transfer: 'off' (default, lossless dense codec) or '8'/'16' for the sparse+quantized delta codec at that bit width")
-		quorum = flag.Float64("quorum", 0, "minimum fraction of sampled clients whose uploads must arrive in time for an FL round to aggregate; below it the round keeps the previous global model (0 disables)")
-		sdl    = flag.Duration("straggler-deadline", 0, "FL per-round upload deadline: uploads whose fault-plan latency exceeds it are observed by the adversary but excluded from aggregation (0 disables)")
-		churn  = flag.String("churn", "", "deterministic participant-churn spec, e.g. 'seed=5,initial=0.8,leave=0.25,join=0.5,stale-bound=2' or 'default'; memberships grow and shrink round over round, rejoiners resume from their stale snapshot")
-		byz    = flag.String("byz", "", "Byzantine adversary spec, e.g. 'kind=sign-flip,frac=0.1,seed=1' or 'default'; kinds: sign-flip, scaled-noise, collude")
-		agg    = flag.String("agg", "", "FL aggregation rule: fedavg (default), median, trimmed-mean or norm-clip")
-		trim   = flag.Float64("trim", 0, "trimmed-mean per-end trim fraction in [0, 0.5) (0 keeps the default 0.1)")
-		clip   = flag.Float64("clip", 0, "norm-clip per-upload L2 bound (required with -agg norm-clip)")
-		scen   = flag.String("scenario", "", "run one declarative scenario instead of -exp: a JSON file or a preset name ("+scenarioNames()+"); all other knob flags except the observability ones are ignored")
-		list   = flag.Bool("list", false, "list experiment ids and exit")
-
-		traceOut    = flag.String("trace", "", "write a per-round phase trace of the run(s) to this file at exit: Chrome trace_event JSON (load in chrome://tracing or ui.perfetto.dev), or JSON lines with a .jsonl extension")
-		metricsAddr = flag.String("metrics-addr", "", "serve the live metrics registry over HTTP at this address (host:port; port 0 picks one): /metrics Prometheus text exposition, /metrics.json, /debug/vars expvar")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof at this address (host:port; port 0 picks one)")
-	)
-	flag.Parse()
-
-	if *list {
+	o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if o.list {
 		fmt.Println(strings.Join(experimentIDs(), "\n"))
 		return
+	}
+	var spec experiments.Spec
+	ids := experimentIDs()
+	if o.scenario == "" {
+		if spec, err = o.spec(); err != nil {
+			fmt.Fprintf(os.Stderr, "ciabench: %v\n", err)
+			os.Exit(2)
+		}
+		if o.exp != "all" {
+			if _, ok := runners[o.exp]; !ok {
+				fmt.Fprintf(os.Stderr, "ciabench: unknown experiment %q; available: %s\n",
+					o.exp, strings.Join(ids, ", "))
+				os.Exit(2)
+			}
+			ids = []string{o.exp}
+		}
 	}
 
 	// Observability sinks: a tracer when a trace file was asked for, a
@@ -287,13 +327,13 @@ func main() {
 	// results (see OBSERVABILITY.md); runners fall back to private
 	// registries when reg stays nil.
 	var tracer *obs.Tracer
-	if *traceOut != "" {
+	if o.traceOut != "" {
 		tracer = obs.NewTracer(obs.DefaultSpansPerRing)
 	}
 	var reg *obs.Registry
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		reg = obs.NewRegistry()
-		srv, err := obs.ServeMetrics(*metricsAddr, reg)
+		srv, err := obs.ServeMetrics(o.metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ciabench: -metrics-addr: %v\n", err)
 			os.Exit(1)
@@ -301,8 +341,8 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("ciabench: metrics at http://%s/metrics\n", srv.Addr())
 	}
-	if *pprofAddr != "" {
-		srv, err := obs.ServePprof(*pprofAddr)
+	if o.pprofAddr != "" {
+		srv, err := obs.ServePprof(o.pprofAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ciabench: -pprof-addr: %v\n", err)
 			os.Exit(1)
@@ -311,109 +351,20 @@ func main() {
 		fmt.Printf("ciabench: pprof at http://%s/debug/pprof/\n", srv.Addr())
 	}
 
-	if *scen != "" {
+	if o.scenario != "" {
 		start := time.Now()
-		out, err := runScenarioFile(*scen, tracer, reg)
+		out, err := runScenarioFile(o.scenario, tracer, reg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ciabench: -scenario: %v\n", err)
 			os.Exit(2)
 		}
 		fmt.Print(out)
 		fmt.Printf("[scenario completed in %.1fs]\n", time.Since(start).Seconds())
-		writeTrace(tracer, *traceOut)
+		writeTrace(tracer, o.traceOut)
 		return
 	}
-	spec := experiments.BenchSpec()
-	if *paper {
-		spec = experiments.PaperSpec()
-	}
-	spec.Seed = *seed
-	if *rounds > 0 {
-		spec.Rounds = *rounds
-	}
-	if !transport.Known(*trans) {
-		fmt.Fprintf(os.Stderr, "ciabench: unknown transport %q (have %s, optionally behind %q)\n",
-			*trans, strings.Join(transport.Names(), ", "), transport.FaultyPrefix)
-		os.Exit(2)
-	}
-	if base := strings.TrimPrefix(*trans, transport.FaultyPrefix); *addr != "" && base != "socket" && base != "socket-tcp" {
-		fmt.Fprintf(os.Stderr, "ciabench: -addr requires -transport socket or socket-tcp\n")
-		os.Exit(2)
-	}
-	spec.Transport = *trans
-	spec.TransportAddr = *addr
-	if *faults != "" {
-		plan, err := transport.ParseFaultPlan(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ciabench: -faults: %v\n", err)
-			os.Exit(2)
-		}
-		spec.FaultPlan = &plan
-	}
-	if *retry != "" {
-		policy, err := transport.ParseRetryPolicy(*retry)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ciabench: -retry: %v\n", err)
-			os.Exit(2)
-		}
-		spec.Retry = &policy
-	}
-	compression, err := param.ParseCompression(*comp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ciabench: -compress: %v\n", err)
-		os.Exit(2)
-	}
-	spec.Compression = compression
-	if *quorum < 0 || *quorum > 1 {
-		fmt.Fprintf(os.Stderr, "ciabench: -quorum %v out of [0,1]\n", *quorum)
-		os.Exit(2)
-	}
-	spec.Quorum = *quorum
-	spec.StragglerDeadline = *sdl
-	if *churn != "" {
-		plan, err := transport.ParseChurnPlan(*churn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ciabench: -churn: %v\n", err)
-			os.Exit(2)
-		}
-		spec.ChurnPlan = &plan
-	}
-	if *byz != "" {
-		adv, err := attack.ParseByzantine(*byz)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ciabench: -byz: %v\n", err)
-			os.Exit(2)
-		}
-		spec.Byzantine = &adv
-	}
-	aggregator, err := fed.ParseAggregator(*agg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ciabench: -agg: %v\n", err)
-		os.Exit(2)
-	}
-	spec.Aggregator = aggregator
-	if *trim < 0 || *trim >= 0.5 {
-		fmt.Fprintf(os.Stderr, "ciabench: -trim %v out of [0, 0.5)\n", *trim)
-		os.Exit(2)
-	}
-	spec.TrimFraction = *trim
-	if *clip < 0 {
-		fmt.Fprintf(os.Stderr, "ciabench: -clip %v is negative\n", *clip)
-		os.Exit(2)
-	}
-	spec.ClipNorm = *clip
 	spec.Trace = tracer
 	spec.Metrics = reg
-
-	ids := experimentIDs()
-	if *exp != "all" {
-		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "ciabench: unknown experiment %q; available: %s\n",
-				*exp, strings.Join(ids, ", "))
-			os.Exit(2)
-		}
-		ids = []string{*exp}
-	}
 	for _, id := range ids {
 		start := time.Now()
 		out, err := runners[id](spec)
@@ -424,5 +375,5 @@ func main() {
 		fmt.Print(out)
 		fmt.Printf("[%s completed in %.1fs]\n\n", id, time.Since(start).Seconds())
 	}
-	writeTrace(tracer, *traceOut)
+	writeTrace(tracer, o.traceOut)
 }

@@ -7,15 +7,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/defense"
-	"github.com/collablearn/ciarec/internal/fed"
 	"github.com/collablearn/ciarec/internal/gossip"
-	"github.com/collablearn/ciarec/internal/param"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // Scenario is a declarative, JSON-able description of one complete
@@ -25,13 +20,8 @@ import (
 // run is reproduced from — `ciabench -scenario run.json` executes it,
 // and the same JSON checked into a repository pins the run forever
 // (every knob is deterministic, so a Scenario is a golden cell).
-//
-// The nested plan fields (faults, churn, byzantine) reuse the textual
-// key=value specs of their typed parsers (transport.ParseFaultPlan,
-// transport.ParseChurnPlan, attack.ParseByzantine), so a Scenario
-// stays a flat, diffable JSON object and the CLI flags and scenario
-// files share one syntax. DecodeScenario rejects unknown fields, and
-// every validation error names the offending field.
+// DecodeScenario rejects unknown fields, and every validation error
+// names the offending field.
 type Scenario struct {
 	// Name labels the run in rendered output.
 	Name string `json:"name,omitempty"`
@@ -70,40 +60,10 @@ type Scenario struct {
 	// DropoutProb injects client upload failures. Fed only.
 	DropoutProb float64 `json:"dropout_prob,omitempty"`
 
-	// Transport names the round-transport backend (see Spec.Transport);
-	// TransportAddr dials an external ciaworker instead of a loopback
-	// server.
-	Transport     string `json:"transport,omitempty"`
-	TransportAddr string `json:"transport_addr,omitempty"`
-	// Compression is "off", "8bit" or "16bit" (param.ParseCompression).
-	Compression string `json:"compression,omitempty"`
-	// Faults is a transport.ParseFaultPlan spec
-	// (e.g. "seed=3,drop=0.1,slow=0.3,slow-latency=500ms") or "default".
-	Faults string `json:"faults,omitempty"`
-	// Retry is a transport.ParseRetryPolicy spec for the socket
-	// backends (e.g. "attempts=6,backoff=5ms,timeout=2s").
-	Retry string `json:"retry,omitempty"`
-
-	// Churn is a transport.ParseChurnPlan spec
-	// (e.g. "seed=5,initial=0.8,leave=0.25,join=0.5,stale-bound=2")
-	// or "default". Empty: static membership.
-	Churn string `json:"churn,omitempty"`
-	// Byzantine is an attack.ParseByzantine spec
-	// (e.g. "kind=sign-flip,frac=0.1,seed=1") or "default". Empty: no
-	// adversaries.
-	Byzantine string `json:"byzantine,omitempty"`
-	// Aggregator is the fed server's rule: "" or "fedavg", "median",
-	// "trimmed-mean", "norm-clip" (fed.ParseAggregator). Fed only.
-	Aggregator string `json:"aggregator,omitempty"`
-	// TrimFraction is the trimmed mean's per-end trim in [0, 0.5).
-	TrimFraction float64 `json:"trim_fraction,omitempty"`
-	// ClipNorm is norm-clip's per-upload L2 bound (required with
-	// aggregator "norm-clip").
-	ClipNorm float64 `json:"clip_norm,omitempty"`
-	// Quorum and StragglerDeadline parameterize fed partial
-	// aggregation; the deadline is a Go duration string ("100ms").
-	Quorum            float64 `json:"quorum,omitempty"`
-	StragglerDeadline string  `json:"straggler_deadline,omitempty"`
+	// Knobs is the deployment: transport, compression, faults, retry,
+	// churn, Byzantine population and the fed aggregation rule. Its
+	// fields are promoted, so the JSON keys stay flat.
+	Knobs
 
 	// MetricsOut, when non-empty, writes the run's end-of-run registry
 	// snapshot (RunResult.Metrics) as JSON to this path after the run
@@ -186,6 +146,16 @@ func parseVariant(s string) (gossip.Variant, error) {
 // Validate checks every field and reports the first offender by its
 // JSON name.
 func (sc Scenario) Validate() error {
+	if err := sc.check(); err != nil {
+		return err
+	}
+	_, err := sc.Knobs.Apply(Spec{})
+	return err
+}
+
+// check holds the protocol- and dataset-aware checks; Knobs.Apply
+// validates the deployment.
+func (sc Scenario) check() error {
 	switch sc.Protocol {
 	case "fed", "gossip":
 	default:
@@ -222,8 +192,8 @@ func (sc Scenario) Validate() error {
 	if sc.ClientFraction < 0 || sc.ClientFraction > 1 {
 		return fieldErr("client_fraction", fmt.Errorf("%g outside [0, 1]", sc.ClientFraction))
 	}
-	if sc.DropoutProb < 0 || sc.DropoutProb > 1 {
-		return fieldErr("dropout_prob", fmt.Errorf("%g outside [0, 1]", sc.DropoutProb))
+	if sc.DropoutProb < 0 || sc.DropoutProb >= 1 {
+		return fieldErr("dropout_prob", fmt.Errorf("%g outside [0, 1)", sc.DropoutProb))
 	}
 	if sc.Protocol == "gossip" {
 		fedOnly := []struct {
@@ -242,56 +212,6 @@ func (sc Scenario) Validate() error {
 			if f.set {
 				return fieldErr(f.field, fmt.Errorf("only meaningful with protocol fed"))
 			}
-		}
-	}
-	if !transport.Known(sc.Transport) {
-		return fieldErr("transport", fmt.Errorf("unknown transport %q (have %s)", sc.Transport, strings.Join(transport.Names(), ", ")))
-	}
-	if _, err := param.ParseCompression(sc.Compression); err != nil {
-		return fieldErr("compression", err)
-	}
-	if sc.Faults != "" {
-		if _, err := transport.ParseFaultPlan(sc.Faults); err != nil {
-			return fieldErr("faults", err)
-		}
-	}
-	if sc.Retry != "" {
-		if _, err := transport.ParseRetryPolicy(sc.Retry); err != nil {
-			return fieldErr("retry", err)
-		}
-	}
-	if sc.Churn != "" {
-		if _, err := transport.ParseChurnPlan(sc.Churn); err != nil {
-			return fieldErr("churn", err)
-		}
-	}
-	if sc.Byzantine != "" {
-		if _, err := attack.ParseByzantine(sc.Byzantine); err != nil {
-			return fieldErr("byzantine", err)
-		}
-	}
-	if _, err := fed.ParseAggregator(sc.Aggregator); err != nil {
-		return fieldErr("aggregator", err)
-	}
-	if sc.TrimFraction < 0 || sc.TrimFraction >= 0.5 {
-		return fieldErr("trim_fraction", fmt.Errorf("%g outside [0, 0.5)", sc.TrimFraction))
-	}
-	if sc.ClipNorm < 0 {
-		return fieldErr("clip_norm", fmt.Errorf("negative bound %g", sc.ClipNorm))
-	}
-	if agg, _ := fed.ParseAggregator(sc.Aggregator); agg == fed.AggNormClip && sc.ClipNorm == 0 {
-		return fieldErr("clip_norm", fmt.Errorf("required with aggregator norm-clip"))
-	}
-	if sc.Quorum < 0 || sc.Quorum > 1 {
-		return fieldErr("quorum", fmt.Errorf("%g outside [0, 1]", sc.Quorum))
-	}
-	if sc.StragglerDeadline != "" {
-		d, err := time.ParseDuration(sc.StragglerDeadline)
-		if err != nil {
-			return fieldErr("straggler_deadline", err)
-		}
-		if d < 0 {
-			return fieldErr("straggler_deadline", fmt.Errorf("negative deadline %v", d))
 		}
 	}
 	if sc.Dataset != "powerlaw" {
@@ -330,10 +250,10 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// Spec resolves the scenario's sizing and resilience knobs into the
+// Spec resolves the scenario's sizing and deployment knobs into the
 // runner Spec (BenchSpec defaults, PaperSpec with paper=true).
 func (sc Scenario) Spec() (Spec, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.check(); err != nil {
 		return Spec{}, err
 	}
 	spec := BenchSpec()
@@ -353,49 +273,7 @@ func (sc Scenario) Spec() (Spec, error) {
 	if sc.Seed != 0 {
 		spec.Seed = sc.Seed
 	}
-	spec.Transport = sc.Transport
-	spec.TransportAddr = sc.TransportAddr
-	spec.Compression, _ = param.ParseCompression(sc.Compression)
-	if sc.Faults != "" {
-		plan, err := transport.ParseFaultPlan(sc.Faults)
-		if err != nil {
-			return Spec{}, fieldErr("faults", err)
-		}
-		spec.FaultPlan = &plan
-	}
-	if sc.Retry != "" {
-		policy, err := transport.ParseRetryPolicy(sc.Retry)
-		if err != nil {
-			return Spec{}, fieldErr("retry", err)
-		}
-		spec.Retry = &policy
-	}
-	if sc.Churn != "" {
-		plan, err := transport.ParseChurnPlan(sc.Churn)
-		if err != nil {
-			return Spec{}, fieldErr("churn", err)
-		}
-		spec.ChurnPlan = &plan
-	}
-	if sc.Byzantine != "" {
-		byz, err := attack.ParseByzantine(sc.Byzantine)
-		if err != nil {
-			return Spec{}, fieldErr("byzantine", err)
-		}
-		spec.Byzantine = &byz
-	}
-	spec.Aggregator, _ = fed.ParseAggregator(sc.Aggregator)
-	spec.TrimFraction = sc.TrimFraction
-	spec.ClipNorm = sc.ClipNorm
-	spec.Quorum = sc.Quorum
-	if sc.StragglerDeadline != "" {
-		d, err := time.ParseDuration(sc.StragglerDeadline)
-		if err != nil {
-			return Spec{}, fieldErr("straggler_deadline", err)
-		}
-		spec.StragglerDeadline = d
-	}
-	return spec, nil
+	return sc.Knobs.Apply(spec)
 }
 
 // makeDataset builds the scenario's dataset: a named workload at the
@@ -537,50 +415,25 @@ func RenderScenario(sc Scenario, res RunResult) string {
 // tests).
 func ChurnByzScenario() Scenario {
 	return Scenario{
-		Name:      "churn-byz",
-		Protocol:  "fed",
-		Dataset:   "movielens",
-		Family:    "gmf",
-		Rounds:    6,
-		Seed:      7,
-		Churn:     "seed=5,initial=0.8,leave=0.25,join=0.5,stale-bound=2",
-		Byzantine: "kind=sign-flip,frac=0.1,seed=1",
-
-		Aggregator:   "trimmed-mean",
-		TrimFraction: 0.2,
-	}
-}
-
-// MillionUserScenario is the power-law scale preset: a million-user,
-// hundred-thousand-item synthetic population with Zipf-skewed
-// popularity, 0.1% client sampling per round, 8-bit sparse+quantized
-// wire compression and a robust (median) server. It exists to size
-// the system honestly — running it takes hours and tens of GB; the
-// test suite only validates and round-trips it.
-func MillionUserScenario() Scenario {
-	return Scenario{
-		Name:           "million-user",
-		Protocol:       "fed",
-		Dataset:        "powerlaw",
-		Family:         "gmf",
-		Rounds:         20,
-		Seed:           1,
-		ClientFraction: 0.001,
-		Compression:    "8bit",
-		Aggregator:     "median",
-		Churn:          "seed=1,leave=0.05,join=0.2,stale-bound=5",
-		Users:          1_000_000,
-		Items:          100_000,
-		Zipf:           1.1,
-		Communities:    1000,
-		MeanItems:      25,
+		Name:     "churn-byz",
+		Protocol: "fed",
+		Dataset:  "movielens",
+		Family:   "gmf",
+		Rounds:   6,
+		Seed:     7,
+		Knobs: Knobs{
+			Churn:        "seed=5,initial=0.8,leave=0.25,join=0.5,stale-bound=2",
+			Byzantine:    "kind=sign-flip,frac=0.1,seed=1",
+			Aggregator:   "trimmed-mean",
+			TrimFraction: 0.2,
+		},
 	}
 }
 
 // ScenarioPresets lists the named scenarios `ciabench -scenario` can
 // run without a file.
 func ScenarioPresets() []Scenario {
-	return []Scenario{ChurnByzScenario(), MillionUserScenario()}
+	return []Scenario{ChurnByzScenario()}
 }
 
 // ScenarioPreset returns the named preset, if any.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"reflect"
 	"strings"
@@ -47,17 +48,6 @@ func TestScenarioPresetsResolve(t *testing.T) {
 	if spec.Aggregator.String() != "trimmed-mean" {
 		t.Fatalf("churn-byz aggregator = %v, want trimmed-mean", spec.Aggregator)
 	}
-
-	mu, ok := ScenarioPreset("million-user")
-	if !ok {
-		t.Fatal("million-user preset missing")
-	}
-	if err := mu.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if mu.Users < 1_000_000 {
-		t.Fatalf("million-user preset sizes %d users", mu.Users)
-	}
 	if _, ok := ScenarioPreset("no-such"); ok {
 		t.Fatal("unknown preset resolved")
 	}
@@ -87,6 +77,7 @@ func TestScenarioValidationNamesField(t *testing.T) {
 		{"workers", func(sc *Scenario) { sc.Workers = -2 }},
 		{"client_fraction", func(sc *Scenario) { sc.ClientFraction = 1.5 }},
 		{"dropout_prob", func(sc *Scenario) { sc.DropoutProb = -0.1 }},
+		{"dropout_prob", func(sc *Scenario) { sc.DropoutProb = 1 }},
 		{"aggregator", func(sc *Scenario) { sc.Aggregator = "krum" }},
 		{"aggregator", func(sc *Scenario) { sc.Protocol = "gossip"; sc.Aggregator = "median" }},
 		{"trim_fraction", func(sc *Scenario) { sc.TrimFraction = 0.5 }},
@@ -95,6 +86,7 @@ func TestScenarioValidationNamesField(t *testing.T) {
 		{"quorum", func(sc *Scenario) { sc.Quorum = 2 }},
 		{"straggler_deadline", func(sc *Scenario) { sc.StragglerDeadline = "soon" }},
 		{"transport", func(sc *Scenario) { sc.Transport = "carrier-pigeon" }},
+		{"transport_addr", func(sc *Scenario) { sc.Transport = "inproc"; sc.TransportAddr = "/tmp/cia.sock" }},
 		{"compression", func(sc *Scenario) { sc.Compression = "4bit" }},
 		{"faults", func(sc *Scenario) { sc.Faults = "drop=2" }},
 		{"retry", func(sc *Scenario) { sc.Retry = "attempts=maybe" }},
@@ -161,8 +153,10 @@ func TestScenarioRunsSmall(t *testing.T) {
 	gsc := Scenario{
 		Name: "gossip-churn", Protocol: "gossip", Dataset: "gowalla", Family: "prme",
 		Rounds: 4, Workers: 2,
-		Churn:     "seed=5,initial=0.8,leave=0.3,join=0.3,stale-bound=2",
-		Byzantine: "kind=collude,frac=0.2,seed=9",
+		Knobs: Knobs{
+			Churn:     "seed=5,initial=0.8,leave=0.3,join=0.3,stale-bound=2",
+			Byzantine: "kind=collude,frac=0.2,seed=9",
+		},
 	}
 	gres, err := RunScenario(gsc)
 	if err != nil {
@@ -175,9 +169,11 @@ func TestScenarioRunsSmall(t *testing.T) {
 
 // FuzzScenarioDecode hammers the scenario decoder: any input that
 // decodes cleanly must also survive an encode → decode round trip
-// unchanged, and validation must never panic. The committed seed
-// corpus covers the presets, a minimal scenario and the documented
-// rejection classes (unknown field, bad nested plan, truncation).
+// unchanged, its knobs must survive the same trip through the
+// ciabench flags, and validation must never panic. The committed seed
+// corpus covers the presets, a minimal scenario, every knob set at
+// once and the documented rejection classes (unknown field, bad
+// nested plan, truncation).
 func FuzzScenarioDecode(f *testing.F) {
 	for _, sc := range ScenarioPresets() {
 		blob, err := json.Marshal(sc)
@@ -188,6 +184,7 @@ func FuzzScenarioDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"protocol":"fed","dataset":"movielens","family":"gmf"}`))
 	f.Add([]byte(`{"protocol":"gossip","dataset":"gowalla","family":"prme","variant":"pers-gossip","churn":"default","byzantine":"default"}`))
+	f.Add([]byte(`{"protocol":"fed","dataset":"movielens","family":"gmf","transport":"faulty:socket","transport_addr":"/tmp/cia.sock","compression":"8bit","faults":"seed=7","retry":"attempts=6,backoff=5ms","aggregator":"norm-clip","clip_norm":2.5,"quorum":0.5,"straggler_deadline":"100ms"}`))
 	f.Add([]byte(`{"protocol":"fed","dataset":"movielens","family":"gmf","typo":1}`))
 	f.Add([]byte(`{"protocol":"fed","dataset":"movielens","family":"gmf","churn":"leave=2"}`))
 	f.Add([]byte(`{"protocol":"fed"`))
@@ -208,6 +205,15 @@ func FuzzScenarioDecode(f *testing.F) {
 		}
 		if !reflect.DeepEqual(sc, back) {
 			t.Fatalf("round trip changed the scenario:\n  first  %+v\n  second %+v", sc, back)
+		}
+		var flagged Knobs
+		fs := flag.NewFlagSet("knobs", flag.ContinueOnError)
+		flagged.Flags(fs)
+		if err := fs.Parse(knobArgs(sc.Knobs)); err != nil {
+			t.Fatalf("flags %q rejected: %v", knobArgs(sc.Knobs), err)
+		}
+		if !reflect.DeepEqual(sc.Knobs, flagged) {
+			t.Fatalf("flag round trip changed the knobs:\n  json  %+v\n  flags %+v", sc.Knobs, flagged)
 		}
 	})
 }

@@ -64,14 +64,14 @@ type Spec struct {
 	LocalEpochs int
 	// Workers bounds per-run parallelism: the protocol simulators'
 	// client/node training pools, their utility-evaluation sweeps and
-	// the FedAvg reduce, plus CIA scoring in FL runs. 0 lets the
-	// simulators default to runtime.NumCPU(). Results are independent
-	// of the value (see fed.Config.Workers / gossip.Config.Workers).
+	// the robust aggregators' reduce, plus CIA scoring and Share-less
+	// refits in FL runs. 0 lets the simulators default to
+	// runtime.NumCPU(). Results are independent of the value (see
+	// fed.Config.Workers / gossip.Config.Workers).
 	Workers int
 	// Transport selects the round-transport backend threaded into the
 	// protocol simulators: "" or "inproc" (pointer passing), "wire"
-	// (every parameter transfer round-trips the binary codec),
-	// "wire-chunked" (wire plus fixed-size frame reassembly), "socket"
+	// (every parameter transfer round-trips the binary codec), "socket"
 	// (framed RPC over an in-process loopback Unix-domain socket
 	// server) or "socket-tcp" (the same over loopback TCP). Results are
 	// byte-identical across backends (see internal/transport).

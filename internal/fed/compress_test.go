@@ -12,7 +12,7 @@ import (
 // runCompressed executes a fresh simulation on the named backend at
 // the given compression level, recording the adversary's observation
 // stream, and returns the simulation plus its final global parameters.
-func runCompressed(t *testing.T, cfg Config, backend string, comp param.Compression, log *[]obsEntry) (*Simulation, *param.Set) {
+func runCompressed(t *testing.T, cfg Config, backend string, comp param.Compression, log *[]obsEntry) (transport.Transport, *param.Set) {
 	t.Helper()
 	tr, err := transport.NewOptions(backend, transport.Options{Compression: comp})
 	if err != nil {
@@ -30,7 +30,7 @@ func runCompressed(t *testing.T, cfg Config, backend string, comp param.Compress
 		t.Fatal(err)
 	}
 	s.Run()
-	return s, s.Global().Params().Clone()
+	return tr, s.Global().Params().Clone()
 }
 
 type obsEntry struct {
@@ -53,7 +53,7 @@ func TestCompressedBackendEquivalence(t *testing.T) {
 			cfg.Rounds = 3
 			cfg.Workers = 1
 			var refLog []obsEntry
-			refSim, refParams := runCompressed(t, cfg, "inproc", comp, &refLog)
+			refTr, refParams := runCompressed(t, cfg, "inproc", comp, &refLog)
 			for _, cell := range []struct {
 				backend string
 				workers int
@@ -64,7 +64,7 @@ func TestCompressedBackendEquivalence(t *testing.T) {
 					c := cfg
 					c.Workers = cell.workers
 					var log []obsEntry
-					sim, params := runCompressed(t, c, cell.backend, comp, &log)
+					tr, params := runCompressed(t, c, cell.backend, comp, &log)
 					if !param.Equal(refParams, params, 0) {
 						t.Fatal("final global params differ from the inproc/workers=1 reference")
 					}
@@ -76,8 +76,8 @@ func TestCompressedBackendEquivalence(t *testing.T) {
 							t.Fatalf("observation %d differs: %+v vs %+v", i, log[i], refLog[i])
 						}
 					}
-					if sim.Traffic() != refSim.Traffic() {
-						t.Fatalf("traffic %+v != %+v", sim.Traffic(), refSim.Traffic())
+					if uploads(tr) != uploads(refTr) {
+						t.Fatalf("traffic %v != %v", uploads(tr), uploads(refTr))
 					}
 				})
 			}
@@ -94,8 +94,8 @@ func TestCompressedRoundSavesBytes(t *testing.T) {
 	cfg := fedConfig(d)
 	cfg.Rounds = 3
 	cfg.Workers = 2
-	sim, params := runCompressed(t, cfg, "wire", param.Compression{Bits: 8}, nil)
-	st := sim.TransportStats()
+	tr, params := runCompressed(t, cfg, "wire", param.Compression{Bits: 8}, nil)
+	st := tr.Stats()
 	if st.RawBytes == 0 || st.Bytes == 0 {
 		t.Fatalf("no traffic accounted: %+v", st)
 	}

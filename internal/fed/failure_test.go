@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/defense"
+	"github.com/collablearn/ciarec/internal/transport"
 )
 
 func TestDropoutReducesUploads(t *testing.T) {
@@ -13,6 +14,8 @@ func TestDropoutReducesUploads(t *testing.T) {
 	cfg.DropoutProb = 0.4
 	obs := &countingObserver{}
 	cfg.Observer = obs
+	tr := transport.NewInproc()
+	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +25,7 @@ func TestDropoutReducesUploads(t *testing.T) {
 	if got := float64(obs.uploads); got < 0.4*expected || got > 1.4*expected {
 		t.Fatalf("uploads = %v, want ~%v under 40%% dropout", got, expected)
 	}
-	if got := s.Traffic().Messages; got != obs.uploads {
+	if got := tr.Stats().Messages; got != int64(obs.uploads) {
 		t.Fatalf("traffic messages %d != observed uploads %d", got, obs.uploads)
 	}
 }
@@ -64,18 +67,20 @@ func TestTrafficAccounting(t *testing.T) {
 	d := fedTestDataset(t)
 	cfg := fedConfig(d)
 	cfg.Rounds = 2
+	tr := transport.NewInproc()
+	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	tr := s.Traffic()
-	if tr.Messages != d.NumUsers*2 {
-		t.Fatalf("messages = %d, want %d", tr.Messages, d.NumUsers*2)
+	st := tr.Stats()
+	if st.Messages != int64(d.NumUsers*2) {
+		t.Fatalf("messages = %d, want %d", st.Messages, d.NumUsers*2)
 	}
-	perMsg := s.Global().Params().WireBytes()
-	if tr.Bytes != int64(tr.Messages*perMsg) {
-		t.Fatalf("bytes = %d, want %d", tr.Bytes, tr.Messages*perMsg)
+	perMsg := int64(s.Global().Params().WireBytes())
+	if st.Bytes != st.Messages*perMsg {
+		t.Fatalf("bytes = %d, want %d", st.Bytes, st.Messages*perMsg)
 	}
 }
 
@@ -83,6 +88,8 @@ func TestTrafficShrinksUnderShareLess(t *testing.T) {
 	d := fedTestDataset(t)
 	full := fedConfig(d)
 	full.Rounds = 2
+	trFull := transport.NewInproc()
+	full.Transport = trFull
 	sFull, err := New(full)
 	if err != nil {
 		t.Fatal(err)
@@ -92,14 +99,16 @@ func TestTrafficShrinksUnderShareLess(t *testing.T) {
 	sl := fedConfig(d)
 	sl.Rounds = 2
 	sl.Policy = defense.ShareLess{Tau: 1}
+	trSL := transport.NewInproc()
+	sl.Transport = trSL
 	sSL, err := New(sl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sSL.Run()
 
-	if sSL.Traffic().Bytes >= sFull.Traffic().Bytes {
+	if trSL.Stats().Bytes >= trFull.Stats().Bytes {
 		t.Fatalf("share-less should shrink messages: %d >= %d",
-			sSL.Traffic().Bytes, sFull.Traffic().Bytes)
+			trSL.Stats().Bytes, trFull.Stats().Bytes)
 	}
 }

@@ -235,14 +235,6 @@ type clientState struct {
 	lastReceived *param.Set
 }
 
-// Traffic is the client → server upload accounting, mirrored from the
-// transport's point-to-point counters. The global-model broadcast is
-// accounted separately: see TransportStats.
-type Traffic struct {
-	Messages int
-	Bytes    int64
-}
-
 // Simulation is a running federated system. Create with New, then call
 // Run (or RunRound repeatedly).
 type Simulation struct {
@@ -371,17 +363,6 @@ func (r Resilience) String() string {
 	add("clipped-uploads", r.ClippedUploads)
 	return b.String()
 }
-
-// Traffic returns the accumulated upload statistics (the transport's
-// point-to-point counters).
-func (s *Simulation) Traffic() Traffic {
-	st := s.tr.Stats()
-	return Traffic{Messages: int(st.Messages), Bytes: st.Bytes}
-}
-
-// TransportStats returns the transport's full traffic accounting,
-// including the per-client global-model broadcast deliveries.
-func (s *Simulation) TransportStats() transport.Stats { return s.tr.Stats() }
 
 // New builds a federated simulation from cfg.
 func New(cfg Config) (*Simulation, error) {

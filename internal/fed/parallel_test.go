@@ -5,19 +5,23 @@ import (
 
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // runWithWorkers executes a fresh simulation from cfg with the given
-// worker count and returns the final global parameter set.
-func runWithWorkers(t *testing.T, cfg Config, workers int) (*Simulation, *param.Set) {
+// worker count on an inproc transport and returns the simulation, its
+// transport and the final global parameter set.
+func runWithWorkers(t *testing.T, cfg Config, workers int) (*Simulation, transport.Transport, *param.Set) {
 	t.Helper()
 	cfg.Workers = workers
+	tr := transport.NewInproc()
+	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	return s, s.Global().Params().Clone()
+	return s, tr, s.Global().Params().Clone()
 }
 
 // The round engine's core determinism guarantee: Workers=1 and
@@ -35,13 +39,13 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := fedConfig(d)
 			cfg.Policy = policy
-			serialSim, serial := runWithWorkers(t, cfg, 1)
-			parallelSim, parallel := runWithWorkers(t, cfg, 4)
+			serialSim, serialTr, serial := runWithWorkers(t, cfg, 1)
+			parallelSim, parallelTr, parallel := runWithWorkers(t, cfg, 4)
 			if !param.Equal(serial, parallel, 0) {
 				t.Fatal("Workers=1 and Workers=4 final global params differ")
 			}
-			if serialSim.Traffic() != parallelSim.Traffic() {
-				t.Fatalf("traffic differs: %+v vs %+v", serialSim.Traffic(), parallelSim.Traffic())
+			if serialTr.Stats() != parallelTr.Stats() {
+				t.Fatalf("traffic differs: %+v vs %+v", serialTr.Stats(), parallelTr.Stats())
 			}
 			for u := range serialSim.clients {
 				sp := serialSim.clients[u].privateRows
@@ -70,13 +74,13 @@ func TestSerialParallelEquivalenceWithDropoutAndSampling(t *testing.T) {
 	cfg.Rounds = 6
 	cfg.ClientFraction = 0.6
 	cfg.DropoutProb = 0.2
-	serialSim, serial := runWithWorkers(t, cfg, 1)
-	parallelSim, parallel := runWithWorkers(t, cfg, 3)
+	_, serialTr, serial := runWithWorkers(t, cfg, 1)
+	_, parallelTr, parallel := runWithWorkers(t, cfg, 3)
 	if !param.Equal(serial, parallel, 0) {
 		t.Fatal("dropout/sampling run differs between Workers=1 and Workers=3")
 	}
-	if serialSim.Traffic() != parallelSim.Traffic() {
-		t.Fatalf("traffic differs: %+v vs %+v", serialSim.Traffic(), parallelSim.Traffic())
+	if serialTr.Stats() != parallelTr.Stats() {
+		t.Fatalf("traffic differs: %+v vs %+v", serialTr.Stats(), parallelTr.Stats())
 	}
 }
 

@@ -30,7 +30,8 @@ func TestBlackoutRoundKeepsGlobal(t *testing.T) {
 	plan := transport.FaultPlan{Seed: 1, BroadcastFailProb: 1}
 	cfg := fedConfig(d)
 	cfg.Rounds = 3
-	cfg.Transport = faultyTransport(t, "inproc", plan)
+	tr := faultyTransport(t, "inproc", plan)
+	cfg.Transport = tr
 	cfg.FaultPlan = &plan
 	var uploads int
 	cfg.Observer = observerFunc(func(Message) { uploads++ })
@@ -55,7 +56,7 @@ func TestBlackoutRoundKeepsGlobal(t *testing.T) {
 	if len(rounds) != 3 || s.Round() != 3 {
 		t.Fatalf("blackout rounds must still advance: OnRound fired %d times, Round() = %d", len(rounds), s.Round())
 	}
-	if st := s.TransportStats(); st.InjectedFaults != 3 {
+	if st := tr.Stats(); st.InjectedFaults != 3 {
 		t.Fatalf("InjectedFaults = %d, want 3", st.InjectedFaults)
 	}
 }
@@ -260,11 +261,12 @@ func TestFaultyBackendEquivalence(t *testing.T) {
 		SlowLatency:       500 * time.Millisecond,
 	}
 
-	run := func(backend string, workers int) (*Simulation, *param.Set, []float64) {
+	run := func(backend string, workers int) (*Simulation, transport.Transport, *param.Set, []float64) {
+		tr := faultyTransport(t, backend, plan)
 		cfg := fedConfig(d)
 		cfg.Rounds = 4
 		cfg.Workers = workers
-		cfg.Transport = faultyTransport(t, backend, plan)
+		cfg.Transport = tr
 		cfg.FaultPlan = &plan
 		cfg.StragglerDeadline = 100 * time.Millisecond
 		cfg.Quorum = 0.3
@@ -277,10 +279,10 @@ func TestFaultyBackendEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Run()
-		return s, s.Global().Params().Clone(), hr
+		return s, tr, s.Global().Params().Clone(), hr
 	}
 
-	refSim, refParams, refHR := run("inproc", 1)
+	refSim, refTr, refParams, refHR := run("inproc", 1)
 	ref := refSim.Resilience()
 	// The plan must actually exercise every failure path, or this test
 	// proves nothing.
@@ -293,7 +295,7 @@ func TestFaultyBackendEquivalence(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
-				sim, params, hr := run(backend, workers)
+				sim, tr, params, hr := run(backend, workers)
 				if !param.Equal(refParams, params, 0) {
 					t.Fatal("final global params differ from the reference chaos run")
 				}
@@ -305,12 +307,12 @@ func TestFaultyBackendEquivalence(t *testing.T) {
 				if sim.Resilience() != ref {
 					t.Fatalf("fault accounting %+v != reference %+v", sim.Resilience(), ref)
 				}
-				ws, is := sim.TransportStats(), refSim.TransportStats()
+				ws, is := tr.Stats(), refTr.Stats()
 				if ws.InjectedFaults != is.InjectedFaults {
 					t.Fatalf("injected %d faults, reference injected %d", ws.InjectedFaults, is.InjectedFaults)
 				}
-				if sim.Traffic() != refSim.Traffic() {
-					t.Fatalf("surviving traffic %+v != reference %+v", sim.Traffic(), refSim.Traffic())
+				if uploads(tr) != uploads(refTr) {
+					t.Fatalf("surviving traffic %v != reference %v", uploads(tr), uploads(refTr))
 				}
 			})
 		}

@@ -10,10 +10,16 @@ import (
 	"github.com/collablearn/ciarec/internal/transport"
 )
 
+// uploads is the client→server share of a transport's accounting.
+func uploads(tr transport.Transport) [2]int64 {
+	st := tr.Stats()
+	return [2]int64{st.Messages, st.Bytes}
+}
+
 // runWithTransport executes a fresh simulation from cfg on the named
-// transport backend and returns the final global parameters plus the
-// per-round HR/F1 utility curves.
-func runWithTransport(t *testing.T, cfg Config, backend string) (*Simulation, *param.Set, []float64, []float64) {
+// transport backend and returns the transport, the final global
+// parameters and the per-round HR/F1 utility curves.
+func runWithTransport(t *testing.T, cfg Config, backend string) (transport.Transport, *param.Set, []float64, []float64) {
 	t.Helper()
 	tr, err := transport.New(backend)
 	if err != nil {
@@ -31,13 +37,12 @@ func runWithTransport(t *testing.T, cfg Config, backend string) (*Simulation, *p
 		t.Fatal(err)
 	}
 	s.Run()
-	return s, s.Global().Params().Clone(), hr, f1
+	return tr, s.Global().Params().Clone(), hr, f1
 }
 
 // The tentpole guarantee of the pluggable round transport: for every
 // (policy, model, workers) cell, routing all parameter traffic through
-// the serializing backends — the wire codec (plain and chunk-framed)
-// and the socket RPC path over a loopback Unix-domain socket server —
+// the serializing backends — the wire codec and the socket RPC path over a loopback Unix-domain socket server —
 // produces byte-identical final models, identical utility curves and
 // identical upload accounting to the in-memory backend. CI runs this
 // under -race, which also exercises concurrent wire encode/decode and
@@ -62,9 +67,9 @@ func TestTransportBackendEquivalence(t *testing.T) {
 					cfg.Factory = factory
 					cfg.Rounds = 3
 					cfg.Workers = workers
-					refSim, refParams, refHR, refF1 := runWithTransport(t, cfg, "inproc")
-					for _, backend := range []string{"wire", "wire-chunked", "socket"} {
-						sim, params, hr, f1 := runWithTransport(t, cfg, backend)
+					refTr, refParams, refHR, refF1 := runWithTransport(t, cfg, "inproc")
+					for _, backend := range []string{"wire", "socket"} {
+						tr, params, hr, f1 := runWithTransport(t, cfg, backend)
 						if !param.Equal(refParams, params, 0) {
 							t.Fatalf("%s final global params differ from inproc", backend)
 						}
@@ -73,10 +78,10 @@ func TestTransportBackendEquivalence(t *testing.T) {
 								t.Fatalf("%s utility curve differs from inproc at round %d", backend, r)
 							}
 						}
-						if sim.Traffic() != refSim.Traffic() {
-							t.Fatalf("%s traffic %+v != inproc %+v", backend, sim.Traffic(), refSim.Traffic())
+						if uploads(tr) != uploads(refTr) {
+							t.Fatalf("%s traffic %v != inproc %v", backend, uploads(tr), uploads(refTr))
 						}
-						ws, is := sim.TransportStats(), refSim.TransportStats()
+						ws, is := tr.Stats(), refTr.Stats()
 						if ws.BroadcastMessages != is.BroadcastMessages || ws.BroadcastBytes != is.BroadcastBytes {
 							t.Fatalf("%s broadcast accounting %+v != inproc %+v", backend, ws, is)
 						}
@@ -96,9 +101,9 @@ func TestTransportEquivalenceWithDropoutAndSampling(t *testing.T) {
 	cfg.ClientFraction = 0.6
 	cfg.DropoutProb = 0.2
 	cfg.Workers = 3
-	refSim, refParams, refHR, _ := runWithTransport(t, cfg, "inproc")
+	refTr, refParams, refHR, _ := runWithTransport(t, cfg, "inproc")
 	for _, backend := range []string{"wire", "socket"} {
-		sim, params, hr, _ := runWithTransport(t, cfg, backend)
+		tr, params, hr, _ := runWithTransport(t, cfg, backend)
 		if !param.Equal(refParams, params, 0) {
 			t.Fatalf("%s run differs from inproc under sampling+dropout", backend)
 		}
@@ -107,8 +112,8 @@ func TestTransportEquivalenceWithDropoutAndSampling(t *testing.T) {
 				t.Fatalf("%s utility differs at round %d", backend, r)
 			}
 		}
-		if sim.Traffic() != refSim.Traffic() {
-			t.Fatalf("%s traffic %+v != %+v", backend, sim.Traffic(), refSim.Traffic())
+		if uploads(tr) != uploads(refTr) {
+			t.Fatalf("%s traffic %v != %v", backend, uploads(tr), uploads(refTr))
 		}
 	}
 }
@@ -142,7 +147,7 @@ func TestTransportObserverSequence(t *testing.T) {
 		return log
 	}
 	ref := record("inproc")
-	for _, backend := range []string{"wire", "wire-chunked", "socket"} {
+	for _, backend := range []string{"wire", "socket"} {
 		got := record(backend)
 		if len(ref) != len(got) {
 			t.Fatalf("%s observation count %d != inproc %d", backend, len(got), len(ref))

@@ -16,7 +16,7 @@ import (
 func TestCompressedGossipEquivalence(t *testing.T) {
 	d := gossipTestDataset(t)
 	comp := param.Compression{Bits: 8}
-	run := func(backend string, workers int) (*Simulation, []*param.Set) {
+	run := func(backend string, workers int) (transport.Transport, []*param.Set) {
 		tr, err := transport.NewOptions(backend, transport.Options{Compression: comp})
 		if err != nil {
 			t.Fatal(err)
@@ -35,10 +35,10 @@ func TestCompressedGossipEquivalence(t *testing.T) {
 		for u := range s.nodes {
 			out[u] = s.nodes[u].m.Params().Clone()
 		}
-		return s, out
+		return tr, out
 	}
-	refSim, refNodes := run("inproc", 1)
-	st := refSim.TransportStats()
+	refTr, refNodes := run("inproc", 1)
+	st := refTr.Stats()
 	if st.Messages == 0 {
 		t.Fatal("no pushes delivered — the test is vacuous")
 	}
@@ -51,14 +51,14 @@ func TestCompressedGossipEquivalence(t *testing.T) {
 		workers int
 	}{{"inproc", 3}, {"wire", 3}, {"socket", 2}} {
 		t.Run(fmt.Sprintf("%s/workers=%d", cell.backend, cell.workers), func(t *testing.T) {
-			sim, nodes := run(cell.backend, cell.workers)
+			tr, nodes := run(cell.backend, cell.workers)
 			for u := range refNodes {
 				if !param.Equal(refNodes[u], nodes[u], 0) {
 					t.Fatalf("node %d differs from the inproc/workers=1 reference", u)
 				}
 			}
-			if sim.Traffic() != refSim.Traffic() {
-				t.Fatalf("traffic %+v != %+v", sim.Traffic(), refSim.Traffic())
+			if pushes(tr) != pushes(refTr) {
+				t.Fatalf("traffic %v != %v", pushes(tr), pushes(refTr))
 			}
 		})
 	}

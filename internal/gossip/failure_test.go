@@ -1,6 +1,10 @@
 package gossip
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/collablearn/ciarec/internal/transport"
+)
 
 func TestLossProbDropsMessages(t *testing.T) {
 	d := gossipTestDataset(t)
@@ -9,6 +13,8 @@ func TestLossProbDropsMessages(t *testing.T) {
 	cfg.LossProb = 0.5
 	obs := &recordingObserver{}
 	cfg.Observer = obs
+	tr := transport.NewInproc()
+	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -18,8 +24,8 @@ func TestLossProbDropsMessages(t *testing.T) {
 	if got := float64(len(obs.msgs)); got < 0.5*expected || got > 1.5*expected {
 		t.Fatalf("delivered = %v, want ~%v under 50%% loss", got, expected)
 	}
-	if s.Traffic().Messages != len(obs.msgs) {
-		t.Fatalf("traffic %d != observed %d", s.Traffic().Messages, len(obs.msgs))
+	if got := tr.Stats().Messages; got != int64(len(obs.msgs)) {
+		t.Fatalf("traffic %d != observed %d", got, len(obs.msgs))
 	}
 }
 
@@ -56,19 +62,21 @@ func TestGossipTrafficAccounting(t *testing.T) {
 	d := gossipTestDataset(t)
 	cfg := gossipConfig(d)
 	cfg.Rounds = 3
+	tr := transport.NewInproc()
+	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Run()
-	tr := s.Traffic()
-	if tr.Messages != d.NumUsers*3 {
-		t.Fatalf("messages = %d, want %d", tr.Messages, d.NumUsers*3)
+	st := tr.Stats()
+	if st.Messages != int64(d.NumUsers*3) {
+		t.Fatalf("messages = %d, want %d", st.Messages, d.NumUsers*3)
 	}
-	if tr.Bytes <= 0 {
+	if st.Bytes <= 0 {
 		t.Fatal("no bytes accounted")
 	}
-	perMsg := tr.Bytes / int64(tr.Messages)
+	perMsg := st.Bytes / st.Messages
 	if perMsg != int64(s.Node(0).Params().WireBytes()) {
 		t.Fatalf("per-message bytes %d != model wire size %d",
 			perMsg, s.Node(0).Params().WireBytes())

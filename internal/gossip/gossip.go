@@ -229,13 +229,6 @@ type node struct {
 	probe []int
 }
 
-// Traffic is the delivered-message accounting, mirrored from the
-// transport's point-to-point counters.
-type Traffic struct {
-	Messages int
-	Bytes    int64
-}
-
 // Simulation is a running gossip system. Create with New, then call
 // Run (or RunRound repeatedly).
 type Simulation struct {
@@ -336,16 +329,6 @@ type push struct {
 	to      int // -1 when the node stays silent or the message is lost
 	payload *param.Set
 }
-
-// Traffic returns the accumulated delivered-message statistics (the
-// transport's point-to-point counters).
-func (s *Simulation) Traffic() Traffic {
-	st := s.tr.Stats()
-	return Traffic{Messages: int(st.Messages), Bytes: st.Bytes}
-}
-
-// TransportStats returns the transport's full traffic accounting.
-func (s *Simulation) TransportStats() transport.Stats { return s.tr.Stats() }
 
 // New builds a gossip simulation from cfg. Defaults are applied before
 // validation so that e.g. a 3-node network is rejected (the default

@@ -6,13 +6,17 @@ import (
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // finalParams runs a fresh simulation from cfg with the given worker
-// count and returns every node's final parameter set.
-func finalParams(t *testing.T, cfg Config, workers int) (*Simulation, []*param.Set) {
+// count on an inproc transport and returns the transport and every
+// node's final parameter set.
+func finalParams(t *testing.T, cfg Config, workers int) (transport.Transport, []*param.Set) {
 	t.Helper()
 	cfg.Workers = workers
+	tr := transport.NewInproc()
+	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +26,7 @@ func finalParams(t *testing.T, cfg Config, workers int) (*Simulation, []*param.S
 	for u := range s.nodes {
 		out[u] = s.nodes[u].m.Params().Clone()
 	}
-	return s, out
+	return tr, out
 }
 
 // Workers=1 and Workers=N must produce byte-identical node models
@@ -49,15 +53,15 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := gossipConfig(d)
 			mutate(&cfg)
-			serialSim, serial := finalParams(t, cfg, 1)
-			parallelSim, parallel := finalParams(t, cfg, 4)
+			serialTr, serial := finalParams(t, cfg, 1)
+			parallelTr, parallel := finalParams(t, cfg, 4)
 			for u := range serial {
 				if !param.Equal(serial[u], parallel[u], 0) {
 					t.Fatalf("node %d params differ between Workers=1 and Workers=4", u)
 				}
 			}
-			if serialSim.Traffic() != parallelSim.Traffic() {
-				t.Fatalf("traffic differs: %+v vs %+v", serialSim.Traffic(), parallelSim.Traffic())
+			if serialTr.Stats() != parallelTr.Stats() {
+				t.Fatalf("traffic differs: %+v vs %+v", serialTr.Stats(), parallelTr.Stats())
 			}
 		})
 	}

@@ -112,6 +112,8 @@ func TestResilienceGossipChurnFreezesAbsentNodes(t *testing.T) {
 	cfg := gossipConfig(d)
 	cfg.Rounds = 3
 	cfg.ChurnPlan = &transport.ChurnPlan{Seed: 1, LeaveProb: 1}
+	tr := transport.NewInproc()
+	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +128,8 @@ func TestResilienceGossipChurnFreezesAbsentNodes(t *testing.T) {
 			t.Fatalf("node %d trained while the whole network was absent", u)
 		}
 	}
-	if tr := s.Traffic(); tr.Messages != 0 {
-		t.Fatalf("%d messages moved in an all-absent network", tr.Messages)
+	if st := tr.Stats(); st.Messages != 0 {
+		t.Fatalf("%d messages moved in an all-absent network", st.Messages)
 	}
 	r := s.Resilience()
 	if r.Leaves != int64(d.NumUsers) {

@@ -85,7 +85,7 @@ func TestGossipInactivePlanIsFree(t *testing.T) {
 	d := gossipTestDataset(t)
 	cfg := gossipConfig(d)
 	cfg.Rounds = 4
-	refSim, refParams, refHR := runWithTransport(t, cfg, "inproc")
+	refSim, _, refParams, refHR := runWithTransport(t, cfg, "inproc")
 
 	sim, params, hr := runFaulty(t, cfg, "inproc", transport.FaultPlan{Seed: 99})
 	for u := range refParams {

@@ -75,7 +75,7 @@ func TestInprocSendPassesPointerThrough(t *testing.T) {
 }
 
 func TestWireSendRoundTripsValues(t *testing.T) {
-	for _, tr := range []Transport{NewWire(), NewChunkedWire(64)} {
+	for _, tr := range []Transport{NewWire()} {
 		t.Run(tr.Name(), func(t *testing.T) {
 			var pool param.Buffers
 			payload := testSet(1)
@@ -108,31 +108,6 @@ func TestWireSendDoesNotAlias(t *testing.T) {
 	payload.Get("item_emb")[0] = 1e9
 	if got.Get("item_emb")[0] == 1e9 {
 		t.Fatal("received set aliases sender storage")
-	}
-}
-
-// Chunk framing must not change delivered bytes, only the Chunks
-// accounting.
-func TestChunkedWireAccounting(t *testing.T) {
-	chunk := 128
-	tr := NewChunkedWire(chunk)
-	var pool param.Buffers
-	payload := testSet(1)
-	wire := int64(payload.WireBytes())
-	got, err := tr.Send(0, 0, payload, &pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !param.Equal(testSet(1), got, 0) {
-		t.Fatal("chunked send changed values")
-	}
-	st := tr.Stats()
-	wantChunks := (wire + int64(chunk) - 1) / int64(chunk)
-	if st.Chunks != wantChunks {
-		t.Fatalf("chunks = %d, want %d", st.Chunks, wantChunks)
-	}
-	if wantChunks < 2 {
-		t.Fatalf("test payload too small to exercise framing (%d bytes)", wire)
 	}
 }
 

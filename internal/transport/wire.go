@@ -3,25 +3,15 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/collablearn/ciarec/internal/param"
 )
 
-// DefaultChunkBytes is the frame size of the "wire-chunked" backend:
-// large enough that headers stay a rounding error, small enough that
-// every bench-scale message spans several frames (a GMF dim-8 payload
-// at the bench sizing is ~26 KB).
-const DefaultChunkBytes = 4096
-
 // Wire is the serializing backend: every payload is marshalled through
 // the param binary codec into a pooled byte buffer and unmarshalled on
 // the receiving side, so all parameter traffic exercises the exact
-// bytes a multi-process deployment would put on the network. With
-// ChunkBytes > 0 the receiver additionally reads across fixed-size
-// chunk frames, proving the codec survives arbitrary message
-// fragmentation.
+// bytes a multi-process deployment would put on the network.
 //
 // Wire panics on codec errors: the bytes were produced by the matching
 // encoder in the same process, so a failure is a codec bug, not a
@@ -31,31 +21,16 @@ const DefaultChunkBytes = 4096
 type Wire struct {
 	counters
 	compressor
-	chunkBytes int
-	bufs       sync.Pool // *bytes.Buffer
+	bufs sync.Pool // *bytes.Buffer
 }
 
 var _ Transport = (*Wire)(nil)
 
-// NewWire returns a fresh unframed wire transport.
+// NewWire returns a fresh wire transport.
 func NewWire() *Wire { return &Wire{} }
 
-// NewChunkedWire returns a wire transport whose receivers read the
-// encoded stream in frames of at most chunkBytes bytes.
-func NewChunkedWire(chunkBytes int) *Wire {
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkBytes
-	}
-	return &Wire{chunkBytes: chunkBytes}
-}
-
 // Name implements Transport.
-func (t *Wire) Name() string {
-	if t.chunkBytes > 0 {
-		return "wire-chunked"
-	}
-	return "wire"
-}
+func (t *Wire) Name() string { return "wire" }
 
 // Close implements Transport; the wire backend's pooled buffers need
 // no teardown.
@@ -79,18 +54,9 @@ func (t *Wire) encode(s, ref *param.Set) (*bytes.Buffer, int64) {
 // decode unmarshals an encoded stream into dst, which must have the
 // encoded structure (and the encoder's ref in compressed delta mode).
 func (t *Wire) decode(data []byte, dst, ref *param.Set) {
-	r := chunkReader{data: data, chunk: t.chunkBytes}
-	if _, err := dst.DecodeFromRef(&r, ref); err != nil {
+	if _, err := dst.DecodeFromRef(bytes.NewReader(data), ref); err != nil {
 		panic(fmt.Sprintf("transport: wire decode: %v", err))
 	}
-}
-
-// frames returns the number of chunk frames an n-byte message spans.
-func (t *Wire) frames(n int64) int64 {
-	if t.chunkBytes <= 0 {
-		return 1
-	}
-	return (n + int64(t.chunkBytes) - 1) / int64(t.chunkBytes)
 }
 
 // Send implements Transport: marshal, recycle the sender's set, and
@@ -111,7 +77,7 @@ func (t *Wire) Send(round, _ int, payload *param.Set, pool *param.Buffers) (*par
 	t.messages.Add(1)
 	t.bytes.Add(n)
 	t.rawBytes.Add(wire)
-	t.chunks.Add(t.frames(n))
+	t.chunks.Add(1)
 	return recv, nil
 }
 
@@ -139,7 +105,7 @@ func (b *wireBroadcast) Deliver(_ int, dst *param.Set) error {
 	b.t.bMessages.Add(1)
 	b.t.bBytes.Add(b.n)
 	b.t.rawBBytes.Add(b.wire)
-	b.t.chunks.Add(b.t.frames(b.n))
+	b.t.chunks.Add(1)
 	return nil
 }
 
@@ -147,29 +113,4 @@ func (b *wireBroadcast) Close() {
 	b.t.clearRef()
 	b.t.bufs.Put(b.buf)
 	b.buf = nil
-}
-
-// chunkReader serves a byte slice in reads of at most chunk bytes
-// (unbounded when chunk <= 0), simulating a framed network stream: the
-// decoder's io.ReadFull calls must reassemble values that straddle
-// frame boundaries.
-type chunkReader struct {
-	data  []byte
-	chunk int
-}
-
-func (r *chunkReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, io.EOF
-	}
-	n := len(p)
-	if r.chunk > 0 && n > r.chunk {
-		n = r.chunk
-	}
-	if n > len(r.data) {
-		n = len(r.data)
-	}
-	copy(p, r.data[:n])
-	r.data = r.data[n:]
-	return n, nil
 }

@@ -3,15 +3,12 @@ package ciarec
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/experiments"
 	"github.com/collablearn/ciarec/internal/gossip"
 	"github.com/collablearn/ciarec/internal/mathx"
-	"github.com/collablearn/ciarec/internal/param"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // Defense selects a mitigation strategy (§III-D, §III-E). The zero
@@ -82,9 +79,6 @@ const (
 	// TransportWire round-trips every transfer through the binary wire
 	// codec using pooled buffers.
 	TransportWire TransportKind = "wire"
-	// TransportWireChunked is TransportWire with fixed-size frame
-	// reassembly on the receive path.
-	TransportWireChunked TransportKind = "wire-chunked"
 	// TransportSocket pushes every transfer through the framed RPC
 	// protocol over a Unix-domain socket: against an in-process
 	// loopback server by default, or an external ciaworker process
@@ -210,7 +204,13 @@ func (r *Report) LeakageFactor() float64 {
 	return r.MaxAAC / r.RandomBound
 }
 
-func (c *RunConfig) spec() experiments.Spec {
+// spec validates the config and resolves the run's Spec: sizing from
+// the config's own fields, the deployment from its knob fields through
+// experiments.Knobs, whose errors name the offending field.
+func (c *RunConfig) spec() (experiments.Spec, error) {
+	if err := c.normalize(); err != nil {
+		return experiments.Spec{}, err
+	}
 	s := experiments.BenchSpec()
 	if c.Rounds > 0 {
 		s.Rounds = c.Rounds
@@ -229,25 +229,20 @@ func (c *RunConfig) spec() experiments.Spec {
 		s.KFrac = float64(c.CommunitySize) / float64(c.Dataset.NumUsers())
 	}
 	s.Seed = c.Seed
-	s.Transport = string(c.Transport)
-	s.TransportAddr = c.TransportAddr
-	if c.Faults != "" {
-		// Parse errors were caught by normalize.
-		if p, err := transport.ParseFaultPlan(c.Faults); err == nil && p.Enabled() {
-			s.FaultPlan = &p
-		}
+	knobs := experiments.Knobs{
+		Transport:         string(c.Transport),
+		TransportAddr:     c.TransportAddr,
+		Compression:       c.Compression,
+		Faults:            c.Faults,
+		Retry:             c.Retry,
+		Quorum:            c.Quorum,
+		StragglerDeadline: c.StragglerDeadline.String(),
 	}
-	if c.Retry != "" {
-		if rp, err := transport.ParseRetryPolicy(c.Retry); err == nil {
-			s.Retry = &rp
-		}
+	s, err := knobs.Apply(s)
+	if err != nil {
+		return s, fmt.Errorf("ciarec: %w", err)
 	}
-	if comp, err := param.ParseCompression(c.Compression); err == nil {
-		s.Compression = comp
-	}
-	s.StragglerDeadline = c.StragglerDeadline
-	s.Quorum = c.Quorum
-	return s
+	return s, nil
 }
 
 func (c *RunConfig) normalize() error {
@@ -285,41 +280,16 @@ func (c *RunConfig) normalize() error {
 	if c.DropoutProb < 0 || c.DropoutProb >= 1 {
 		return fmt.Errorf("ciarec: DropoutProb %v out of [0,1)", c.DropoutProb)
 	}
-	if !transport.Known(string(c.Transport)) {
-		return fmt.Errorf("ciarec: unknown transport %q", c.Transport)
-	}
-	if c.TransportAddr != "" {
-		switch TransportKind(strings.TrimPrefix(string(c.Transport), transport.FaultyPrefix)) {
-		case TransportSocket, TransportSocketTCP:
-		default:
-			return fmt.Errorf("ciarec: TransportAddr requires a socket transport, got %q", c.Transport)
-		}
-	}
-	if _, err := transport.ParseFaultPlan(c.Faults); err != nil {
-		return fmt.Errorf("ciarec: Faults: %w", err)
-	}
-	if _, err := transport.ParseRetryPolicy(c.Retry); err != nil {
-		return fmt.Errorf("ciarec: Retry: %w", err)
-	}
-	if _, err := param.ParseCompression(c.Compression); err != nil {
-		return fmt.Errorf("ciarec: Compression: %w", err)
-	}
-	if c.Quorum < 0 || c.Quorum > 1 {
-		return fmt.Errorf("ciarec: Quorum %v out of [0,1]", c.Quorum)
-	}
-	if c.StragglerDeadline < 0 {
-		return fmt.Errorf("ciarec: StragglerDeadline %v is negative", c.StragglerDeadline)
-	}
 	return nil
 }
 
 // Run executes the experiment described by cfg and returns the attack
 // report.
 func Run(cfg RunConfig) (*Report, error) {
-	if err := cfg.normalize(); err != nil {
+	spec, err := cfg.spec()
+	if err != nil {
 		return nil, err
 	}
-	spec := cfg.spec()
 	utility := experiments.UtilityNone
 	if cfg.TrackUtility {
 		utility = experiments.UtilityHR
@@ -327,10 +297,7 @@ func Run(cfg RunConfig) (*Report, error) {
 			utility = experiments.UtilityF1
 		}
 	}
-	var (
-		res experiments.RunResult
-		err error
-	)
+	var res experiments.RunResult
 	if cfg.Protocol == Federated {
 		res, err = experiments.RunFLCIA(experiments.FLOpts{
 			Data:           cfg.Dataset.inner,
@@ -407,14 +374,15 @@ func RunTargeted(cfg TargetedConfig) ([]int, error) {
 		LocalEpochs:  cfg.LocalEpochs,
 		Seed:         cfg.Seed,
 	}
-	if err := rc.normalize(); err != nil {
+	spec, err := rc.spec()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.CommunitySize <= 0 {
 		return nil, fmt.Errorf("ciarec: TargetedConfig.CommunitySize is required")
 	}
 	return experiments.RunTargetedFL(
-		cfg.Dataset.inner, string(rc.Model), rc.spec(),
+		cfg.Dataset.inner, string(rc.Model), spec,
 		cfg.Target, cfg.CommunitySize, cfg.Defense.policy())
 }
 

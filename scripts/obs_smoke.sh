@@ -4,7 +4,9 @@
 #   - the worker's -metrics-addr endpoint serves non-empty Prometheus
 #     text exposition while traffic flows,
 #   - both processes write valid Chrome trace_event JSON (-trace),
-#   - the scenario's metrics_out dump is a non-empty JSON object.
+#   - the scenario's metrics_out dump is a non-empty JSON object,
+# after first checking that bad knob values exit 2 naming their JSON
+# field, before any run starts.
 # Run from the repository root (CI does; see .github/workflows/ci.yml).
 set -euo pipefail
 
@@ -22,6 +24,24 @@ trap cleanup EXIT
 echo "obs_smoke: building"
 go build -o "$workdir/ciabench" ./cmd/ciabench
 go build -o "$workdir/ciaworker" ./cmd/ciaworker
+
+# expect_bad_input FIELD ARGS...: ciabench must exit 2, name FIELD on
+# stderr and print nothing on stdout (no run started).
+expect_bad_input() {
+  local field="$1" status=0
+  shift
+  "$workdir/ciabench" "$@" >"$workdir/bad.out" 2>"$workdir/bad.err" || status=$?
+  [[ "$status" -eq 2 ]] || { cat "$workdir/bad.err"; echo "obs_smoke: ciabench $* exited $status, want 2"; exit 1; }
+  grep -q "field \"$field\"" "$workdir/bad.err" || { cat "$workdir/bad.err"; echo "obs_smoke: ciabench $* did not name field $field"; exit 1; }
+  [[ ! -s "$workdir/bad.out" ]] || { cat "$workdir/bad.out"; echo "obs_smoke: ciabench $* started a run"; exit 1; }
+}
+
+echo "obs_smoke: rejecting bad inputs"
+expect_bad_input compression -exp table2 -compress 4
+cat >"$workdir/bad-scenario.json" <<EOF
+{"protocol": "fed", "dataset": "movielens", "family": "gmf", "transport": "inproc", "transport_addr": "$workdir/none.sock"}
+EOF
+expect_bad_input transport_addr -scenario "$workdir/bad-scenario.json"
 
 echo "obs_smoke: starting traced worker"
 "$workdir/ciaworker" -network unix -addr auto -ready "$workdir/ready" \
