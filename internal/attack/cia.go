@@ -54,7 +54,9 @@ import (
 // evaluators without it, such as a one-target view over a shared
 // evaluator, are scored target by target.
 type Evaluator interface {
-	// Load installs a (momentum-averaged) model state for scoring.
+	// Load installs a (momentum-averaged) model state for scoring. An
+	// implementation may read state lazily, so state must not change
+	// until the last Score (or ScoreTargets) call before the next Load.
 	Load(state *param.Set)
 	// Score returns the relevance Ŷ of the loaded state, attributed to
 	// sender, for registered target index t. Higher = more relevant.

@@ -3,6 +3,7 @@ package attack
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
@@ -35,6 +36,42 @@ type RecommenderEval struct {
 	// evaluator and its forks share the table's backing array.
 	fictive [][]float64
 	group   *evalGroup
+
+	// Full-model mode loads lazily: src[i] is the loaded state's data
+	// for scratch entry i (nil when the state lacks the entry). Score
+	// copies only the rows Relevance reads, as scopes says, and
+	// ScoreTargets copies everything.
+	src    [][]float64
+	scopes []rowScope
+}
+
+// rowScope is the part of one scratch entry that Relevance(sender,
+// target) reads.
+type rowScope uint8
+
+const (
+	// scopeWhole: the entry is read whole (shared weights, biases).
+	scopeWhole rowScope = iota
+	// scopeSender: only the sender's row (a PrivateEntries entry).
+	scopeSender
+	// scopeTarget: only the target's item rows (an ItemEntries entry).
+	scopeTarget
+)
+
+// entryScopes classifies every entry of m's parameter set.
+func entryScopes(m model.Recommender) []rowScope {
+	ps := m.Params()
+	scopes := make([]rowScope, ps.Len())
+	for i := range scopes {
+		name := ps.At(i).Name
+		switch {
+		case slices.Contains(m.PrivateEntries(), name):
+			scopes[i] = scopeSender
+		case slices.Contains(m.ItemEntries(), name):
+			scopes[i] = scopeTarget
+		}
+	}
+	return scopes
 }
 
 // evalGroup is an evaluator and its forks: the evaluators a fictive
@@ -60,7 +97,7 @@ func NewRecommenderEval(scratch model.Recommender, targets [][]int) *Recommender
 	if len(targets) == 0 {
 		panic("attack: NewRecommenderEval requires at least one target")
 	}
-	ev := &RecommenderEval{scratch: scratch, targets: targets, group: &evalGroup{}}
+	ev := &RecommenderEval{scratch: scratch, targets: targets, group: &evalGroup{}, scopes: entryScopes(scratch)}
 	ev.batch, _ = scratch.(model.TargetRelevancer)
 	ev.group.members = []*RecommenderEval{ev}
 	return ev
@@ -81,7 +118,7 @@ func NewShareLessEval(scratch model.Recommender, targets [][]int) *RecommenderEv
 // through any member is seen by all of them. A fork has its own scratch
 // and may be used concurrently with e; creating forks may not.
 func (e *RecommenderEval) Fork() Evaluator {
-	f := &RecommenderEval{scratch: e.scratch.Clone(), targets: e.targets, fictive: e.fictive, group: e.group}
+	f := &RecommenderEval{scratch: e.scratch.Clone(), targets: e.targets, fictive: e.fictive, group: e.group, scopes: e.scopes}
 	f.batch, _ = f.scratch.(model.TargetRelevancer)
 	e.group.members = append(e.group.members, f)
 	return f
@@ -101,15 +138,79 @@ func (e *RecommenderEval) Target(t int) []int { return e.targets[t] }
 // carry; the remaining scratch entries keep their previous values,
 // which is irrelevant for scoring because fictive-user mode never
 // reads them.
+//
+// In full-model mode Load only records state: each Score copies in the
+// rows its Relevance call reads (the sender's row of every private
+// entry, the target's rows of every item entry, every other entry
+// whole), and ScoreTargets copies the whole state. state must
+// therefore not change until the last Score or ScoreTargets call that
+// follows the Load.
 func (e *RecommenderEval) Load(state *param.Set) {
-	if e.scratch.Params().CopyShared(state) == 0 {
+	sp := e.scratch.Params()
+	if e.fictive != nil {
+		if sp.CopyShared(state) == 0 {
+			panic("attack: payload shares no entries with the scratch model")
+		}
+		return
+	}
+	e.src = slices.Grow(e.src[:0], sp.Len())[:sp.Len()]
+	shared := 0
+	for i := range e.src {
+		dst := sp.At(i)
+		e.src[i] = nil
+		if !state.Has(dst.Name) {
+			continue
+		}
+		src := state.Entry(dst.Name)
+		if src.Rows != dst.Rows || src.Cols != dst.Cols {
+			panic(fmt.Sprintf("attack: payload entry %q is %dx%d, scratch %dx%d", dst.Name, src.Rows, src.Cols, dst.Rows, dst.Cols))
+		}
+		e.src[i] = src.Data
+		shared++
+	}
+	if shared == 0 {
 		panic("attack: payload shares no entries with the scratch model")
+	}
+}
+
+// loadRows copies into the scratch model the rows of the loaded state
+// that Relevance(sender, e.targets[t]) reads.
+func (e *RecommenderEval) loadRows(sender, t int) {
+	sp := e.scratch.Params()
+	for i, src := range e.src {
+		if src == nil {
+			continue
+		}
+		dst := sp.At(i)
+		switch e.scopes[i] {
+		case scopeSender:
+			lo := sender * dst.Cols
+			copy(dst.Data[lo:lo+dst.Cols], src[lo:lo+dst.Cols])
+		case scopeTarget:
+			for _, it := range e.targets[t] {
+				lo := it * dst.Cols
+				copy(dst.Data[lo:lo+dst.Cols], src[lo:lo+dst.Cols])
+			}
+		default:
+			copy(dst.Data, src)
+		}
+	}
+}
+
+// loadAll copies the whole loaded state into the scratch model.
+func (e *RecommenderEval) loadAll() {
+	sp := e.scratch.Params()
+	for i, src := range e.src {
+		if src != nil {
+			copy(sp.At(i).Data, src)
+		}
 	}
 }
 
 // Score implements Evaluator.
 func (e *RecommenderEval) Score(sender, t int) float64 {
 	if e.fictive == nil {
+		e.loadRows(sender, t)
 		return e.scratch.Relevance(sender, e.targets[t])
 	}
 	vec := e.fictive[t]
@@ -126,14 +227,21 @@ func (e *RecommenderEval) Score(sender, t int) float64 {
 // targets cover the catalogue. Otherwise targets are scored one by one:
 // in fictive-user mode every target has its own e_A, and a scratch
 // without the batched method (a decorated model) is scored through its
-// own Relevance.
+// own Relevance. Full-model mode copies the whole loaded state first.
 func (e *RecommenderEval) ScoreTargets(sender int, dst []float64) {
-	if e.fictive == nil && e.batch != nil {
+	if e.fictive != nil {
+		for t := range e.targets {
+			dst[t] = e.Score(sender, t)
+		}
+		return
+	}
+	e.loadAll()
+	if e.batch != nil {
 		e.batch.RelevanceTargets(sender, e.targets, dst)
 		return
 	}
-	for t := range e.targets {
-		dst[t] = e.Score(sender, t)
+	for t, target := range e.targets {
+		dst[t] = e.scratch.Relevance(sender, target)
 	}
 }
 

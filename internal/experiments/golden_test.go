@@ -370,6 +370,9 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	hashes["cia-shareless/fed-gmf"] = goldenShareLessFedRun(t)
 	hashes["cia-shareless/gossip-gmf"] = goldenShareLessGossipRun(t)
+	for name, h := range goldenGossipCIAHashes(t) {
+		hashes[name] = h
+	}
 
 	if *updateGolden {
 		blob, err := json.MarshalIndent(hashes, "", "  ")

@@ -12,6 +12,9 @@
 // its (policy-filtered) model to one sampled out-neighbour; nodes then
 // aggregate their inbox with uniform weights and run local training
 // steps — the (1) cast, (2) aggregate, (3) train sequence of §III-C.
+// An Observer (the adversary of Alg. 2) sees every delivered message in
+// sender order on one goroutine that runs alongside (2) and (3), so
+// watching the traffic adds little to the round's wall-clock.
 // Views are P-out-regular and refresh at Exp(rate)-distributed
 // intervals through a random peer-sampling service, matching the
 // paper's experimental setup (P = 3, p ~ Exp(0.1)).
@@ -67,12 +70,18 @@ type Message struct {
 }
 
 // Observer receives every delivered message; adversary implementations
-// filter on To (the node(s) they control). msg.Params is only valid
-// until the receiving node aggregates its inbox later the same round:
-// the simulator recycles payload storage afterwards, so
-// implementations must clone anything they retain. Calls are always
-// made sequentially from a single goroutine, in ascending sender order
-// within a round.
+// filter on To (the node(s) they control).
+//
+// OnReceive calls come from a single goroutine, in ascending sender
+// order within a round, and run while the nodes aggregate their inboxes
+// and train. OnReceive must therefore not read any node's model
+// (Simulation.Node); the message is all it may look at. msg.Params is
+// read-only and stays valid until OnRoundEnd returns: the simulator
+// recycles payload storage afterwards, so implementations must clone
+// anything they retain past the round. OnRoundEnd is called once per
+// round after the last OnReceive has returned and every node has
+// trained, from the goroutine that called RunRound; it may read node
+// models.
 type Observer interface {
 	OnReceive(msg Message)
 	OnRoundEnd(round int)
@@ -160,10 +169,12 @@ type Config struct {
 	// training) and the UtilityHR/UtilityF1 sweeps concurrently. 0
 	// defaults to runtime.NumCPU(); negative forces serial execution.
 	// Results are byte-identical whatever the worker count: every node
-	// owns its RNG stream, message delivery plus observer callbacks
-	// happen sequentially in node order between the parallel phases,
-	// and utility evaluation derives one counter-based stream per
-	// (seed, round, node).
+	// owns its RNG stream, message delivery happens sequentially in
+	// sender order between the parallel phases, observer callbacks run
+	// in sender order on one goroutine alongside aggregation and
+	// training (they read only the read-only payloads), and utility
+	// evaluation derives one counter-based stream per (seed, round,
+	// node).
 	Workers int
 
 	// Tracer optionally records phase spans (encode/send/aggregate/
@@ -416,11 +427,14 @@ func (s *Simulation) Run() {
 
 // RunRound executes one gossip round.
 //
-// Per-node work (view refresh, payload construction, inbox
-// aggregation, local training) fans out over the worker pool; message
-// delivery and observer callbacks run sequentially in node order
-// between the parallel phases. Every node owns its RNG, so the round
-// is byte-identical for every Workers setting.
+// Per-node work (payload construction, inbox aggregation, local
+// training) fans out over the worker pool; message delivery runs
+// sequentially in sender order between the parallel phases. The
+// observer's OnReceive calls run in sender order on one goroutine
+// while the nodes aggregate and train; the round joins that goroutine
+// before OnRoundEnd and recycles the payloads after it. Every
+// node owns its RNG, so the round is byte-identical for every Workers
+// setting.
 func (s *Simulation) RunRound() {
 	round := s.round
 	if s.membership != nil {
@@ -507,23 +521,31 @@ func (s *Simulation) RunRound() {
 	})
 
 	// Phase 1b: deliver in sender order (sequential — inbox append
-	// order and observer callbacks are part of the observable protocol).
-	for u := range s.pushes {
-		p := s.pushes[u]
-		if p.to < 0 {
-			continue
-		}
-		s.pushes[u] = push{to: -1}
-		msg := Message{Round: round, From: u, To: p.to, Params: p.payload}
-		s.nodes[p.to].inbox = append(s.nodes[p.to].inbox, msg)
-		if s.cfg.Observer != nil {
-			s.cfg.Observer.OnReceive(msg)
+	// order is part of the observable protocol).
+	for u, p := range s.pushes {
+		if p.to >= 0 {
+			s.nodes[p.to].inbox = append(s.nodes[p.to].inbox, Message{Round: round, From: u, To: p.to, Params: p.payload})
 		}
 	}
 
+	// The observer sees the same messages in the same sender order on
+	// its own goroutine, overlapped with phases 2 and 3: it only reads
+	// the payloads, which nodes also only read until the join below.
+	var observed chan struct{}
+	if s.cfg.Observer != nil {
+		observed = make(chan struct{})
+		go func() {
+			defer close(observed)
+			for u, p := range s.pushes {
+				if p.to >= 0 {
+					s.cfg.Observer.OnReceive(Message{Round: round, From: u, To: p.to, Params: p.payload})
+				}
+			}
+		}()
+	}
+
 	// Phase 2: aggregate inboxes; Phase 3: local training. Each node
-	// touches only its own model, inbox and RNG; consumed payloads are
-	// recycled into the (concurrency-safe) pool.
+	// touches only its own model, inbox and RNG.
 	parx.ForEach(s.workers, len(s.nodes), func(w, u int) {
 		nd := &s.nodes[u]
 		if s.membership != nil && !s.membership.Present(u) {
@@ -545,10 +567,7 @@ func (s *Simulation) RunRound() {
 				}
 			}
 			s.aggregateInbox(nd, dropOwn)
-			for i := range nd.inbox {
-				s.pool.Put(nd.inbox[i].Params)
-				nd.inbox[i].Params = nil
-			}
+			clear(nd.inbox)
 			nd.inbox = nd.inbox[:0]
 			s.cfg.Tracer.Span(w, obs.PhaseAggregate, round, u, aggStart)
 		}
@@ -561,8 +580,17 @@ func (s *Simulation) RunRound() {
 		s.cfg.Tracer.Span(w, obs.PhaseTrain, round, u, trainStart)
 	})
 
-	if s.cfg.Observer != nil {
+	// Join the observer before its round end; payloads stay valid
+	// until that returns, then go back to the pool.
+	if observed != nil {
+		<-observed
 		s.cfg.Observer.OnRoundEnd(round)
+	}
+	for u, p := range s.pushes {
+		if p.to >= 0 {
+			s.pool.Put(p.payload)
+		}
+		s.pushes[u] = push{to: -1}
 	}
 	s.round++
 	if s.cfg.OnRound != nil {

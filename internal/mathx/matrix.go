@@ -18,12 +18,20 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Row returns a mutable view of row i.
+// Row returns a mutable view of row i. It is cheap enough to inline
+// into the training steps.
 func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.Rows {
-		panic(fmt.Sprintf("mathx: row %d out of range [0,%d)", i, m.Rows))
+	if uint(i) >= uint(m.Rows) {
+		panic(rowRangeError{i, m.Rows})
 	}
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
+}
+
+// rowRangeError is Row's panic value.
+type rowRangeError struct{ row, rows int }
+
+func (e rowRangeError) Error() string {
+	return fmt.Sprintf("mathx: row %d out of range [0,%d)", e.row, e.rows)
 }
 
 // At returns element (i, j).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/mathx"
 )
 
@@ -93,5 +94,42 @@ func BenchmarkRelevanceSweep(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkTrainLocal prices one local-training pass over every user of
+// the benchmark-sized gowalla-like dataset (110 users, 600 items, dim 8,
+// two epochs: the BenchSpec sizing of Tables II and III), per family
+// the gossip and FedAvg workloads train. Each family gets the split its
+// experiments use.
+func BenchmarkTrainLocal(b *testing.B) {
+	families := []struct {
+		name  string
+		f     func(users, items, dim int) Factory
+		split func(*dataset.Dataset)
+	}{
+		{"gmf", NewGMFFactory, func(d *dataset.Dataset) { d.SplitLeaveOneOut(3) }},
+		{"prme", NewPRMEFactory, func(d *dataset.Dataset) { d.SplitFraction(0.2) }},
+	}
+	for _, fam := range families {
+		d, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+			Name: "gowalla-like", NumUsers: 110, NumItems: 600,
+			NumCommunities: 4, MeanItemsPerUser: 50, MinItemsPerUser: 10,
+			Affinity: 0.85, ZipfExponent: 0.8, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fam.split(d)
+		m := fam.f(d.NumUsers, d.NumItems, 8)(1)
+		r := mathx.NewRand(1)
+		b.Run(fam.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for u := 0; u < d.NumUsers; u++ {
+					m.TrainLocal(d, u, TrainOptions{Epochs: 2, Rand: r})
+				}
+			}
+		})
 	}
 }

@@ -31,10 +31,10 @@ type GMF struct {
 	bias              []float64     // 1
 	set               *param.Set
 
-	// scratch buffers reused across SGD steps — one per gradient (dP,
-	// dQ, dH) so a step is allocation-free. Models are not
-	// goroutine-safe; each simulated client/worker owns its own copy.
-	scratch, scratchQ, scratchH []float64
+	// order is TrainLocal's shuffle buffer, reused across calls. Models
+	// are not goroutine-safe; each simulated client/worker owns its own
+	// copy.
+	order []int
 	// wuser holds the h-weighted user vector h ⊙ p_u the batched
 	// scoring kernels dot against item rows; scoreBuf is the grown-on-
 	// demand per-item staging area of the relevance/predict sweeps.
@@ -59,17 +59,14 @@ func NewGMF(numUsers, numItems, dim int, seed uint64) *GMF {
 	}
 	r := mathx.NewRand(seed)
 	m := &GMF{
-		users:    numUsers,
-		items:    numItems,
-		dim:      dim,
-		userEmb:  mathx.NewMatrix(numUsers, dim),
-		itemEmb:  mathx.NewMatrix(numItems, dim),
-		h:        make([]float64, dim),
-		bias:     make([]float64, 1),
-		scratch:  make([]float64, dim),
-		scratchQ: make([]float64, dim),
-		scratchH: make([]float64, dim),
-		wuser:    make([]float64, dim),
+		users:   numUsers,
+		items:   numItems,
+		dim:     dim,
+		userEmb: mathx.NewMatrix(numUsers, dim),
+		itemEmb: mathx.NewMatrix(numItems, dim),
+		h:       make([]float64, dim),
+		bias:    make([]float64, 1),
+		wuser:   make([]float64, dim),
 	}
 	mathx.FillNormal(r, m.userEmb.Data, 0, gmfInitStd)
 	mathx.FillNormal(r, m.itemEmb.Data, 0, gmfInitStd)
@@ -101,17 +98,14 @@ func (m *GMF) NumItems() int      { return m.items }
 // Clone returns a deep copy with fresh storage.
 func (m *GMF) Clone() Recommender {
 	c := &GMF{
-		users:    m.users,
-		items:    m.items,
-		dim:      m.dim,
-		userEmb:  m.userEmb.Clone(),
-		itemEmb:  m.itemEmb.Clone(),
-		h:        append([]float64(nil), m.h...),
-		bias:     append([]float64(nil), m.bias...),
-		scratch:  make([]float64, m.dim),
-		scratchQ: make([]float64, m.dim),
-		scratchH: make([]float64, m.dim),
-		wuser:    make([]float64, m.dim),
+		users:   m.users,
+		items:   m.items,
+		dim:     m.dim,
+		userEmb: m.userEmb.Clone(),
+		itemEmb: m.itemEmb.Clone(),
+		h:       append([]float64(nil), m.h...),
+		bias:    append([]float64(nil), m.bias...),
+		wuser:   make([]float64, m.dim),
 	}
 	c.set = param.New()
 	c.set.AddMatrix(GMFUserEmb, c.userEmb)
@@ -211,49 +205,52 @@ func (m *GMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 	if len(items) == 0 {
 		return
 	}
-	order := make([]int, len(items))
-	copy(order, items)
+	m.order = append(m.order[:0], items...)
 	for e := 0; e < opt.Epochs; e++ {
-		mathx.Shuffle(opt.Rand, order)
-		for _, pos := range order {
-			m.sgdStep(u, pos, 1, opt)
+		mathx.Shuffle(opt.Rand, m.order)
+		for _, pos := range m.order {
+			m.sgdStep(u, pos, 1, &opt)
 			for n := 0; n < opt.NegPerPos; n++ {
-				m.sgdStep(u, d.SampleNegative(opt.Rand, u), 0, opt)
+				m.sgdStep(u, d.SampleNegative(opt.Rand, u), 0, &opt)
 			}
 		}
 	}
 }
 
-// sgdStep applies one (user, item, label) BCE gradient step.
-func (m *GMF) sgdStep(u, item int, label float64, opt TrainOptions) {
+// sgdStep applies one (user, item, label) BCE gradient step. The
+// gradients dP = g·h⊙q, dQ = g·h⊙p, dH = g·p⊙q and dB = g are formed
+// and applied coordinate by coordinate in one pass: coordinate k's
+// gradient reads only coordinate k's pre-step values, so the fused pass
+// is bit-identical to building every gradient first. A per-example clip
+// needs the whole gradient's norm before any update, which a separate
+// pass computes.
+func (m *GMF) sgdStep(u, item int, label float64, opt *TrainOptions) {
 	p := m.userEmb.Row(u)
 	q := m.itemEmb.Row(item)
+	h := m.h
+	p, q = p[:len(h)], q[:len(h)]
 	g := mathx.Sigmoid(m.logit(p, item)) - label // dL/dlogit
 
-	// Raw gradients (before clip): dP = g·h⊙q, dQ = g·h⊙p, dH = g·p⊙q, dB = g.
-	dP := m.scratch
-	dQ := m.scratchQ
-	dH := m.scratchH
-	var sq float64
-	for k := 0; k < m.dim; k++ {
-		dP[k] = g * m.h[k] * q[k]
-		dQ[k] = g * m.h[k] * p[k]
-		dH[k] = g * p[k] * q[k]
-		sq += dP[k]*dP[k] + dQ[k]*dQ[k] + dH[k]*dH[k]
-	}
-	sq += g * g
-	scale := 1.0
+	lr := opt.LR
 	if opt.PerExampleClip > 0 {
-		norm := math.Sqrt(sq)
-		if norm > opt.PerExampleClip {
-			scale = opt.PerExampleClip / norm
+		var sq float64
+		for k := range h {
+			dP := g * h[k] * q[k]
+			dQ := g * h[k] * p[k]
+			dH := g * p[k] * q[k]
+			sq += dP*dP + dQ*dQ + dH*dH
+		}
+		sq += g * g
+		if norm := math.Sqrt(sq); norm > opt.PerExampleClip {
+			lr = opt.LR * (opt.PerExampleClip / norm)
 		}
 	}
-	lr := opt.LR * scale
-	for k := 0; k < m.dim; k++ {
-		p[k] -= lr*dP[k] + opt.LR*opt.L2*p[k]
-		q[k] -= lr*dQ[k] + opt.LR*opt.L2*q[k]
-		m.h[k] -= lr * dH[k]
+	decay := opt.LR * opt.L2
+	for k := range h {
+		hk, pk, qk := h[k], p[k], q[k]
+		p[k] = pk - (lr*(g*hk*qk) + decay*pk)
+		q[k] = qk - (lr*(g*hk*pk) + decay*qk)
+		h[k] = hk - lr*(g*pk*qk)
 	}
 	m.bias[0] -= lr * g
 

@@ -311,7 +311,7 @@ func (m *PRME) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 			pos := seq[t]
 			for n := 0; n < opt.NegPerPos; n++ {
 				neg := d.SampleNegative(opt.Rand, u)
-				m.bprStep(u, prev, pos, neg, opt)
+				m.bprStep(u, prev, pos, neg, &opt)
 			}
 		}
 	}
@@ -320,79 +320,100 @@ func (m *PRME) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 // bprStep applies one ranking update: increase score(u,prev,pos) over
 // score(u,prev,neg). With z = s_pos − s_neg the BPR loss is
 // −log σ(z); dL/dz = σ(z) − 1 = −σ(−z).
-func (m *PRME) bprStep(u, prev, pos, neg int, opt TrainOptions) {
+//
+// The step is three passes over the coordinates: the four squared
+// distances of z, then each space's fused gradient-and-update pass,
+// which also sums the updated rows' squared norms for the unit-ball
+// clips. Coordinate k's gradient reads only coordinate k's pre-step
+// values, every sum keeps its sequential order, and rows of one table
+// that alias (prev == pos, say) are written in the order and re-read as
+// the separate passes did, so the step is bit-identical to computing
+// every gradient first, then updating, then clipping row by row.
+func (m *PRME) bprStep(u, prev, pos, neg int, opt *TrainOptions) {
 	uvec := m.userEmb.Row(u)
-	z := m.score(uvec, prev, pos) - m.score(uvec, prev, neg)
-	g := -mathx.Sigmoid(-z) // dL/dz, negative
-
 	lp, ln := m.itemPref.Row(pos), m.itemPref.Row(neg)
-
-	// Preference space. d s_pos/d uvec = -2α(uvec − L_pos), etc.
-	// Accumulate the example gradient first so DP clipping sees the
-	// whole example.
-	dim := m.dim
-	if m.grad == nil {
-		m.grad = make([]float64, 6*dim)
-	}
-	dU := m.grad[0*dim : 1*dim]
-	dLp := m.grad[1*dim : 2*dim]
-	dLn := m.grad[2*dim : 3*dim]
-	var dSprev, dSp, dSn []float64
+	lp, ln = lp[:len(uvec)], ln[:len(uvec)]
 	var sp, spos, sneg []float64
-	for k := 0; k < dim; k++ {
-		dp := uvec[k] - lp[k]
-		dn := uvec[k] - ln[k]
-		// z contributes -α‖u−Lp‖² + α‖u−Ln‖² (pref part).
-		dU[k] = g * (-2*m.alpha*dp + 2*m.alpha*dn)
-		dLp[k] = g * (2 * m.alpha * dp)
-		dLn[k] = g * (-2 * m.alpha * dn)
-	}
+	var dPos, dNeg, dSeqPos, dSeqNeg float64
 	if prev >= 0 {
 		sp = m.itemSeq.Row(prev)
-		spos = m.itemSeq.Row(pos)
-		sneg = m.itemSeq.Row(neg)
-		dSprev = m.grad[3*dim : 4*dim]
-		dSp = m.grad[4*dim : 5*dim]
-		dSn = m.grad[5*dim : 6*dim]
-		for k := 0; k < dim; k++ {
+		spos, sneg = m.itemSeq.Row(pos)[:len(sp)], m.itemSeq.Row(neg)[:len(sp)]
+		for k := range sp {
+			d0 := uvec[k] - lp[k]
+			dPos += d0 * d0
+			d1 := uvec[k] - ln[k]
+			dNeg += d1 * d1
+			d2 := sp[k] - spos[k]
+			dSeqPos += d2 * d2
+			d3 := sp[k] - sneg[k]
+			dSeqNeg += d3 * d3
+		}
+	} else {
+		for k := range uvec {
+			d0 := uvec[k] - lp[k]
+			dPos += d0 * d0
+			d1 := uvec[k] - ln[k]
+			dNeg += d1 * d1
+		}
+	}
+	sPos, sNeg := m.alpha*dPos, m.alpha*dNeg
+	if prev >= 0 {
+		sPos += (1 - m.alpha) * dSeqPos
+		sNeg += (1 - m.alpha) * dSeqNeg
+	}
+	z := -sPos - -sNeg
+	g := -mathx.Sigmoid(-z) // dL/dz, negative
+
+	// z contributes -α‖u−Lp‖² + α‖u−Ln‖² (pref part), so
+	// d s_pos/d uvec = -2α(uvec − L_pos), etc.
+	a2, na2 := 2*m.alpha, -2*m.alpha
+	b2, nb2 := 2*(1-m.alpha), -2*(1-m.alpha)
+	lr := opt.LR
+	if opt.PerExampleClip > 0 {
+		lr = m.clippedLR(uvec, lp, ln, sp, spos, sneg, g, opt)
+	}
+	decay := opt.LR * opt.L2
+
+	var nu, nlp, nln float64
+	for k := range uvec {
+		dp := uvec[k] - lp[k]
+		dn := uvec[k] - ln[k]
+		uvec[k] -= lr*(g*(na2*dp+a2*dn)) + decay*uvec[k]
+		lp[k] -= lr*(g*(a2*dp)) + decay*lp[k]
+		ln[k] -= lr*(g*(na2*dn)) + decay*ln[k]
+		x, y, w := uvec[k], lp[k], ln[k]
+		nu += x * x
+		nlp += y * y
+		nln += w * w
+	}
+	clipRow(uvec, nu)
+	if clipRow(lp, nlp) && pos == neg {
+		nln = sqNorm(ln)
+	}
+	clipRow(ln, nln)
+	if prev >= 0 {
+		var n0, n1, n2 float64
+		for k := range sp {
 			dp := sp[k] - spos[k]
 			dn := sp[k] - sneg[k]
-			dSprev[k] = g * (-2*(1-m.alpha)*dp + 2*(1-m.alpha)*dn)
-			dSp[k] = g * (2 * (1 - m.alpha) * dp)
-			dSn[k] = g * (-2 * (1 - m.alpha) * dn)
+			sp[k] -= lr*(g*(nb2*dp+b2*dn)) + decay*sp[k]
+			spos[k] -= lr*(g*(b2*dp)) + decay*spos[k]
+			sneg[k] -= lr*(g*(nb2*dn)) + decay*sneg[k]
+			x, y, w := sp[k], spos[k], sneg[k]
+			n0 += x * x
+			n1 += y * y
+			n2 += w * w
 		}
-	}
-
-	scale := 1.0
-	if opt.PerExampleClip > 0 {
-		var sq float64
-		for _, grad := range [][]float64{dU, dLp, dLn, dSprev, dSp, dSn} {
-			for _, v := range grad {
-				sq += v * v
-			}
+		// A row aliasing an earlier, clipped row re-reads its norm.
+		c0 := clipRow(sp, n0)
+		if c0 && prev == pos {
+			n1 = sqNorm(spos)
 		}
-		if norm := math.Sqrt(sq); norm > opt.PerExampleClip {
-			scale = opt.PerExampleClip / norm
+		c1 := clipRow(spos, n1)
+		if c0 && prev == neg || c1 && pos == neg {
+			n2 = sqNorm(sneg)
 		}
-	}
-	lr := opt.LR * scale
-	for k := 0; k < dim; k++ {
-		uvec[k] -= lr*dU[k] + opt.LR*opt.L2*uvec[k]
-		lp[k] -= lr*dLp[k] + opt.LR*opt.L2*lp[k]
-		ln[k] -= lr*dLn[k] + opt.LR*opt.L2*ln[k]
-	}
-	mathx.ClipL2(uvec, prmeMaxNorm)
-	mathx.ClipL2(lp, prmeMaxNorm)
-	mathx.ClipL2(ln, prmeMaxNorm)
-	if prev >= 0 {
-		for k := 0; k < dim; k++ {
-			sp[k] -= lr*dSprev[k] + opt.LR*opt.L2*sp[k]
-			spos[k] -= lr*dSp[k] + opt.LR*opt.L2*spos[k]
-			sneg[k] -= lr*dSn[k] + opt.LR*opt.L2*sneg[k]
-		}
-		mathx.ClipL2(sp, prmeMaxNorm)
-		mathx.ClipL2(spos, prmeMaxNorm)
-		mathx.ClipL2(sneg, prmeMaxNorm)
+		clipRow(sneg, n2)
 	}
 
 	// Share-less drift regularizer (Eq. 2) on the touched item rows.
@@ -407,7 +428,66 @@ func (m *PRME) bprStep(u, prev, pos, neg int, opt TrainOptions) {
 	}
 }
 
-func (m *PRME) drift(item int, entry string, mat *mathx.Matrix, opt TrainOptions) {
+// clippedLR is bprStep's learning rate under a per-example clip: the
+// example's gradient is staged in the grad workspace so its norm sums
+// gradient by gradient (dU, dLp, dLn, then the sequential three), the
+// order the clip has always used.
+func (m *PRME) clippedLR(uvec, lp, ln, sp, spos, sneg []float64, g float64, opt *TrainOptions) float64 {
+	dim := m.dim
+	if m.grad == nil {
+		m.grad = make([]float64, 6*dim)
+	}
+	a2, na2 := 2*m.alpha, -2*m.alpha
+	b2, nb2 := 2*(1-m.alpha), -2*(1-m.alpha)
+	grad := m.grad[:3*dim]
+	for k := range uvec {
+		dp := uvec[k] - lp[k]
+		dn := uvec[k] - ln[k]
+		grad[k] = g * (na2*dp + a2*dn)
+		grad[dim+k] = g * (a2 * dp)
+		grad[2*dim+k] = g * (na2 * dn)
+	}
+	if sp != nil {
+		grad = m.grad[:6*dim]
+		for k := range sp {
+			dp := sp[k] - spos[k]
+			dn := sp[k] - sneg[k]
+			grad[3*dim+k] = g * (nb2*dp + b2*dn)
+			grad[4*dim+k] = g * (b2 * dp)
+			grad[5*dim+k] = g * (nb2 * dn)
+		}
+	}
+	var sq float64
+	for _, v := range grad {
+		sq += v * v
+	}
+	if norm := math.Sqrt(sq); norm > opt.PerExampleClip {
+		return opt.LR * (opt.PerExampleClip / norm)
+	}
+	return opt.LR
+}
+
+// clipRow scales row onto the prmeMaxNorm ball given its squared norm,
+// exactly as mathx.ClipL2 would, and reports whether it scaled.
+func clipRow(row []float64, sq float64) bool {
+	n := math.Sqrt(sq)
+	if n <= prmeMaxNorm || n == 0 {
+		return false
+	}
+	mathx.Scale(prmeMaxNorm/n, row)
+	return true
+}
+
+// sqNorm is the squared L2 norm summed in mathx.L2Norm's order.
+func sqNorm(row []float64) float64 {
+	var s float64
+	for _, v := range row {
+		s += v * v
+	}
+	return s
+}
+
+func (m *PRME) drift(item int, entry string, mat *mathx.Matrix, opt *TrainOptions) {
 	ref := opt.DriftRef.Get(entry)
 	base := item * m.dim
 	mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+m.dim], mat.Row(item))
