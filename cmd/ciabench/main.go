@@ -263,7 +263,7 @@ type options struct {
 func parseArgs(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("ciabench", flag.ContinueOnError)
-	fs.StringVar(&o.exp, "exp", "all", "experiment id (see -list) or 'all'")
+	fs.StringVar(&o.exp, "exp", "all", "experiment id (see -list) or 'all'. FedAvg ids (table2, table7, table8, fig1, sec8c2, ablation-secureagg/-fictive/-relevance/-participation, ext-*, compress-ratio, the FL halves of fig3-5) take every knob flag; gossip ids (table3-6, ablation-staticgraph, the gossip halves of fig3-5) take -transport, -addr, -compress, -faults, -retry, -churn and -byz and ignore the fed-only -agg, -quorum, -straggler-deadline, -trim and -clip; table9 and sec8e take none")
 	fs.BoolVar(&o.paper, "paper", false, "paper-scale datasets and rounds (slow, memory-hungry)")
 	fs.Uint64Var(&o.seed, "seed", 1, "master seed")
 	fs.IntVar(&o.rounds, "rounds", 0, "override FL round count (0 keeps the default)")

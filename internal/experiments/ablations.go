@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/collablearn/ciarec/internal/attack"
-	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/evalx"
 	"github.com/collablearn/ciarec/internal/fed"
@@ -72,20 +71,10 @@ func RunSecureAggAblation(spec Spec) ([]SecureAggRow, error) {
 		}
 		rec := evalx.NewRecorder()
 		scratch := factory(0)
-		tr, err := newTransport(spec)
-		if err != nil {
-			return nil, err
-		}
-		defer tr.Close()
-		sim, err := fed.New(fed.Config{
-			Dataset:   d,
-			Factory:   factory,
-			Policy:    policy,
-			Rounds:    spec.Rounds,
-			Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-			Workers:   spec.Workers,
-			Transport: tr,
-			Seed:      spec.Seed,
+		sim, tr, err := newFed(spec, fed.Config{
+			Dataset: d,
+			Factory: factory,
+			Policy:  policy,
 			OnRound: func(round int, s *fed.Simulation) {
 				// The adversary's whole view is the aggregate. Score
 				// every user's row of the global model against every
@@ -106,6 +95,7 @@ func RunSecureAggAblation(spec Spec) ([]SecureAggRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer tr.Close()
 		sim.Run()
 		aac, _ := rec.MaxAAC()
 		rows = append(rows, SecureAggRow{Setting: setting, MaxAAC: aac, Random: random})
@@ -204,34 +194,26 @@ func RunFictiveAblation(spec Spec) ([]FictiveRow, error) {
 	random := evalx.RandomBound(k, d.NumUsers)
 
 	run := func(zeroVector bool) (float64, error) {
-		ev := attack.NewShareLessEval(factory(0), targets)
-		cia := attack.New(attack.Config{Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev})
-		obs := &fictiveAblationObserver{
-			cia: cia, ev: ev, truths: truths,
-			rec:        evalx.NewRecorder(),
-			zeroVector: zeroVector,
-			dim:        spec.Dim,
+		policy := defense.ShareLess{Tau: DefaultShareLessTau}
+		ev := newEval(factory, targets, policy)
+		obs := &flObserver{
+			cia:    attack.New(attack.Config{Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev}),
+			truths: truths,
+			rec:    evalx.NewRecorder(),
 		}
-		tr, err := newTransport(spec)
+		var sim *fed.Simulation
+		if zeroVector {
+			obs.refit = func(int) { ev.SetFictive(make([]float64, spec.Dim)) }
+		} else {
+			obs.refit = func(round int) {
+				ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, mathx.NewRand(uint64(round)^0xf17))
+			}
+		}
+		sim, tr, err := newFed(spec, fed.Config{Dataset: d, Factory: factory, Policy: policy, Observer: obs})
 		if err != nil {
 			return 0, err
 		}
 		defer tr.Close()
-		sim, err := fed.New(fed.Config{
-			Dataset:   d,
-			Factory:   factory,
-			Policy:    defense.ShareLess{Tau: DefaultShareLessTau},
-			Rounds:    spec.Rounds,
-			Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-			Workers:   spec.Workers,
-			Transport: tr,
-			Observer:  obs,
-			Seed:      spec.Seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		obs.sim = sim
 		sim.Run()
 		aac, _ := obs.rec.MaxAAC()
 		return aac, nil
@@ -249,28 +231,6 @@ func RunFictiveAblation(spec Spec) ([]FictiveRow, error) {
 		{Setting: "fitted fictive user e_A (§IV-C)", MaxAAC: fitted, Random: random},
 		{Setting: "zero user vector (no reference)", MaxAAC: zero, Random: random},
 	}, nil
-}
-
-type fictiveAblationObserver struct {
-	cia        *attack.CIA
-	ev         *attack.RecommenderEval
-	sim        *fed.Simulation
-	truths     []map[int]struct{}
-	rec        *evalx.Recorder
-	zeroVector bool
-	dim        int
-}
-
-func (o *fictiveAblationObserver) OnUpload(msg fed.Message) { o.cia.Observe(msg.From, msg.Params) }
-
-func (o *fictiveAblationObserver) OnRoundEnd(round int) {
-	if o.zeroVector {
-		o.ev.SetFictive(make([]float64, o.dim))
-	} else {
-		o.ev.RefreshFictive(o.sim.Global().Params(), 5, mathx.NewRand(uint64(round)^0xf17))
-	}
-	o.cia.EndRound()
-	o.rec.Record(o.cia.Accuracies(o.truths))
 }
 
 // RenderFictiveAblation formats the fictive-user study.
@@ -308,7 +268,7 @@ func RunRelevanceAblation(spec Spec) ([]RelevanceRow, error) {
 			m.SetRawRelevance(raw)
 			return m
 		}
-		res, err := runFLCIAWithFactory(d, factory, spec)
+		res, err := runFLCIA(FLOpts{Data: d, Spec: spec}, factory)
 		if err != nil {
 			return nil, err
 		}
@@ -316,53 +276,9 @@ func RunRelevanceAblation(spec Spec) ([]RelevanceRow, error) {
 		if raw {
 			setting = "raw squared-distance relevance"
 		}
-		rows = append(rows, RelevanceRow{Setting: setting, MaxAAC: res, Random: random})
+		rows = append(rows, RelevanceRow{Setting: setting, MaxAAC: res.Attack.MaxAAC, Random: random})
 	}
 	return rows, nil
-}
-
-// runFLCIAWithFactory is a trimmed FL+CIA loop for factories that are
-// not expressible as a family name (ablation-modified models).
-func runFLCIAWithFactory(d *dataset.Dataset, factory model.Factory, spec Spec) (float64, error) {
-	k := spec.K(d.NumUsers)
-	targets := d.Train
-	truths := evalx.TrueCommunities(d, k)
-	ev := attack.NewRecommenderEval(factory(0), targets)
-	cia := attack.New(attack.Config{Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev})
-	rec := evalx.NewRecorder()
-	tr, err := newTransport(spec)
-	if err != nil {
-		return 0, err
-	}
-	defer tr.Close()
-	sim, err := fed.New(fed.Config{
-		Dataset:   d,
-		Factory:   factory,
-		Rounds:    spec.Rounds,
-		Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-		Workers:   spec.Workers,
-		Transport: tr,
-		Observer:  &simpleFLObserver{cia: cia, truths: truths, rec: rec},
-		Seed:      spec.Seed,
-	})
-	if err != nil {
-		return 0, err
-	}
-	sim.Run()
-	aac, _ := rec.MaxAAC()
-	return aac, nil
-}
-
-type simpleFLObserver struct {
-	cia    *attack.CIA
-	truths []map[int]struct{}
-	rec    *evalx.Recorder
-}
-
-func (o *simpleFLObserver) OnUpload(msg fed.Message) { o.cia.Observe(msg.From, msg.Params) }
-func (o *simpleFLObserver) OnRoundEnd(int) {
-	o.cia.EndRound()
-	o.rec.Record(o.cia.Accuracies(o.truths))
 }
 
 // RenderRelevanceAblation formats the PRME relevance study.

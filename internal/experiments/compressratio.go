@@ -9,7 +9,6 @@ import (
 	"github.com/collablearn/ciarec/internal/evalx"
 	"github.com/collablearn/ciarec/internal/fed"
 	"github.com/collablearn/ciarec/internal/mathx"
-	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
 )
 
@@ -132,22 +131,13 @@ func runCompressionRatioCell(spec Spec, bits int, keep float64) (CompressionRati
 		ciaRec: evalx.NewRecorder(),
 		miaRec: evalx.NewRecorder(),
 	}
-	tr, err := newTransport(s)
-	if err != nil {
-		return CompressionRatioRow{}, err
-	}
-	defer tr.Close()
 	var utility []float64
 	aiaRound := s.Rounds / 2
-	sim, err := fed.New(fed.Config{
-		Dataset:   d,
-		Factory:   factory,
-		Policy:    policy,
-		Rounds:    s.Rounds,
-		Train:     model.TrainOptions{Epochs: s.LocalEpochs},
-		Workers:   s.Workers,
-		Transport: tr,
-		Observer:  obs,
+	sim, tr, err := newFed(s, fed.Config{
+		Dataset:  d,
+		Factory:  factory,
+		Policy:   policy,
+		Observer: obs,
 		OnRound: func(round int, fs *fed.Simulation) {
 			utility = append(utility, fs.UtilityHR(s.HRK, s.NumNeg))
 			if round == aiaRound && obs.aia == nil && obs.aiaErr == nil {
@@ -159,11 +149,11 @@ func runCompressionRatioCell(spec Spec, bits int, keep float64) (CompressionRati
 				})
 			}
 		},
-		Seed: s.Seed,
 	})
 	if err != nil {
 		return CompressionRatioRow{}, err
 	}
+	defer tr.Close()
 	sim.Run()
 	if obs.aiaErr != nil {
 		return CompressionRatioRow{}, obs.aiaErr

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"strings"
 
@@ -13,7 +12,6 @@ import (
 	"github.com/collablearn/ciarec/internal/fed"
 	"github.com/collablearn/ciarec/internal/gossip"
 	"github.com/collablearn/ciarec/internal/mathx"
-	"github.com/collablearn/ciarec/internal/model"
 )
 
 // TradeoffPoint is one bar group of Figures 3 and 4: a protocol ×
@@ -198,56 +196,23 @@ func RunTargetedFL(d *dataset.Dataset, family string, spec Spec, target []int, k
 	if policy == nil {
 		policy = defense.FullSharing{}
 	}
-	shareLess := isShareLess(policy)
-	var ev *attack.RecommenderEval
-	if shareLess {
-		ev = attack.NewShareLessEval(factory(0), [][]int{target})
-	} else {
-		ev = attack.NewRecommenderEval(factory(0), [][]int{target})
-	}
+	ev := newEval(factory, [][]int{target}, policy)
 	cia := attack.New(attack.Config{
 		Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev,
 	})
-	obs := &targetedObserver{cia: cia, ev: ev, rng: mathx.NewRand(spec.Seed ^ 0x7a9), shareLess: shareLess}
-	tr, err := newTransport(spec)
+	obs := &flObserver{cia: cia}
+	var sim *fed.Simulation
+	if ev.ShareLess() {
+		rng := mathx.NewRand(spec.Seed ^ 0x7a9)
+		obs.refit = func(int) { ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, rng) }
+	}
+	sim, tr, err := newFed(spec, fed.Config{Dataset: d, Factory: factory, Policy: policy, Observer: obs})
 	if err != nil {
 		return nil, err
 	}
 	defer tr.Close()
-	sim, err := fed.New(fed.Config{
-		Dataset:   d,
-		Factory:   factory,
-		Policy:    policy,
-		Rounds:    spec.Rounds,
-		Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-		Workers:   spec.Workers,
-		Transport: tr,
-		Observer:  obs,
-		Seed:      spec.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	obs.sim = sim
 	sim.Run()
 	return cia.Predict(0), nil
-}
-
-type targetedObserver struct {
-	cia       *attack.CIA
-	ev        *attack.RecommenderEval
-	sim       *fed.Simulation
-	rng       *rand.Rand
-	shareLess bool
-}
-
-func (o *targetedObserver) OnUpload(msg fed.Message) { o.cia.Observe(msg.From, msg.Params) }
-
-func (o *targetedObserver) OnRoundEnd(int) {
-	if o.shareLess {
-		o.ev.RefreshFictive(o.sim.Global().Params(), 5, o.rng)
-	}
-	o.cia.EndRound()
 }
 
 // RunFigure1 reproduces the §II motivating example: a server-side CIA

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/defense"
+	"github.com/collablearn/ciarec/internal/obs"
 )
 
 const flPinnedPath = "testdata/fl_pinned.json"
@@ -106,5 +107,73 @@ func TestFLExperimentOutputsPinned(t *testing.T) {
 		if got[e.name] != want[e.name] {
 			t.Errorf("%s: output digest %s != pinned %s", e.name, got[e.name], want[e.name])
 		}
+	}
+}
+
+// TestFLExperimentsHonourKnobs checks that the deployment knobs reach
+// every experiment in flExperiments: under a Byzantine population and
+// the median rule each run must count poisoned uploads in the spec's
+// registry and record trace spans.
+//
+// The Secure-Aggregation study's baseline row is a RunFLCIA run, which
+// registers both anyway, so the study is checked per arm instead. The
+// full-sharing SA row must move under the knobs. The Share-less SA
+// row's Max AAC is its round-0 accuracy with or without the knobs (its
+// user rows never train, so later rounds only fall below it); that arm
+// is checked through the trace, which must hold the spans of all three
+// equally long federations.
+func TestFLExperimentsHonourKnobs(t *testing.T) {
+	plain := testSpec()
+	plain.Rounds = 2
+	knobs := Knobs{Byzantine: "kind=sign-flip,frac=0.2,seed=1", Aggregator: "median"}
+	spec := func() Spec {
+		s, err := knobs.Apply(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Metrics = obs.NewRegistry()
+		s.Trace = obs.NewTracer(obs.DefaultSpansPerRing)
+		return s
+	}
+	for _, e := range flExperiments {
+		if e.name == "ablation-secureagg" {
+			continue
+		}
+		s := spec()
+		if _, err := e.run(s); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if n := s.Metrics.Snapshot()["resilience_byzantine_uploads"]; n <= 0 {
+			t.Errorf("%s: resilience_byzantine_uploads = %v, want > 0", e.name, n)
+		}
+		if n := s.Trace.Recorded(); n <= 0 {
+			t.Errorf("%s: tracer recorded %d spans, want > 0", e.name, n)
+		}
+	}
+
+	base, err := RunSecureAggAblation(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec()
+	poisoned, err := RunSecureAggAblation(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base[1] == poisoned[1] {
+		t.Errorf("ablation-secureagg: row %q is unchanged under the knobs: %+v", base[1].Setting, base[1])
+	}
+	one := spec()
+	d, err := MakeDataset("movielens", one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SplitFor("gmf", d)
+	if _, err := RunFLCIA(FLOpts{Data: d, Family: "gmf", Spec: one}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Trace.Recorded(), 3*one.Trace.Recorded(); got != want {
+		t.Errorf("ablation-secureagg: tracer recorded %d spans, want %d (three federations of %d)",
+			got, want, one.Trace.Recorded())
 	}
 }

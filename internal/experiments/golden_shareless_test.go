@@ -47,7 +47,8 @@ func digestFictive(h hash.Hash, ev *attack.RecommenderEval, t int, predicted []i
 // shareLessFedDigest digests flObserver's rounds.
 type shareLessFedDigest struct {
 	*flObserver
-	h hash.Hash
+	ev *attack.RecommenderEval
+	h  hash.Hash
 }
 
 func (o shareLessFedDigest) OnRoundEnd(round int) {
@@ -73,22 +74,22 @@ func goldenShareLessFedRun(t *testing.T) string {
 	factory := model.NewGMFFactory(d.NumUsers, d.NumItems, spec.Dim)
 	k := spec.K(d.NumUsers)
 	ev := attack.NewShareLessEval(factory(0), d.Train)
-	obs := shareLessFedDigest{h: sha256.New(), flObserver: &flObserver{
+	rng := mathx.NewRand(7 ^ 0x51ce)
+	var sim *fed.Simulation
+	obs := shareLessFedDigest{h: sha256.New(), ev: ev, flObserver: &flObserver{
 		cia: attack.New(attack.Config{
 			Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev, Workers: spec.Workers,
 		}),
-		ev:            ev,
-		truths:        evalx.TrueCommunities(d, k),
-		rec:           evalx.NewRecorder(),
-		rng:           mathx.NewRand(7 ^ 0x51ce),
-		fictiveEpochs: 5,
+		refit:  func(int) { ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, rng) },
+		truths: evalx.TrueCommunities(d, k),
+		rec:    evalx.NewRecorder(),
 	}}
 	tr, err := transport.New("inproc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	sim, err := fed.New(fed.Config{
+	sim, err = fed.New(fed.Config{
 		Dataset:   d,
 		Factory:   factory,
 		Policy:    defense.ShareLess{Tau: DefaultShareLessTau},
@@ -102,7 +103,6 @@ func goldenShareLessFedRun(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.sim = sim
 	sim.Run()
 	return fmt.Sprintf("%x", obs.h.Sum(nil))
 }
@@ -136,13 +136,12 @@ func goldenShareLessGossipRun(t *testing.T) string {
 	n, k := d.NumUsers, spec.K(d.NumUsers)
 	ev := attack.NewShareLessEval(factory(0), d.Train)
 	obs := shareLessGossipDigest{h: sha256.New(), glObserver: &glObserver{
-		ev:            ev,
-		truths:        evalx.TrueCommunities(d, k),
-		rec:           evalx.NewRecorder(),
-		rng:           mathx.NewRand(7 ^ 0x90551b),
-		fictiveEpochs: 5,
-		shareLess:     true,
-		perNode:       make([]*attack.CIA, n),
+		ev:        ev,
+		truths:    evalx.TrueCommunities(d, k),
+		rec:       evalx.NewRecorder(),
+		rng:       mathx.NewRand(7 ^ 0x90551b),
+		shareLess: true,
+		perNode:   make([]*attack.CIA, n),
 	}}
 	for a := range obs.perNode {
 		obs.perNode[a] = attack.New(attack.Config{

@@ -10,9 +10,9 @@ import (
 )
 
 // TestRegistryViewsAgree pins the deduplicated counter plumbing: the
-// obs registry is the rendering source of truth, and the legacy views
-// (transport.Stats, the pre-rendered Resilience string) must agree
-// with it exactly. One eventful run (churn + Byzantine + trimmed
+// obs registry is the rendering source of truth, and RunResult's other
+// views (transport.Stats, the pre-rendered Resilience string) must
+// agree with it exactly. One eventful run (churn + Byzantine + trimmed
 // mean) checks all three surfaces at once:
 //
 //   - resilienceLine rendered from the registry snapshot reproduces
@@ -35,12 +35,8 @@ func TestRegistryViewsAgree(t *testing.T) {
 		t.Fatal("RunResult.Metrics not populated")
 	}
 
-	row := AttackRow{Metrics: res.Metrics, Resilience: "fallback-must-not-be-used"}
-	if got := resilienceLine(row); got != res.Resilience {
+	if got := resilienceLine(AttackRow{Metrics: res.Metrics}); got != res.Resilience {
 		t.Errorf("registry-rendered resilience line %q != Resilience.String view %q", got, res.Resilience)
-	}
-	if got := resilienceLine(AttackRow{Resilience: res.Resilience}); got != res.Resilience {
-		t.Errorf("snapshot-less row must fall back to the string view, got %q", got)
 	}
 
 	statsView := transport.StatsSnapshot(res.Traffic)

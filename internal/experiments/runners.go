@@ -97,6 +97,55 @@ func (r RunResult) BestUtility() float64 {
 	return mathx.Max(r.Utility)
 }
 
+// fictiveEpochs is the e_A fit length of every Share-less refit.
+const fictiveEpochs = 5
+
+// newEval builds the evaluator a CIA over targets scores with: the
+// fictive-user evaluator under Share-less (partial models carry no user
+// rows), the full-model one otherwise.
+func newEval(factory model.Factory, targets [][]int, policy defense.Policy) *attack.RecommenderEval {
+	if isShareLess(policy) {
+		return attack.NewShareLessEval(factory(0), targets)
+	}
+	return attack.NewRecommenderEval(factory(0), targets)
+}
+
+// newFed builds the FedAvg federation every FL experiment attacks. cfg
+// carries only the run's own fields (dataset, factory, policy,
+// observer, OnRound, client fraction, dropout); the spec fills in the
+// rest: length, local epochs, workers, seed, the transport and every
+// deployment knob (faults, straggler deadline, quorum, churn,
+// Byzantine, aggregation rule, tracer). The simulation's metric views
+// go into runRegistry(s). The caller owns the returned transport and
+// must Close it when the run is done.
+func newFed(s Spec, cfg fed.Config) (*fed.Simulation, transport.Transport, error) {
+	tr, err := newTransport(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Rounds = s.Rounds
+	cfg.Train = model.TrainOptions{Epochs: s.LocalEpochs}
+	cfg.Workers = s.Workers
+	cfg.Seed = s.Seed
+	cfg.Transport = tr
+	cfg.FaultPlan = effectivePlan(s)
+	cfg.StragglerDeadline = s.StragglerDeadline
+	cfg.Quorum = s.Quorum
+	cfg.ChurnPlan = s.ChurnPlan
+	cfg.Byzantine = s.Byzantine
+	cfg.Aggregator = s.Aggregator
+	cfg.TrimFraction = s.TrimFraction
+	cfg.ClipNorm = s.ClipNorm
+	cfg.Tracer = s.Trace
+	sim, err := fed.New(cfg)
+	if err != nil {
+		tr.Close()
+		return nil, nil, err
+	}
+	sim.RegisterMetrics(runRegistry(s))
+	return sim, tr, nil
+}
+
 // FLOpts parameterizes a federated CIA run. Every user plays the
 // adversary (V_target = their training set), exactly as in §VI-A.
 type FLOpts struct {
@@ -110,35 +159,28 @@ type FLOpts struct {
 	ClientFraction float64
 	// DropoutProb injects client upload failures when > 0.
 	DropoutProb float64
-	// FictiveEpochs is the e_A fit length under Share-less (default 5).
-	FictiveEpochs int
 }
 
 // RunFLCIA trains a FedAvg federation with a server-side CIA adversary
 // and returns the attack metrics (Table II shape) plus the per-round
 // utility curve.
 func RunFLCIA(o FLOpts) (RunResult, error) {
-	if o.Policy == nil {
-		o.Policy = defense.FullSharing{}
-	}
-	if o.FictiveEpochs == 0 {
-		o.FictiveEpochs = 5
-	}
 	factory, err := MakeFactory(o.Family, o.Data, o.Spec)
 	if err != nil {
 		return RunResult{}, err
 	}
-	k := o.Spec.K(o.Data.NumUsers)
-	targets := o.Data.Train
-	truths := evalx.TrueCommunities(o.Data, k)
+	return runFLCIA(o, factory)
+}
 
-	shareLess := isShareLess(o.Policy)
-	var ev *attack.RecommenderEval
-	if shareLess {
-		ev = attack.NewShareLessEval(factory(0), targets)
-	} else {
-		ev = attack.NewRecommenderEval(factory(0), targets)
+// runFLCIA is RunFLCIA over an explicit model factory (o.Family is
+// ignored), for ablation-modified models no family name describes.
+func runFLCIA(o FLOpts, factory model.Factory) (RunResult, error) {
+	if o.Policy == nil {
+		o.Policy = defense.FullSharing{}
 	}
+	k := o.Spec.K(o.Data.NumUsers)
+	truths := evalx.TrueCommunities(o.Data, k)
+	ev := newEval(factory, o.Data.Train, o.Policy)
 	// CIA scores (and, under Share-less, refits) on forks of ev, one
 	// per worker: Workers == 0 resolves to runtime.NumCPU() inside
 	// attack.New.
@@ -149,41 +191,25 @@ func RunFLCIA(o FLOpts) (RunResult, error) {
 		Eval:     ev,
 		Workers:  o.Spec.Workers,
 	})
-
-	flObs := &flObserver{
-		cia:           cia,
-		ev:            ev,
-		truths:        truths,
-		rec:           evalx.NewRecorder(),
-		rng:           mathx.NewRand(o.Spec.Seed ^ 0x51ce),
-		fictiveEpochs: o.FictiveEpochs,
+	flObs := &flObserver{cia: cia, truths: truths, rec: evalx.NewRecorder()}
+	var sim *fed.Simulation
+	if ev.ShareLess() {
+		// Re-fit e_A against the freshest item embeddings the server
+		// holds (§IV-C); under full participation every sender is
+		// re-scored this round anyway.
+		rng := mathx.NewRand(o.Spec.Seed ^ 0x51ce)
+		flObs.refit = func(int) { ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, rng) }
 	}
-	tr, err := newTransport(o.Spec)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer tr.Close()
+	// Pin the registry so newFed registers into the one snapshotted below.
+	o.Spec.Metrics = runRegistry(o.Spec)
 	var utility []float64
-	sim, err := fed.New(fed.Config{
-		Dataset:           o.Data,
-		Factory:           factory,
-		Policy:            o.Policy,
-		Rounds:            o.Spec.Rounds,
-		ClientFraction:    o.ClientFraction,
-		DropoutProb:       o.DropoutProb,
-		Train:             model.TrainOptions{Epochs: o.Spec.LocalEpochs},
-		Workers:           o.Spec.Workers,
-		Transport:         tr,
-		FaultPlan:         effectivePlan(o.Spec),
-		StragglerDeadline: o.Spec.StragglerDeadline,
-		Quorum:            o.Spec.Quorum,
-		ChurnPlan:         o.Spec.ChurnPlan,
-		Byzantine:         o.Spec.Byzantine,
-		Aggregator:        o.Spec.Aggregator,
-		TrimFraction:      o.Spec.TrimFraction,
-		ClipNorm:          o.Spec.ClipNorm,
-		Tracer:            o.Spec.Trace,
-		Observer:          flObs,
+	sim, tr, err := newFed(o.Spec, fed.Config{
+		Dataset:        o.Data,
+		Factory:        factory,
+		Policy:         o.Policy,
+		ClientFraction: o.ClientFraction,
+		DropoutProb:    o.DropoutProb,
+		Observer:       flObs,
 		// Utility sweeps run on the simulator's deterministic parallel
 		// evaluation engine (Spec.Workers, per-(seed, round, user)
 		// negative streams), so the recorded curve is independent of the
@@ -197,14 +223,11 @@ func RunFLCIA(o FLOpts) (RunResult, error) {
 				utility = append(utility, s.UtilityF1(o.Spec.HRK))
 			}
 		},
-		Seed: o.Spec.Seed,
 	})
 	if err != nil {
 		return RunResult{}, err
 	}
-	flObs.sim = sim
-	reg := runRegistry(o.Spec)
-	sim.RegisterMetrics(reg)
+	defer tr.Close()
 	sim.Run()
 
 	// The FL server's upper bound is 1 under full participation; with
@@ -220,34 +243,31 @@ func RunFLCIA(o FLOpts) (RunResult, error) {
 		Attack: res, Utility: utility,
 		TransportName: tr.Name(), Traffic: tr.Stats(),
 		Resilience: sim.Resilience().String(),
-		Metrics:    reg.Snapshot(),
+		Metrics:    o.Spec.Metrics.Snapshot(),
 	}, nil
 }
 
-// flObserver adapts the CIA instance to the fed.Observer interface:
-// Alg. 1's loop over received models plus per-round accuracy
-// recording.
+// flObserver adapts a CIA instance to the fed.Observer interface:
+// Alg. 1's loop over received models, then per round an optional
+// fictive-user refit before scoring and, when rec is set, accuracy
+// recording against truths.
 type flObserver struct {
-	cia           *attack.CIA
-	ev            *attack.RecommenderEval
-	sim           *fed.Simulation
-	truths        []map[int]struct{}
-	rec           *evalx.Recorder
-	rng           *rand.Rand
-	fictiveEpochs int
+	cia    *attack.CIA
+	refit  func(round int)
+	truths []map[int]struct{}
+	rec    *evalx.Recorder
 }
 
 func (o *flObserver) OnUpload(msg fed.Message) { o.cia.Observe(msg.From, msg.Params) }
 
 func (o *flObserver) OnRoundEnd(round int) {
-	if o.ev.ShareLess() {
-		// Re-fit e_A against the freshest item embeddings the server
-		// holds (§IV-C); under full participation every sender is
-		// re-scored this round anyway.
-		o.ev.RefreshFictive(o.sim.Global().Params(), o.fictiveEpochs, o.rng)
+	if o.refit != nil {
+		o.refit(round)
 	}
 	o.cia.EndRound()
-	o.rec.Record(o.cia.Accuracies(o.truths))
+	if o.rec != nil {
+		o.rec.Record(o.cia.Accuracies(o.truths))
+	}
 }
 
 // GLOpts parameterizes a gossip CIA run.
@@ -265,16 +285,10 @@ type GLOpts struct {
 	// MomentumOff disables the attack momentum (β = 0), the Table VI
 	// ablation.
 	MomentumOff bool
-	// WakeProb overrides the per-round gossip wake probability when
-	// > 0. Sparse wake-ups (< 1) reproduce the paper's temporality:
-	// models arrive at heterogeneous training stages, which is the
-	// regime where the attack momentum pays off (§IV-B3, Table VI).
-	WakeProb float64
 	// StaticGraph freezes the communication graph (no view refresh) —
 	// the ablation for the paper's claim that gossip's privacy stems
 	// from its randomness and dynamics (§X).
-	StaticGraph   bool
-	FictiveEpochs int
+	StaticGraph bool
 }
 
 // RunGLCIA trains a gossip network with CIA adversaries and returns
@@ -286,9 +300,6 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 	if o.Policy == nil {
 		o.Policy = defense.FullSharing{}
 	}
-	if o.FictiveEpochs == 0 {
-		o.FictiveEpochs = 5
-	}
 	beta := o.Spec.Beta
 	if o.MomentumOff {
 		beta = 0
@@ -299,24 +310,14 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 	}
 	n := o.Data.NumUsers
 	k := o.Spec.K(n)
-	targets := o.Data.Train
 	truths := evalx.TrueCommunities(o.Data, k)
-
-	shareLess := isShareLess(o.Policy)
-	var ev *attack.RecommenderEval
-	if shareLess {
-		ev = attack.NewShareLessEval(factory(0), targets)
-	} else {
-		ev = attack.NewRecommenderEval(factory(0), targets)
-	}
-
+	ev := newEval(factory, o.Data.Train, o.Policy)
 	glObs := &glObserver{
-		ev:            ev,
-		truths:        truths,
-		rec:           evalx.NewRecorder(),
-		rng:           mathx.NewRand(o.Spec.Seed ^ 0x90551b),
-		fictiveEpochs: o.FictiveEpochs,
-		shareLess:     shareLess,
+		ev:        ev,
+		truths:    truths,
+		rec:       evalx.NewRecorder(),
+		rng:       mathx.NewRand(o.Spec.Seed ^ 0x90551b),
+		shareLess: ev.ShareLess(),
 	}
 	if o.ColluderFrac > 0 {
 		nc := int(o.ColluderFrac * float64(n))
@@ -354,7 +355,6 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 		Policy:      o.Policy,
 		Variant:     o.Variant,
 		Rounds:      glRounds,
-		WakeProb:    o.WakeProb,
 		StaticGraph: o.StaticGraph,
 		Train:       model.TrainOptions{Epochs: o.Spec.LocalEpochs},
 		Workers:     o.Spec.Workers,
@@ -424,8 +424,7 @@ type glObserver struct {
 	colluders []int
 	coalition *attack.CIA
 
-	shareLess     bool
-	fictiveEpochs int
+	shareLess bool
 }
 
 func (o *glObserver) OnReceive(msg gossip.Message) {
@@ -443,7 +442,7 @@ func (o *glObserver) OnRoundEnd(round int) {
 		if o.shareLess {
 			// The coalition refreshes every target's e_A against the
 			// lowest-id colluder's item embeddings.
-			o.ev.RefreshFictive(o.sim.Node(o.colluders[0]).Params(), o.fictiveEpochs, o.rng)
+			o.ev.RefreshFictive(o.sim.Node(o.colluders[0]).Params(), fictiveEpochs, o.rng)
 		}
 		o.coalition.EndRound()
 		o.rec.Record(o.coalition.Accuracies(o.truths))
@@ -452,7 +451,7 @@ func (o *glObserver) OnRoundEnd(round int) {
 	accs := make([]float64, len(o.perNode))
 	for a, cia := range o.perNode {
 		if o.shareLess {
-			o.ev.RefreshFictiveOne(a, o.sim.Node(a).Params(), o.fictiveEpochs, o.rng)
+			o.ev.RefreshFictiveOne(a, o.sim.Node(a).Params(), fictiveEpochs, o.rng)
 		}
 		cia.EndRound()
 		accs[a] = evalx.Accuracy(cia.Predict(0), o.truths[a])

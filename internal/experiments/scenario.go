@@ -397,8 +397,7 @@ func RenderScenario(sc Scenario, res RunResult) string {
 	rows := []AttackRow{{
 		Dataset: sc.Dataset, Model: sc.Family, Setting: sc.Protocol,
 		Result:    res.Attack,
-		Transport: res.TransportName, Traffic: res.Traffic,
-		Resilience: res.Resilience, Metrics: res.Metrics,
+		Transport: res.TransportName, Metrics: res.Metrics,
 	}}
 	out := RenderRows("Scenario: "+name, rows)
 	if u := res.BestUtility(); u > 0 {

@@ -8,7 +8,6 @@ import (
 	"github.com/collablearn/ciarec/internal/evalx"
 	"github.com/collablearn/ciarec/internal/fed"
 	"github.com/collablearn/ciarec/internal/mathx"
-	"github.com/collablearn/ciarec/internal/model"
 )
 
 // RunUniversality reproduces §VIII-E: CIA against an MLP
@@ -81,21 +80,13 @@ func RunAIAComparison(spec Spec) (AIAComparison, error) {
 	truth := evalx.TrueCommunity(d, target, k)
 
 	// Warm-up federation to give the AIA a meaningful global model.
-	warmTr, err := newTransport(spec)
+	half := spec
+	half.Rounds = spec.Rounds / 2
+	warm, warmTr, err := newFed(half, fed.Config{Dataset: d, Factory: factory})
 	if err != nil {
 		return AIAComparison{}, err
 	}
 	defer warmTr.Close()
-	warm, err := fed.New(fed.Config{
-		Dataset: d, Factory: factory, Rounds: spec.Rounds / 2,
-		Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-		Workers:   spec.Workers,
-		Transport: warmTr,
-		Seed:      spec.Seed,
-	})
-	if err != nil {
-		return AIAComparison{}, err
-	}
 	warm.Run()
 
 	aia, err := attack.TrainAIA(warm.Global(), d, attack.AIAConfig{
@@ -110,25 +101,16 @@ func RunAIAComparison(spec Spec) (AIAComparison, error) {
 	})
 
 	obs := &aiaObserver{aia: aia, cia: cia, truth: truth}
-	// Continue the federation with both attacks observing. A fresh
-	// simulation seeded from the warm global keeps the harness simple:
-	// install the warm parameters into the new run's global model.
-	tr, err := newTransport(spec)
+	// Continue the federation with both attacks observing. A fresh,
+	// re-seeded simulation keeps the harness simple: install the warm
+	// parameters into the new run's global model.
+	cont := half
+	cont.Seed = spec.Seed ^ 0x5ec
+	sim, tr, err := newFed(cont, fed.Config{Dataset: d, Factory: factory, Observer: obs})
 	if err != nil {
 		return AIAComparison{}, err
 	}
 	defer tr.Close()
-	sim, err := fed.New(fed.Config{
-		Dataset: d, Factory: factory, Rounds: spec.Rounds / 2,
-		Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-		Workers:   spec.Workers,
-		Transport: tr,
-		Observer:  obs,
-		Seed:      spec.Seed ^ 0x5ec,
-	})
-	if err != nil {
-		return AIAComparison{}, err
-	}
 	sim.Global().Params().CopyFrom(warm.Global().Params())
 	sim.Run()
 

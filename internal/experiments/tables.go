@@ -14,7 +14,6 @@ import (
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // AttackRow is one table line of attack metrics, optionally annotated
@@ -25,22 +24,14 @@ type AttackRow struct {
 	Setting string // protocol / colluder / defense label
 	Result  evalx.Result
 
-	// Transport and Traffic carry the run's round-transport backend and
-	// its traffic accounting when the runner recorded them (RunTable2,
-	// RunTable3); RenderRows then appends a per-row traffic table so
-	// wire vs socket cost is visible next to the attack numbers.
+	// Transport names the run's round-transport backend when the runner
+	// recorded it (RunTable2, RunTable3); RenderRows then appends a
+	// per-row traffic table so wire vs socket cost is visible next to
+	// the attack numbers.
 	Transport string
-	Traffic   transport.Stats
-	// Resilience is the run's non-zero fault/churn/Byzantine counter
-	// summary (RunResult.Resilience); RenderRows appends a resilience
-	// table when any row carries one.
-	Resilience string
 	// Metrics is the run's end-of-run registry snapshot
-	// (RunResult.Metrics). When present it is the source the traffic
-	// and resilience tables render from; rows without one (hand-built
-	// rows, older callers) fall back to the Traffic struct and the
-	// Resilience string, which are kept as tested views of the same
-	// counters.
+	// (RunResult.Metrics), the one source the traffic and resilience
+	// tables render from.
 	Metrics obs.Snapshot
 }
 
@@ -88,12 +79,8 @@ var resilienceKeys = []struct{ key, metric string }{
 
 // resilienceLine renders a row's non-zero resilience counters as
 // key=value pairs from its registry snapshot, matching the protocols'
-// Resilience.String output exactly; rows without a snapshot fall back
-// to the pre-rendered string.
+// Resilience.String output exactly ("" for a row without a snapshot).
 func resilienceLine(r AttackRow) string {
-	if r.Metrics == nil {
-		return r.Resilience
-	}
 	var b strings.Builder
 	for _, k := range resilienceKeys {
 		v := r.Metrics[k.metric]
@@ -110,9 +97,9 @@ func resilienceLine(r AttackRow) string {
 
 // renderResilience formats the per-run fault, churn and Byzantine
 // accounting of rows that recorded a non-zero counter: one line per
-// eventful run, the counters as key=value pairs (read from the row's
-// registry snapshot when it has one). Uneventful runs (and tables
-// without any resilience activity) print nothing.
+// eventful run, the counters as key=value pairs read from the row's
+// registry snapshot. Uneventful runs (and tables without any
+// resilience activity) print nothing.
 func renderResilience(rows []AttackRow) string {
 	lines := make([]string, len(rows))
 	any := false
@@ -136,16 +123,6 @@ func renderResilience(rows []AttackRow) string {
 	return b.String()
 }
 
-// trafficSnapshot returns the registry snapshot a row's traffic cells
-// render from: the row's own end-of-run snapshot, or the transport_*
-// view of its Traffic struct for rows that never carried one.
-func trafficSnapshot(r AttackRow) obs.Snapshot {
-	if r.Metrics != nil {
-		return r.Metrics
-	}
-	return transport.StatsSnapshot(r.Traffic)
-}
-
 // renderTraffic formats the per-run transport accounting of rows that
 // recorded it: point-to-point and broadcast volume, frame counts, the
 // socket backends' RPC round-trip/reconnect/retry counters, and —
@@ -153,18 +130,15 @@ func trafficSnapshot(r AttackRow) obs.Snapshot {
 // and injected-fault columns. Runs carried by a compressing transport
 // additionally get the dense-equivalent volume and the compression
 // ratio, so the codec's saving is visible next to what actually moved.
-// All cells read from the rows' registry snapshots (see
-// trafficSnapshot), making the obs registry the rendering source of
-// truth.
+// All cells read from the rows' registry snapshots, making the obs
+// registry the rendering source of truth.
 func renderTraffic(rows []AttackRow) string {
-	snaps := make([]obs.Snapshot, len(rows))
 	any, resil, comp := false, false, false
-	for i, r := range rows {
+	for _, r := range rows {
 		if r.Transport != "" {
 			any = true
 		}
-		snaps[i] = trafficSnapshot(r)
-		st := snaps[i]
+		st := r.Metrics
 		if st["transport_retries_total"] > 0 || st["transport_timeouts_total"] > 0 ||
 			st["transport_gave_up_total"] > 0 || st["transport_injected_faults_total"] > 0 {
 			resil = true
@@ -189,11 +163,11 @@ func renderTraffic(rows []AttackRow) string {
 		fmt.Fprintf(&b, " %7s %8s %6s %6s", "retries", "timeouts", "gaveup", "faults")
 	}
 	b.WriteByte('\n')
-	for i, r := range rows {
+	for _, r := range rows {
 		if r.Transport == "" {
 			continue
 		}
-		st := snaps[i]
+		st := r.Metrics
 		count := func(name string) int64 { return int64(st[name]) }
 		fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8d %9.2f %8d %9.2f %8d %7d %6d",
 			r.Dataset, r.Model, r.Setting, r.Transport,
@@ -249,7 +223,7 @@ func RunTable2(spec Spec) ([]AttackRow, error) {
 		}
 		rows[i] = AttackRow{
 			Dataset: c.dataset, Model: c.family, Setting: "FL", Result: res.Attack,
-			Transport: res.TransportName, Traffic: res.Traffic, Resilience: res.Resilience, Metrics: res.Metrics,
+			Transport: res.TransportName, Metrics: res.Metrics,
 		}
 		return nil
 	})
@@ -292,7 +266,7 @@ func RunTable3(spec Spec) ([]AttackRow, error) {
 		}
 		rows[i] = AttackRow{
 			Dataset: c.dataset, Model: c.family, Setting: c.variant.String(), Result: res.Attack,
-			Transport: res.TransportName, Traffic: res.Traffic, Resilience: res.Resilience, Metrics: res.Metrics,
+			Transport: res.TransportName, Metrics: res.Metrics,
 		}
 		return nil
 	})
@@ -531,24 +505,11 @@ func RunTable8(spec Spec) (Table8Result, error) {
 		truths: truths, rec: rec,
 		plainRecs: newRecs(), guardedRecs: newRecs(),
 	}
-	tr, err := newTransport(spec)
+	sim, tr, err := newFed(spec, fed.Config{Dataset: d, Factory: factory, Observer: obs})
 	if err != nil {
 		return Table8Result{}, err
 	}
 	defer tr.Close()
-	sim, err := fed.New(fed.Config{
-		Dataset:   d,
-		Factory:   factory,
-		Rounds:    spec.Rounds,
-		Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-		Workers:   spec.Workers,
-		Transport: tr,
-		Observer:  obs,
-		Seed:      spec.Seed,
-	})
-	if err != nil {
-		return Table8Result{}, err
-	}
 	sim.Run()
 
 	out := Table8Result{}

@@ -39,8 +39,8 @@ func RegisterStats(reg *obs.Registry, tr Transport) {
 }
 
 // StatsSnapshot renders st under the same transport_* metric names
-// RegisterStats uses — the fallback the table renderers take for rows
-// that carry a plain Stats value but no registry snapshot.
+// RegisterStats uses, so a plain Stats value can be compared sample for
+// sample with a registry snapshot.
 func StatsSnapshot(st Stats) obs.Snapshot {
 	out := make(obs.Snapshot, len(statsMetrics))
 	for _, m := range statsMetrics {

@@ -5,6 +5,8 @@
 #     text exposition while traffic flows,
 #   - both processes write valid Chrome trace_event JSON (-trace),
 #   - the scenario's metrics_out dump is a non-empty JSON object,
+#   - an -exp run that builds its own federation (ablation-fictive)
+#     traces its rounds under the knob flags,
 # after first checking that bad knob values exit 2 naming their JSON
 # field, before any run starts.
 # Run from the repository root (CI does; see .github/workflows/ci.yml).
@@ -81,11 +83,15 @@ exposition="$(curl -sSf "$metrics_url")"
 grep -q '^# TYPE rpc_conn_errors_total' <<<"$exposition" || {
   echo "obs_smoke: exposition missing rpc counters:"; echo "$exposition"; exit 1; }
 
+echo "obs_smoke: tracing an ablation under the knob flags"
+"$workdir/ciabench" -exp ablation-fictive -rounds 2 -byz kind=sign-flip,frac=0.2,seed=1 \
+  -trace "$workdir/exp-trace.json"
+
 echo "obs_smoke: draining worker"
 kill -TERM "$worker_pid"
 wait "$worker_pid"
 worker_pid=""
 
 go run scripts/checktrace.go -metrics "$workdir/metrics.json" \
-  "$workdir/bench-trace.json" "$workdir/worker-trace.json"
+  "$workdir/bench-trace.json" "$workdir/worker-trace.json" "$workdir/exp-trace.json"
 echo "obs_smoke: ok"
