@@ -20,231 +20,53 @@ import (
 	"github.com/collablearn/ciarec/internal/experiments"
 )
 
-// benchSpec is shared by all benchmarks; rendering happens once per
-// benchmark regardless of b.N (the runners are deterministic in the
-// seed, so re-running them would measure the same work).
-func benchSpec() experiments.Spec { return experiments.BenchSpec() }
-
 // printOnce deduplicates table output across -benchtime iterations.
 var printOnce sync.Map
 
-func report(b *testing.B, key, out string) {
+// benchExperiment runs catalogue experiment id at the bench spec and
+// prints its rendered output once, however many iterations b.N asks
+// for (the runners are deterministic in the seed, so every iteration
+// measures the same work).
+func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	if _, dup := printOnce.LoadOrStore(key, true); !dup {
-		fmt.Println(out)
+	e, ok := experiments.ExperimentByID(id)
+	if !ok {
+		b.Fatalf("unknown experiment %q", id)
 	}
-}
-
-func BenchmarkTable2_FedRecsCIA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable2(benchSpec())
+		out, err := e.Run(experiments.BenchSpec())
 		if err != nil {
 			b.Fatal(err)
 		}
-		report(b, "table2", experiments.RenderRows("Table II: CIA on FedRecs", rows))
+		if _, dup := printOnce.LoadOrStore(id, true); !dup {
+			fmt.Println(out)
+		}
 	}
 }
 
-func BenchmarkTable3_GossipCIA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable3(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "table3", experiments.RenderRows("Table III: CIA on GossipRecs", rows))
-	}
-}
-
-func BenchmarkTable4_Collusion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable4(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "table4", experiments.RenderRows("Table IV: collusion in Rand-Gossip (GMF, MovieLens-like)", rows))
-	}
-}
-
-func BenchmarkTable5_CollusionShareLess(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable5(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "table5", experiments.RenderRows("Table V: collusion under Share-less", rows))
-	}
-}
-
-func BenchmarkTable6_Momentum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable6(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "table6", experiments.RenderRows("Table VI: momentum ablation under collusion", rows))
-	}
-}
-
-func BenchmarkTable7_KSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable7(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "table7", experiments.RenderTable7(rows))
-	}
-}
-
-func BenchmarkTable8_MIAProxy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable8(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "table8", experiments.RenderTable8(res))
-	}
-}
-
-func BenchmarkTable9_Complexity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTable9(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "table9", experiments.RenderTable9(res))
-	}
-}
-
-func BenchmarkFigure1_HealthCommunity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure1(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig1", experiments.RenderFigure1(res))
-	}
-}
-
-func BenchmarkFigure3_GMFTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunFigure3(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig3", experiments.RenderTradeoff("Figure 3: GMF privacy/utility trade-off", "HR", points))
-	}
-}
-
-func BenchmarkFigure4_PRMETradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunFigure4(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig4", experiments.RenderTradeoff("Figure 4: PRME privacy/utility trade-off", "F1", points))
-	}
-}
-
-func BenchmarkFigure5_DPSGD(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		points, err := experiments.RunFigure5(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "fig5", experiments.RenderFigure5(points))
-	}
-}
-
-func BenchmarkSection8E_Universality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunUniversality(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "sec8e", experiments.RenderUniversality(res))
-	}
-}
-
-func BenchmarkSection8C_AIAProxy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunAIAComparison(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "sec8c2", experiments.RenderAIAComparison(res))
-	}
-}
+func BenchmarkTable2_FedRecsCIA(b *testing.B)         { benchExperiment(b, "table2") }
+func BenchmarkTable3_GossipCIA(b *testing.B)          { benchExperiment(b, "table3") }
+func BenchmarkTable4_Collusion(b *testing.B)          { benchExperiment(b, "table4") }
+func BenchmarkTable5_CollusionShareLess(b *testing.B) { benchExperiment(b, "table5") }
+func BenchmarkTable6_Momentum(b *testing.B)           { benchExperiment(b, "table6") }
+func BenchmarkTable7_KSweep(b *testing.B)             { benchExperiment(b, "table7") }
+func BenchmarkTable8_MIAProxy(b *testing.B)           { benchExperiment(b, "table8") }
+func BenchmarkTable9_Complexity(b *testing.B)         { benchExperiment(b, "table9") }
+func BenchmarkFigure1_HealthCommunity(b *testing.B)   { benchExperiment(b, "fig1") }
+func BenchmarkFigure3_GMFTradeoff(b *testing.B)       { benchExperiment(b, "fig3") }
+func BenchmarkFigure4_PRMETradeoff(b *testing.B)      { benchExperiment(b, "fig4") }
+func BenchmarkFigure5_DPSGD(b *testing.B)             { benchExperiment(b, "fig5") }
+func BenchmarkSection8E_Universality(b *testing.B)    { benchExperiment(b, "sec8e") }
+func BenchmarkSection8C_AIAProxy(b *testing.B)        { benchExperiment(b, "sec8c2") }
 
 // The remaining benchmarks cover the design-choice ablations of
 // DESIGN.md §6 plus the Secure-Aggregation extension of §IX — not
 // numbered results in the paper, but the studies that justify them.
 
-func BenchmarkAblation_SecureAggregation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunSecureAggAblation(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-sa", experiments.RenderSecureAggAblation(rows))
-	}
-}
-
-func BenchmarkAblation_StaticGraph(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunStaticGraphAblation(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-static", experiments.RenderStaticGraphAblation(rows))
-	}
-}
-
-func BenchmarkAblation_FictiveUser(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunFictiveAblation(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-fictive", experiments.RenderFictiveAblation(rows))
-	}
-}
-
-func BenchmarkAblation_PRMERelevance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunRelevanceAblation(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-relevance", experiments.RenderRelevanceAblation(rows))
-	}
-}
-
-func BenchmarkAblation_Participation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunParticipationAblation(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "abl-participation", experiments.RenderParticipationAblation(rows))
-	}
-}
-
-func BenchmarkExtension_ModelFamilies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunModelFamilyStudy(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "ext-modelfamily", experiments.RenderModelFamilyStudy(rows))
-	}
-}
-
-func BenchmarkExtension_Sparsification(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunSparsifyStudy(benchSpec())
-		if err != nil {
-			b.Fatal(err)
-		}
-		report(b, "ext-sparsify", experiments.RenderSparsifyStudy(rows))
-	}
-}
+func BenchmarkAblation_SecureAggregation(b *testing.B) { benchExperiment(b, "ablation-secureagg") }
+func BenchmarkAblation_StaticGraph(b *testing.B)       { benchExperiment(b, "ablation-staticgraph") }
+func BenchmarkAblation_FictiveUser(b *testing.B)       { benchExperiment(b, "ablation-fictive") }
+func BenchmarkAblation_PRMERelevance(b *testing.B)     { benchExperiment(b, "ablation-relevance") }
+func BenchmarkAblation_Participation(b *testing.B)     { benchExperiment(b, "ablation-participation") }
+func BenchmarkExtension_ModelFamilies(b *testing.B)    { benchExperiment(b, "ext-modelfamily") }
+func BenchmarkExtension_Sparsification(b *testing.B)   { benchExperiment(b, "ext-sparsify") }

@@ -17,172 +17,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"github.com/collablearn/ciarec/internal/experiments"
 	"github.com/collablearn/ciarec/internal/obs"
 )
-
-type runner func(spec experiments.Spec) (string, error)
-
-var runners = map[string]runner{
-	"table2": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunTable2(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderRows("Table II: CIA on FedRecs", rows), nil
-	},
-	"table3": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunTable3(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderRows("Table III: CIA on GossipRecs", rows), nil
-	},
-	"table4": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunTable4(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderRows("Table IV: collusion in Rand-Gossip (GMF, MovieLens-like)", rows), nil
-	},
-	"table5": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunTable5(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderRows("Table V: collusion under Share-less", rows), nil
-	},
-	"table6": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunTable6(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderRows("Table VI: momentum ablation under collusion", rows), nil
-	},
-	"table7": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunTable7(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTable7(rows), nil
-	},
-	"table8": func(spec experiments.Spec) (string, error) {
-		res, err := experiments.RunTable8(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTable8(res), nil
-	},
-	"table9": func(spec experiments.Spec) (string, error) {
-		res, err := experiments.RunTable9(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTable9(res), nil
-	},
-	"fig1": func(spec experiments.Spec) (string, error) {
-		res, err := experiments.RunFigure1(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFigure1(res), nil
-	},
-	"fig3": func(spec experiments.Spec) (string, error) {
-		points, err := experiments.RunFigure3(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTradeoff("Figure 3: GMF privacy/utility trade-off", "HR", points), nil
-	},
-	"fig4": func(spec experiments.Spec) (string, error) {
-		points, err := experiments.RunFigure4(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderTradeoff("Figure 4: PRME privacy/utility trade-off", "F1", points), nil
-	},
-	"fig5": func(spec experiments.Spec) (string, error) {
-		points, err := experiments.RunFigure5(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFigure5(points), nil
-	},
-	"sec8e": func(spec experiments.Spec) (string, error) {
-		res, err := experiments.RunUniversality(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderUniversality(res), nil
-	},
-	"sec8c2": func(spec experiments.Spec) (string, error) {
-		res, err := experiments.RunAIAComparison(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderAIAComparison(res), nil
-	},
-	"ablation-secureagg": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunSecureAggAblation(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderSecureAggAblation(rows), nil
-	},
-	"ablation-staticgraph": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunStaticGraphAblation(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderStaticGraphAblation(rows), nil
-	},
-	"ablation-fictive": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunFictiveAblation(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderFictiveAblation(rows), nil
-	},
-	"ablation-relevance": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunRelevanceAblation(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderRelevanceAblation(rows), nil
-	},
-	"ablation-participation": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunParticipationAblation(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderParticipationAblation(rows), nil
-	},
-	"ext-modelfamily": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunModelFamilyStudy(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderModelFamilyStudy(rows), nil
-	},
-	"ext-sparsify": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunSparsifyStudy(spec)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderSparsifyStudy(rows), nil
-	},
-	"compress-ratio": func(spec experiments.Spec) (string, error) {
-		rows, err := experiments.RunCompressionRatio(spec, nil, nil)
-		if err != nil {
-			return "", err
-		}
-		return experiments.RenderCompressionRatio(rows), nil
-	},
-}
 
 // runScenarioFile loads a scenario — a preset name or a JSON file —
 // and executes it with the process's observability sinks attached
@@ -238,12 +78,12 @@ func scenarioNames() string {
 	return strings.Join(names, " | ")
 }
 
-func experimentIDs() []string {
-	ids := make([]string, 0, len(runners))
-	for id := range runners {
-		ids = append(ids, id)
+// experimentIDs lists the catalogue's ids in order.
+func experimentIDs(exps []experiments.Experiment) []string {
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -301,24 +141,25 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
+	exps := experiments.Experiments()
 	if o.list {
-		fmt.Println(strings.Join(experimentIDs(), "\n"))
+		fmt.Println(strings.Join(experimentIDs(exps), "\n"))
 		return
 	}
 	var spec experiments.Spec
-	ids := experimentIDs()
 	if o.scenario == "" {
 		if spec, err = o.spec(); err != nil {
 			fmt.Fprintf(os.Stderr, "ciabench: %v\n", err)
 			os.Exit(2)
 		}
 		if o.exp != "all" {
-			if _, ok := runners[o.exp]; !ok {
+			e, ok := experiments.ExperimentByID(o.exp)
+			if !ok {
 				fmt.Fprintf(os.Stderr, "ciabench: unknown experiment %q; available: %s\n",
-					o.exp, strings.Join(ids, ", "))
+					o.exp, strings.Join(experimentIDs(exps), ", "))
 				os.Exit(2)
 			}
-			ids = []string{o.exp}
+			exps = []experiments.Experiment{e}
 		}
 	}
 
@@ -365,15 +206,15 @@ func main() {
 	}
 	spec.Trace = tracer
 	spec.Metrics = reg
-	for _, id := range ids {
+	for _, e := range exps {
 		start := time.Now()
-		out, err := runners[id](spec)
+		out, err := e.Run(spec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ciabench: %s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "ciabench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		fmt.Print(out)
-		fmt.Printf("[%s completed in %.1fs]\n\n", id, time.Since(start).Seconds())
+		fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, time.Since(start).Seconds())
 	}
 	writeTrace(tracer, o.traceOut)
 }

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"github.com/collablearn/ciarec/internal/attack"
+	"github.com/collablearn/ciarec/internal/evalx"
 	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
@@ -219,7 +221,12 @@ func RunUniversality(cfg RunConfig) (Result, error) {
 	}
 
 	// CIA from the server, identical wiring to the recommender case.
-	ciaInst := newMLPCIA(cfg.Beta, communitySize, numClients, sizes, data)
+	ciaInst := attack.New(attack.Config{
+		Beta:     cfg.Beta,
+		K:        communitySize,
+		NumUsers: numClients,
+		Eval:     &mlpEval{scratch: model.NewMLP(sizes, false, 0), data: data},
+	})
 
 	var bestCIA float64
 	for round := 0; round < cfg.Rounds; round++ {
@@ -247,7 +254,7 @@ func RunUniversality(cfg RunConfig) (Result, error) {
 		ciaInst.EndRound()
 		var acc float64
 		for c := 0; c < data.NumClasses; c++ {
-			acc += mathxAccuracy(ciaInst.Predict(c), truths[c])
+			acc += evalx.Accuracy(ciaInst.Predict(c), truths[c])
 		}
 		acc /= float64(data.NumClasses)
 		if acc > bestCIA {

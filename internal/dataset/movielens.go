@@ -33,73 +33,6 @@ type interaction struct {
 	ts         int64
 }
 
-// MovieLensGenres are the 19 genre flags of the MovieLens-100k u.item
-// format, in column order.
-var MovieLensGenres = []string{
-	"unknown", "Action", "Adventure", "Animation", "Children's",
-	"Comedy", "Crime", "Documentary", "Drama", "Fantasy", "Film-Noir",
-	"Horror", "Musical", "Mystery", "Romance", "Sci-Fi", "Thriller",
-	"War", "Western",
-}
-
-// LoadMovieLensGenres parses the MovieLens-100k `u.item` file and
-// attaches genre categories to d (each item's category is its first
-// set genre flag). With categories attached, the targeted-attack
-// workflow of the §II motivating example works on the real trace, e.g.
-// crafting V_target from every Horror movie.
-func LoadMovieLensGenres(d *Dataset, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("dataset: open u.item: %w", err)
-	}
-	defer f.Close()
-	return ParseMovieLensGenres(d, f)
-}
-
-// ParseMovieLensGenres reads u.item-formatted metadata from r and
-// attaches it to d. The format is pipe-separated:
-// id|title|date|videodate|url|flag0|...|flag18 with 1-based ids.
-func ParseMovieLensGenres(d *Dataset, r io.Reader) error {
-	categories := make([]int, d.NumItems)
-	for i := range categories {
-		categories[i] = 0 // "unknown"
-	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, "|")
-		if len(fields) < 5+len(MovieLensGenres) {
-			return fmt.Errorf("dataset: u.item line %d: %d fields, want >= %d",
-				line, len(fields), 5+len(MovieLensGenres))
-		}
-		id, err := strconv.Atoi(fields[0])
-		if err != nil || id < 1 {
-			return fmt.Errorf("dataset: u.item line %d: bad item id %q", line, fields[0])
-		}
-		if id-1 >= d.NumItems {
-			continue // item never interacted with; no slot to label
-		}
-		for g := range MovieLensGenres {
-			if fields[5+g] == "1" {
-				categories[id-1] = g
-				break
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("dataset: u.item scan: %w", err)
-	}
-	d.Categories = categories
-	d.CategoryNames = append([]string(nil), MovieLensGenres...)
-	return nil
-}
-
 // ParseMovieLens reads u.data-formatted interactions from r.
 // Malformed lines produce an error rather than being skipped, so a
 // truncated download is caught immediately.

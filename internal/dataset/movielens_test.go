@@ -86,73 +86,3 @@ func TestLoadMovieLens100K(t *testing.T) {
 		t.Fatal("expected error for missing file")
 	}
 }
-
-const sampleUItem = `1|Toy Story (1995)|01-Jan-1995||http://x|0|0|0|1|1|1|0|0|0|0|0|0|0|0|0|0|0|0|0
-2|GoldenEye (1995)|01-Jan-1995||http://x|0|1|1|0|0|0|0|0|0|0|0|0|0|0|0|0|1|0|0
-30|Belle de jour (1967)|01-Jan-1967||http://x|0|0|0|0|0|0|0|0|1|0|0|0|0|0|0|0|0|0|0
-`
-
-func TestParseMovieLensGenres(t *testing.T) {
-	d, err := ParseMovieLens(strings.NewReader(sampleUData), "sample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ParseMovieLensGenres(d, strings.NewReader(sampleUItem)); err != nil {
-		t.Fatal(err)
-	}
-	// Item 0 (Toy Story): first set flag is Animation (index 3).
-	if d.Categories[0] != 3 {
-		t.Fatalf("item 0 category %d, want 3 (Animation)", d.Categories[0])
-	}
-	// Item 1 (GoldenEye): Action (index 1).
-	if d.Categories[1] != 1 {
-		t.Fatalf("item 1 category %d, want 1 (Action)", d.Categories[1])
-	}
-	// Item 29 (id 30): Drama (index 8).
-	if d.Categories[29] != 8 {
-		t.Fatalf("item 29 category %d, want 8 (Drama)", d.Categories[29])
-	}
-	// Unlabelled items default to "unknown" (0).
-	if d.Categories[5] != 0 {
-		t.Fatalf("unlabelled item category %d, want 0", d.Categories[5])
-	}
-	if d.CategoryID("Drama") != 8 {
-		t.Fatal("category names not attached")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseMovieLensGenresErrors(t *testing.T) {
-	d, err := ParseMovieLens(strings.NewReader(sampleUData), "sample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, in := range map[string]string{
-		"too few fields": "1|Title|date\n",
-		"bad id":         "x|T|d||u|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0|0\n",
-	} {
-		if err := ParseMovieLensGenres(d, strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestLoadMovieLensGenresFile(t *testing.T) {
-	d, err := ParseMovieLens(strings.NewReader(sampleUData), "sample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "u.item")
-	if err := os.WriteFile(path, []byte(sampleUItem), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadMovieLensGenres(d, path); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadMovieLensGenres(d, filepath.Join(dir, "missing")); err == nil {
-		t.Fatal("expected error for missing file")
-	}
-}

@@ -387,3 +387,13 @@ func TestAIAComparisonShape(t *testing.T) {
 		t.Fatal("render output malformed")
 	}
 }
+
+// §VIII-C2 splits its rounds into a warm-up and an observed half, so
+// one round is rejected up front rather than by the federation.
+func TestAIAComparisonNeedsTwoRounds(t *testing.T) {
+	spec := testSpec()
+	spec.Rounds = 1
+	if _, err := RunAIAComparison(spec); err == nil || !strings.Contains(err.Error(), "at least 2 rounds") {
+		t.Fatalf("Rounds 1: error %v, want one naming at least 2 rounds", err)
+	}
+}

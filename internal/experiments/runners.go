@@ -395,14 +395,8 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 // evaluator, so per-placement CIA instances can share one scratch
 // model.
 type targetView struct {
-	ev Evaluatorish
+	ev *attack.RecommenderEval
 	t  int
-}
-
-// Evaluatorish is the subset of attack.Evaluator targetView needs.
-type Evaluatorish interface {
-	Load(*param.Set)
-	Score(sender, t int) float64
 }
 
 func (v *targetView) Load(s *param.Set)           { v.ev.Load(s) }

@@ -63,6 +63,9 @@ type AIAComparison struct {
 // detecting one community in FL, against CIA on the same uploads
 // (paper: 40% vs 62%).
 func RunAIAComparison(spec Spec) (AIAComparison, error) {
+	if spec.Rounds < 2 {
+		return AIAComparison{}, fmt.Errorf("experiments: sec8c2 needs at least 2 rounds (a warm-up half, then an observed half), got %d", spec.Rounds)
+	}
 	d, err := MakeDataset("movielens", spec)
 	if err != nil {
 		return AIAComparison{}, err

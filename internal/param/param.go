@@ -250,13 +250,6 @@ func (s *Set) CopyShared(src *Set) int {
 	return n
 }
 
-// Zero sets every parameter to zero.
-func (s *Set) Zero() {
-	for _, e := range s.entries {
-		mathx.Zero(e.Data)
-	}
-}
-
 // Axpy computes s += alpha*x element-wise (shapes must match).
 func (s *Set) Axpy(alpha float64, x *Set) {
 	sameShape("Axpy", s, x)
@@ -316,32 +309,6 @@ func (s *Set) AddNoise(noise func() float64, stddev float64) {
 			e.Data[i] += stddev * noise()
 		}
 	}
-}
-
-// WeightedSum overwrites dst with sum_i weights[i]*sets[i]. All sets
-// (and dst) must share the same shape. Weights are used as given; the
-// caller normalizes if averaging is intended.
-func WeightedSum(dst *Set, sets []*Set, weights []float64) {
-	if len(sets) != len(weights) {
-		panic("param: WeightedSum sets/weights length mismatch")
-	}
-	dst.Zero()
-	for i, s := range sets {
-		dst.Axpy(weights[i], s)
-	}
-}
-
-// UniformAverage overwrites dst with the unweighted mean of sets.
-// It panics on an empty input.
-func UniformAverage(dst *Set, sets []*Set) {
-	if len(sets) == 0 {
-		panic("param: UniformAverage of no sets")
-	}
-	w := make([]float64, len(sets))
-	for i := range w {
-		w[i] = 1 / float64(len(sets))
-	}
-	WeightedSum(dst, sets, w)
 }
 
 // Equal reports whether a and b have the same structure and all values

@@ -20,48 +20,6 @@ func sanitize(vs []float64) []float64 {
 	return out
 }
 
-// WeightedSum is linear: WeightedSum(a, w) + WeightedSum(b, w) ==
-// WeightedSum(a+b, w) element-wise.
-func TestWeightedSumLinearityProperty(t *testing.T) {
-	f := func(rawA, rawB []float64, w1, w2 float64) bool {
-		va, vb := sanitize(rawA), sanitize(rawB)
-		if math.IsNaN(w1) || math.IsInf(w1, 0) {
-			w1 = 0.5
-		}
-		if math.IsNaN(w2) || math.IsInf(w2, 0) {
-			w2 = 0.25
-		}
-		w1, w2 = math.Mod(w1, 100), math.Mod(w2, 100)
-
-		a := newTestSet(va...)
-		b := newTestSet(vb...)
-		sum := newTestSet(va...)
-		sum.Axpy(1, b)
-
-		lhs := newTestSet()
-		WeightedSum(lhs, []*Set{a, b}, []float64{w1, w2})
-
-		rhsA := newTestSet()
-		WeightedSum(rhsA, []*Set{a}, []float64{w1})
-		rhsB := newTestSet()
-		WeightedSum(rhsB, []*Set{b}, []float64{w2})
-		rhsA.Axpy(1, rhsB)
-
-		scale := math.Abs(w1) + math.Abs(w2) + 1
-		var maxAbs float64
-		for _, v := range append(va, vb...) {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		tol := 1e-9 * scale * (maxAbs + 1)
-		return Equal(lhs, rhsA, tol)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Filter(names) and Without(names) partition the entry set.
 func TestFilterWithoutComplementProperty(t *testing.T) {
 	f := func(raw []float64, keepBias bool) bool {

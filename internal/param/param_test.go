@@ -144,10 +144,6 @@ func TestAxpyScaleZero(t *testing.T) {
 	if s.Get("bias")[1] != 2.5 {
 		t.Fatalf("Scale wrong: %v", s.Get("bias"))
 	}
-	s.Zero()
-	if s.L2Norm() != 0 {
-		t.Fatal("Zero left nonzero params")
-	}
 }
 
 func TestLerpMomentumSemantics(t *testing.T) {
@@ -192,29 +188,6 @@ func TestAddNoiseZeroStddevNoop(t *testing.T) {
 	if s.Get("bias")[0] != 3 {
 		t.Fatalf("AddNoise wrong: %v", s.Get("bias")[0])
 	}
-}
-
-func TestWeightedSumAndUniformAverage(t *testing.T) {
-	a := newTestSet(1, 1, 1, 1, 1, 1)
-	b := newTestSet(3, 3, 3, 3, 3, 3)
-	dst := newTestSet()
-	WeightedSum(dst, []*Set{a, b}, []float64{0.25, 0.75})
-	if !almost(dst.Get("bias")[0], 2.5) {
-		t.Fatalf("WeightedSum = %v", dst.Get("bias")[0])
-	}
-	UniformAverage(dst, []*Set{a, b})
-	if !almost(dst.Get("emb")[0], 2) {
-		t.Fatalf("UniformAverage = %v", dst.Get("emb")[0])
-	}
-}
-
-func TestUniformAveragePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UniformAverage(newTestSet(), nil)
 }
 
 func TestMismatchedStructurePanics(t *testing.T) {
