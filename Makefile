@@ -67,8 +67,8 @@ chaos:
 #	benchstat old.txt new.txt
 bench:
 	$(GO) test -run='^$$' -count=$(BENCH_COUNT) -benchmem \
-		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCIAEndRound|BenchmarkRefreshFictive|BenchmarkTrainLocal|BenchmarkCodecThroughput' \
-		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/
+		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCIAEndRound|BenchmarkRefreshFictive|BenchmarkTrainLocal|BenchmarkCodecThroughput|BenchmarkTrueCommunities' \
+		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/ ./internal/evalx/
 
 # Full paper-table reproduction pass (one iteration per table).
 bench-tables:

@@ -38,6 +38,11 @@ type Policy interface {
 	// falls back to plain allocation); payloads drawn from it are
 	// returned to it by the simulator once the round is over.
 	Outgoing(m model.Recommender, prev *param.Set, rng *rand.Rand, buf *param.Buffers) *param.Set
+
+	// ReadsSnapshot reports whether PrepareTrain or Outgoing reads the
+	// pre-training snapshot (received / prev). When it does not, the
+	// simulators skip copying the model and pass nil.
+	ReadsSnapshot() bool
 }
 
 // FullSharing is the no-defense baseline: the complete model is shared
@@ -48,6 +53,9 @@ var _ Policy = FullSharing{}
 
 // Name implements Policy.
 func (FullSharing) Name() string { return "full" }
+
+// ReadsSnapshot implements Policy: the full model needs no baseline.
+func (FullSharing) ReadsSnapshot() bool { return false }
 
 // PrepareTrain implements Policy (no adjustment).
 func (FullSharing) PrepareTrain(*model.TrainOptions, model.Recommender, *param.Set) {}
@@ -69,6 +77,9 @@ var _ Policy = ShareLess{}
 
 // Name implements Policy.
 func (ShareLess) Name() string { return "share-less" }
+
+// ReadsSnapshot implements Policy: the snapshot is the drift reference.
+func (ShareLess) ReadsSnapshot() bool { return true }
 
 // PrepareTrain implements Policy: enables the item-drift regularizer
 // against the received payload. On the first round (no payload yet)
@@ -117,6 +128,9 @@ var _ Policy = DPSGD{}
 
 // Name implements Policy.
 func (DPSGD) Name() string { return "dp-sgd" }
+
+// ReadsSnapshot implements Policy: the snapshot is the delta baseline.
+func (DPSGD) ReadsSnapshot() bool { return true }
 
 // PrepareTrain implements Policy: enables per-example clipping.
 func (p DPSGD) PrepareTrain(opt *model.TrainOptions, _ model.Recommender, _ *param.Set) {

@@ -27,6 +27,9 @@ var _ Policy = TopKSparsify{}
 // Name implements Policy.
 func (TopKSparsify) Name() string { return "topk-sparsify" }
 
+// ReadsSnapshot implements Policy: the snapshot is the delta baseline.
+func (TopKSparsify) ReadsSnapshot() bool { return true }
+
 // PrepareTrain implements Policy (no adjustment to local training).
 func (TopKSparsify) PrepareTrain(*model.TrainOptions, model.Recommender, *param.Set) {}
 

@@ -6,6 +6,7 @@ package evalx
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/mathx"
@@ -14,30 +15,92 @@ import (
 // TrueCommunity returns the ground-truth community for a target item
 // set: the k users whose training sets are most Jaccard-similar to
 // target (Eq. 5). Ties break by ascending user id for determinism.
+// Duplicate target items count once.
 func TrueCommunity(d *dataset.Dataset, target []int, k int) map[int]struct{} {
-	targetSet := make(map[int]struct{}, len(target))
-	for _, it := range target {
-		targetSet[it] = struct{}{}
-	}
-	sims := make([]float64, d.NumUsers)
-	for u := 0; u < d.NumUsers; u++ {
-		sims[u] = mathx.JaccardInt(targetSet, d.TrainSet(u))
-	}
-	top := mathx.TopK(sims, k)
-	out := make(map[int]struct{}, len(top))
-	for _, u := range top {
-		out[u] = struct{}{}
-	}
-	return out
+	set := append([]int(nil), target...)
+	slices.Sort(set)
+	return newJaccardIndex(d).community(slices.Compact(set), k)
 }
 
 // TrueCommunities computes the ground truth for the paper's standard
 // protocol where every user u plays the adversary with
 // V_target = Train[u]: element a is the community for target user a.
 func TrueCommunities(d *dataset.Dataset, k int) []map[int]struct{} {
+	ix := newJaccardIndex(d)
 	out := make([]map[int]struct{}, d.NumUsers)
-	for a := 0; a < d.NumUsers; a++ {
-		out[a] = TrueCommunity(d, d.Train[a], k)
+	for a := range out {
+		out[a] = ix.community(d.Train[a], k)
+	}
+	return out
+}
+
+// jaccardIndex ranks users by Jaccard similarity to a target item set
+// through an item→users posting index: the intersection sizes
+// |target ∩ Train[u]| for every u come from walking the posting lists
+// of the target's items, so a target costs the summed popularity of
+// its items plus one pass over the users, with no set probes.
+type jaccardIndex struct {
+	d      *dataset.Dataset
+	users  [][]int   // users[i]: the users whose training set holds item i
+	inter  []int     // per-user intersection counts of the current target
+	scores []float64 // per-user Jaccard similarity of the current target
+	top    []int     // TopKSelect's reused result buffer
+}
+
+func newJaccardIndex(d *dataset.Dataset) *jaccardIndex {
+	deg := make([]int, d.NumItems)
+	var total int
+	for _, items := range d.Train {
+		for _, it := range items {
+			deg[it]++
+		}
+		total += len(items)
+	}
+	flat := make([]int, 0, total)
+	users := make([][]int, d.NumItems)
+	for i, n := range deg {
+		users[i] = flat[len(flat) : len(flat) : len(flat)+n]
+		flat = flat[:len(flat)+n]
+	}
+	for u, items := range d.Train {
+		for _, it := range items {
+			users[it] = append(users[it], u)
+		}
+	}
+	return &jaccardIndex{
+		d:      d,
+		users:  users,
+		inter:  make([]int, d.NumUsers),
+		scores: make([]float64, d.NumUsers),
+	}
+}
+
+// community returns the k users most Jaccard-similar to target, which
+// must hold no duplicates; items outside the catalogue match nobody.
+// Each score is formed from the integer counts exactly as
+// mathx.JaccardInt forms it, and TopKSelect breaks ties by ascending
+// user id, so the result equals ranking JaccardInt scores with TopK.
+func (ix *jaccardIndex) community(target []int, k int) map[int]struct{} {
+	for _, it := range target {
+		if it >= 0 && it < len(ix.users) {
+			for _, u := range ix.users[it] {
+				ix.inter[u]++
+			}
+		}
+	}
+	for u, items := range ix.d.Train {
+		inter := ix.inter[u]
+		if union := len(target) + len(items) - inter; union > 0 {
+			ix.scores[u] = float64(inter) / float64(union)
+		} else {
+			ix.scores[u] = 0
+		}
+		ix.inter[u] = 0
+	}
+	ix.top = mathx.TopKSelect(ix.scores, nil, k, ix.top)
+	out := make(map[int]struct{}, len(ix.top))
+	for _, u := range ix.top {
+		out[u] = struct{}{}
 	}
 	return out
 }

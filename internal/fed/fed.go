@@ -230,9 +230,6 @@ type clientState struct {
 	// privateRows maps private entry name → the client's own row.
 	// Empty until first populated; absent entries mean "use global".
 	privateRows map[string][]float64
-	// lastReceived is the payload the client installed most recently
-	// (the Share-less drift reference).
-	lastReceived *param.Set
 }
 
 // Simulation is a running federated system. Create with New, then call
@@ -251,6 +248,7 @@ type Simulation struct {
 
 	workers   int
 	scratches []model.Recommender // per-worker client workspaces
+	snapshots []*param.Set        // per-worker pre-training snapshots (see clientRound)
 	pool      param.Buffers       // payload free-list
 	payloads  []*param.Set        // per-round payload hand-off to the folder, by sample index
 	dropped   []bool              // per-round dropout decisions, by sample index
@@ -429,6 +427,7 @@ func New(cfg Config) (*Simulation, error) {
 	// feeding per-(round, user) counter-derived streams.
 	s.eval = model.NewEval(cfg.Dataset, s.workers, cfg.Seed^0xabcdef)
 	s.evalPrev = make([]int, len(s.scratches))
+	s.snapshots = make([]*param.Set, len(s.scratches))
 	for u := range s.clients {
 		s.clients[u] = clientState{
 			rng:         mathx.Split(rng),
@@ -636,24 +635,33 @@ func (s *Simulation) clientRound(round, u, w int, m model.Recommender, bcast tra
 		return nil
 	}
 	s.installPrivateRows(m, u)
-	st.lastReceived = m.Params().CloneInto(st.lastReceived)
 
-	prev := st.lastReceived // pre-training snapshot (same values)
+	// The pre-training snapshot is the model the client just installed:
+	// the Share-less drift reference, the DP-SGD/sparsification delta
+	// baseline and a Byzantine adversary's echo reference. Only those
+	// read it, and never past this call, so it lives in a per-worker
+	// buffer and is skipped when nothing reads it.
+	var prev *param.Set
+	byz := s.cfg.Byzantine != nil && s.cfg.Byzantine.IsAdversary(u)
+	if byz || s.cfg.Policy.ReadsSnapshot() {
+		s.snapshots[w] = m.Params().CloneInto(s.snapshots[w])
+		prev = s.snapshots[w]
+	}
 	opt := s.cfg.Train
 	opt.Rand = st.rng
-	s.cfg.Policy.PrepareTrain(&opt, m, st.lastReceived)
+	s.cfg.Policy.PrepareTrain(&opt, m, prev)
 	trainStart := s.cfg.Tracer.Start()
 	m.TrainLocal(s.cfg.Dataset, u, opt)
 	s.cfg.Tracer.Span(w, obs.PhaseTrain, round, u, trainStart)
 
 	s.capturePrivateRows(m, u)
 	payload := s.cfg.Policy.Outgoing(m, prev, st.rng, &s.pool)
-	if s.cfg.Byzantine != nil && s.cfg.Byzantine.IsAdversary(u) {
+	if byz {
 		// Active adversary: corrupt the outgoing payload in place,
 		// reflecting around / echoing the model this client received.
 		// Deterministic (counter-based streams only) and applied before
 		// the transport, so the Observer sees the corrupted upload.
-		s.cfg.Byzantine.Corrupt(round, u, payload, st.lastReceived)
+		s.cfg.Byzantine.Corrupt(round, u, payload, prev)
 		s.byzantineUploads.Add(1)
 	}
 	return payload

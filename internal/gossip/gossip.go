@@ -232,8 +232,9 @@ type node struct {
 	nextRefresh int
 	inbox       []Message
 	// preTrain snapshots the node's parameters after aggregation and
-	// before local training: the GL drift reference e_{j,u}^{t-1} and
-	// the DP delta baseline.
+	// before local training: the GL drift reference e_{j,u}^{t-1}, the
+	// DP delta baseline and a Byzantine adversary's echo reference. It
+	// stays nil for a node nothing reads it for (see New).
 	preTrain *param.Set
 	// probe is a fixed random item sample used by Pers-Gossip to
 	// baseline candidate-model relevance (lazily initialized).
@@ -389,10 +390,9 @@ func New(cfg Config) (*Simulation, error) {
 			return nil, fmt.Errorf("gossip: model shape %d/%d mismatches dataset %d/%d",
 				m.NumUsers(), m.NumItems(), n, cfg.Dataset.NumItems)
 		}
-		s.nodes[u] = node{
-			m:        m,
-			rng:      mathx.Split(rng),
-			preTrain: m.Params().Clone(),
+		s.nodes[u] = node{m: m, rng: mathx.Split(rng)}
+		if cfg.Policy.ReadsSnapshot() || cfg.Byzantine != nil && cfg.Byzantine.IsAdversary(u) {
+			s.nodes[u].preTrain = m.Params().Clone()
 		}
 	}
 	for u := range s.nodes {
@@ -571,7 +571,9 @@ func (s *Simulation) RunRound() {
 			nd.inbox = nd.inbox[:0]
 			s.cfg.Tracer.Span(w, obs.PhaseAggregate, round, u, aggStart)
 		}
-		nd.preTrain = nd.m.Params().CloneInto(nd.preTrain)
+		if nd.preTrain != nil {
+			nd.preTrain = nd.m.Params().CloneInto(nd.preTrain)
+		}
 		opt := s.cfg.Train
 		opt.Rand = nd.rng
 		s.cfg.Policy.PrepareTrain(&opt, nd.m, nd.preTrain)
@@ -608,41 +610,63 @@ func (s *Simulation) RunRound() {
 // nobody sent keep the stale values — there is nothing fresher).
 func (s *Simulation) aggregateInbox(nd *node, dropOwn bool) {
 	own := nd.m.Params()
+	var buf [8][]float64
 	for i := 0; i < own.Len(); i++ {
 		oe := own.At(i)
-		name := oe.Name
-		if dropOwn {
-			var cnt float64
-			for _, msg := range nd.inbox {
-				if !msg.Params.Has(name) {
-					continue
-				}
-				if cnt == 0 {
-					copy(oe.Data, msg.Params.Get(name))
-				} else {
-					mathx.Axpy(1, msg.Params.Get(name), oe.Data)
-				}
-				cnt++
-			}
-			if cnt > 1 {
-				mathx.Scale(1/cnt, oe.Data)
-			}
-			continue
-		}
-		// In-place: sum payloads into the live entry, then normalize.
-		// Same addition order as an explicit accumulator, zero
-		// allocation.
-		cnt := 1.0
+		srcs := buf[:0]
 		for _, msg := range nd.inbox {
-			if !msg.Params.Has(name) {
-				continue
+			if msg.Params.Has(oe.Name) {
+				srcs = append(srcs, msg.Params.Get(oe.Name))
 			}
-			mathx.Axpy(1, msg.Params.Get(name), oe.Data)
-			cnt++
 		}
-		if cnt > 1 {
-			mathx.Scale(1/cnt, oe.Data)
+		mergeEntry(oe.Data, srcs, dropOwn)
+	}
+}
+
+// mergeEntry overwrites own with the uniform average of own (left out
+// when dropOwn) and srcs. Each coordinate sums own, then srcs in inbox
+// order, and is multiplied by 1/count: the additions and the product
+// of one Axpy pass per source followed by one Scale pass, so the
+// result is bit-identical to them. It takes two sources per pass and
+// folds the scaling into the last one; partial sums stored in own are
+// exact, so the chunking changes no rounding. With no source own keeps
+// its values; under dropOwn a single source is copied.
+func mergeEntry(own []float64, srcs [][]float64, dropOwn bool) {
+	if len(srcs) == 0 {
+		return
+	}
+	for _, src := range srcs {
+		if len(src) != len(own) {
+			panic(fmt.Sprintf("gossip: merge length mismatch %d != %d", len(src), len(own)))
 		}
+	}
+	acc, rest, n := own, srcs, len(srcs)+1
+	if dropOwn {
+		acc, rest, n = srcs[0], srcs[1:], len(srcs)
+	}
+	if n == 1 {
+		copy(own, acc)
+		return
+	}
+	acc = acc[:len(own)]
+	for len(rest) > 2 {
+		r0, r1 := rest[0][:len(own)], rest[1][:len(own)]
+		for j := range own {
+			own[j] = acc[j] + r0[j] + r1[j]
+		}
+		acc, rest = own, rest[2:]
+	}
+	inv := 1 / float64(n)
+	r0 := rest[0][:len(own)]
+	if len(rest) == 1 {
+		for j := range own {
+			own[j] = (acc[j] + r0[j]) * inv
+		}
+		return
+	}
+	r1 := rest[1][:len(own)]
+	for j := range own {
+		own[j] = (acc[j] + r0[j] + r1[j]) * inv
 	}
 }
 

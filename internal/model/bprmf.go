@@ -174,18 +174,20 @@ func (m *BPRMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 	}
 	order := make([]int, len(items))
 	copy(order, items)
+	ref := opt.driftRows(BPRMFItemEmb)
 	for e := 0; e < opt.Epochs; e++ {
 		mathx.Shuffle(opt.Rand, order)
 		for _, pos := range order {
 			for n := 0; n < opt.NegPerPos; n++ {
-				m.bprStep(u, pos, d.SampleNegative(opt.Rand, u), opt)
+				m.bprStep(u, pos, d.SampleNegative(opt.Rand, u), opt, ref)
 			}
 		}
 	}
 }
 
 // bprStep: z = s(u,pos) − s(u,neg); loss −logσ(z); dL/dz = −σ(−z).
-func (m *BPRMF) bprStep(u, pos, neg int, opt TrainOptions) {
+// ref is the drift reference of the item table (nil when off).
+func (m *BPRMF) bprStep(u, pos, neg int, opt TrainOptions, ref []float64) {
 	p := m.userEmb.Row(u)
 	qp, qn := m.itemEmb.Row(pos), m.itemEmb.Row(neg)
 	z := m.score(p, pos) - m.score(p, neg)
@@ -226,8 +228,7 @@ func (m *BPRMF) bprStep(u, pos, neg int, opt TrainOptions) {
 	m.itemBias[pos] -= lr*dBp + opt.LR*opt.L2*m.itemBias[pos]
 	m.itemBias[neg] -= lr*dBn + opt.LR*opt.L2*m.itemBias[neg]
 
-	if opt.DriftTau > 0 {
-		ref := opt.DriftRef.Get(BPRMFItemEmb)
+	if ref != nil {
 		for _, it := range [2]int{pos, neg} {
 			base := it * dim
 			mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+dim], m.itemEmb.Row(it))

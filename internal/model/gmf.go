@@ -206,12 +206,13 @@ func (m *GMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 		return
 	}
 	m.order = append(m.order[:0], items...)
+	ref := opt.driftRows(GMFItemEmb)
 	for e := 0; e < opt.Epochs; e++ {
 		mathx.Shuffle(opt.Rand, m.order)
 		for _, pos := range m.order {
-			m.sgdStep(u, pos, 1, &opt)
+			m.sgdStep(u, pos, 1, &opt, ref)
 			for n := 0; n < opt.NegPerPos; n++ {
-				m.sgdStep(u, d.SampleNegative(opt.Rand, u), 0, &opt)
+				m.sgdStep(u, d.SampleNegative(opt.Rand, u), 0, &opt, ref)
 			}
 		}
 	}
@@ -223,8 +224,9 @@ func (m *GMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 // gradient reads only coordinate k's pre-step values, so the fused pass
 // is bit-identical to building every gradient first. A per-example clip
 // needs the whole gradient's norm before any update, which a separate
-// pass computes.
-func (m *GMF) sgdStep(u, item int, label float64, opt *TrainOptions) {
+// pass computes. ref is the drift reference of the item table (nil when
+// the drift regularizer is off).
+func (m *GMF) sgdStep(u, item int, label float64, opt *TrainOptions, ref []float64) {
 	p := m.userEmb.Row(u)
 	q := m.itemEmb.Row(item)
 	h := m.h
@@ -256,8 +258,7 @@ func (m *GMF) sgdStep(u, item int, label float64, opt *TrainOptions) {
 
 	// Share-less drift regularizer (Eq. 2): pull the touched item
 	// embedding towards its reference value.
-	if opt.DriftTau > 0 {
-		ref := opt.DriftRef.Get(GMFItemEmb)
+	if ref != nil {
 		base := item * m.dim
 		mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+m.dim], q)
 	}

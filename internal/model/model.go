@@ -162,6 +162,17 @@ func (o TrainOptions) withDefaults(lr, l2 float64) TrainOptions {
 	return o
 }
 
+// driftRows returns DriftRef's values of entry, or nil when the drift
+// regularizer is off. TrainLocal resolves them once and passes them to
+// every SGD step, which drifts the rows it touched only when they are
+// non-nil.
+func (o *TrainOptions) driftRows(entry string) []float64 {
+	if o.DriftTau <= 0 {
+		return nil
+	}
+	return o.DriftRef.Get(entry)
+}
+
 // defaults fills the zero-valued knobs without requiring Rand: the
 // RNG-free fictive fit runs on it.
 func (o TrainOptions) defaults(lr, l2 float64) TrainOptions {

@@ -323,19 +323,22 @@ func (m *NeuMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 	}
 	order := make([]int, len(items))
 	copy(order, items)
+	refG, refM := opt.driftRows(NeuMFItemEmbGMF), opt.driftRows(NeuMFItemEmbMLP)
 	for e := 0; e < opt.Epochs; e++ {
 		mathx.Shuffle(opt.Rand, order)
 		for _, pos := range order {
-			m.sgdStep(u, pos, 1, opt)
+			m.sgdStep(u, pos, 1, opt, refG, refM)
 			for n := 0; n < opt.NegPerPos; n++ {
-				m.sgdStep(u, d.SampleNegative(opt.Rand, u), 0, opt)
+				m.sgdStep(u, d.SampleNegative(opt.Rand, u), 0, opt, refG, refM)
 			}
 		}
 	}
 }
 
 // sgdStep applies one (user, item, label) BCE step through both towers.
-func (m *NeuMF) sgdStep(u, it int, label float64, opt TrainOptions) {
+// refG and refM are the drift references of the two item tables (nil
+// when the drift regularizer is off).
+func (m *NeuMF) sgdStep(u, it int, label float64, opt TrainOptions, refG, refM []float64) {
 	pg, pm := m.userG.Row(u), m.userM.Row(u)
 	qg, qm := m.itemG.Row(it), m.itemM.Row(it)
 	g := mathx.Sigmoid(m.forward(pg, pm, it)) - label // dL/dlogit
@@ -421,15 +424,10 @@ func (m *NeuMF) sgdStep(u, it int, label float64, opt TrainOptions) {
 	}
 
 	// Share-less drift regularizer on both item tables.
-	if opt.DriftTau > 0 {
-		for _, pair := range [2]struct {
-			entry string
-			row   []float64
-		}{{NeuMFItemEmbGMF, qg}, {NeuMFItemEmbMLP, qm}} {
-			ref := opt.DriftRef.Get(pair.entry)
-			base := it * dim
-			mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+dim], pair.row)
-		}
+	if refG != nil {
+		base := it * dim
+		mathx.DriftToward(opt.LR*2*opt.DriftTau, refG[base:base+dim], qg)
+		mathx.DriftToward(opt.LR*2*opt.DriftTau, refM[base:base+dim], qm)
 	}
 }
 

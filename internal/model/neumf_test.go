@@ -60,7 +60,7 @@ func TestNeuMFNumericalGradient(t *testing.T) {
 
 	before := m.Params().Clone()
 	const lr = 1e-5
-	m.sgdStep(u, it, label, TrainOptions{LR: lr, L2: -1, NegPerPos: 1, Epochs: 1, Rand: mathx.NewRand(1)}.withDefaults(lr, 0))
+	m.sgdStep(u, it, label, TrainOptions{LR: lr, L2: -1, NegPerPos: 1, Epochs: 1, Rand: mathx.NewRand(1)}.withDefaults(lr, 0), nil, nil)
 	after := m.Params().Clone()
 	m.Params().CopyFrom(before)
 

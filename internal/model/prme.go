@@ -302,6 +302,7 @@ func (m *PRME) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 	if len(seq) == 0 {
 		return
 	}
+	pref, seqRef := opt.driftRows(PRMEItemEmbPref), opt.driftRows(PRMEItemEmbSeq)
 	for e := 0; e < opt.Epochs; e++ {
 		for t := 0; t < len(seq); t++ {
 			prev := -1
@@ -311,7 +312,7 @@ func (m *PRME) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 			pos := seq[t]
 			for n := 0; n < opt.NegPerPos; n++ {
 				neg := d.SampleNegative(opt.Rand, u)
-				m.bprStep(u, prev, pos, neg, &opt)
+				m.bprStep(u, prev, pos, neg, &opt, pref, seqRef)
 			}
 		}
 	}
@@ -329,7 +330,9 @@ func (m *PRME) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 // that alias (prev == pos, say) are written in the order and re-read as
 // the separate passes did, so the step is bit-identical to computing
 // every gradient first, then updating, then clipping row by row.
-func (m *PRME) bprStep(u, prev, pos, neg int, opt *TrainOptions) {
+// pref and seqRef are the drift references of the two item tables (nil
+// when the drift regularizer is off).
+func (m *PRME) bprStep(u, prev, pos, neg int, opt *TrainOptions, pref, seqRef []float64) {
 	uvec := m.userEmb.Row(u)
 	lp, ln := m.itemPref.Row(pos), m.itemPref.Row(neg)
 	lp, ln = lp[:len(uvec)], ln[:len(uvec)]
@@ -417,13 +420,13 @@ func (m *PRME) bprStep(u, prev, pos, neg int, opt *TrainOptions) {
 	}
 
 	// Share-less drift regularizer (Eq. 2) on the touched item rows.
-	if opt.DriftTau > 0 {
-		m.drift(pos, PRMEItemEmbPref, m.itemPref, opt)
-		m.drift(neg, PRMEItemEmbPref, m.itemPref, opt)
+	if pref != nil {
+		m.drift(pos, pref, m.itemPref, opt)
+		m.drift(neg, pref, m.itemPref, opt)
 		if prev >= 0 {
-			m.drift(prev, PRMEItemEmbSeq, m.itemSeq, opt)
-			m.drift(pos, PRMEItemEmbSeq, m.itemSeq, opt)
-			m.drift(neg, PRMEItemEmbSeq, m.itemSeq, opt)
+			m.drift(prev, seqRef, m.itemSeq, opt)
+			m.drift(pos, seqRef, m.itemSeq, opt)
+			m.drift(neg, seqRef, m.itemSeq, opt)
 		}
 	}
 }
@@ -487,8 +490,7 @@ func sqNorm(row []float64) float64 {
 	return s
 }
 
-func (m *PRME) drift(item int, entry string, mat *mathx.Matrix, opt *TrainOptions) {
-	ref := opt.DriftRef.Get(entry)
+func (m *PRME) drift(item int, ref []float64, mat *mathx.Matrix, opt *TrainOptions) {
 	base := item * m.dim
 	mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+m.dim], mat.Row(item))
 }

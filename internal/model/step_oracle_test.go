@@ -225,7 +225,7 @@ func TestGMFStepMatchesOracle(t *testing.T) {
 			opt.Rand = r
 			opt = opt.withDefaults(gmfDefaultLR, gmfDefaultL2)
 			u, item, label := r.IntN(users), r.IntN(items), float64(r.IntN(2))
-			m.sgdStep(u, item, label, &opt)
+			m.sgdStep(u, item, label, &opt, opt.driftRows(GMFItemEmb))
 			oracleGMFStep(o, u, item, label, opt)
 			requireSameParams(t, "gmf step", m.Params(), o.Params())
 		}
@@ -282,7 +282,7 @@ func TestPRMEStepMatchesOracle(t *testing.T) {
 			default:
 				prev = r.IntN(items)
 			}
-			m.bprStep(u, prev, pos, neg, &opt)
+			m.bprStep(u, prev, pos, neg, &opt, opt.driftRows(PRMEItemEmbPref), opt.driftRows(PRMEItemEmbSeq))
 			oraclePRMEStep(o, u, prev, pos, neg, opt)
 			requireSameParams(t, "prme step", m.Params(), o.Params())
 		}

@@ -418,10 +418,13 @@ func cpq1Receiver(data []byte) (recv, ref *Set) {
 		p += int(nameLen)
 		rows, ok1 := u32()
 		cols, ok2 := u32()
-		size := int(rows) * int(cols)
-		if !ok1 || !ok2 || rows > 1<<16 || cols > 1<<16 || total+size > 1<<16 || recv.Has(name) || p >= len(data) {
+		// Bounded in uint64 before it is used: the product of two u32
+		// fields overflows int on 32-bit platforms.
+		size64 := uint64(rows) * uint64(cols)
+		if !ok1 || !ok2 || rows > 1<<16 || cols > 1<<16 || uint64(total)+size64 > 1<<16 || recv.Has(name) || p >= len(data) {
 			return recv, ref
 		}
+		size := int(size64)
 		total += size
 		vals := make([]float64, size)
 		for j := range vals {
