@@ -153,9 +153,9 @@ func renderTraffic(rows []AttackRow) string {
 	}
 	var b strings.Builder
 	b.WriteString("-- transport traffic per run --\n")
-	fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8s %9s %8s %9s %8s %7s %6s",
+	fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8s %9s %8s %9s %7s %6s",
 		"dataset", "model", "setting", "backend",
-		"msgs", "MB", "bcasts", "bcastMB", "chunks", "rtrips", "reconn")
+		"msgs", "MB", "bcasts", "bcastMB", "rtrips", "reconn")
 	if comp {
 		fmt.Fprintf(&b, " %9s %6s", "rawMB", "ratio")
 	}
@@ -169,11 +169,11 @@ func renderTraffic(rows []AttackRow) string {
 		}
 		st := r.Metrics
 		count := func(name string) int64 { return int64(st[name]) }
-		fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8d %9.2f %8d %9.2f %8d %7d %6d",
+		fmt.Fprintf(&b, "%-12s %-6s %-22s %-11s %8d %9.2f %8d %9.2f %7d %6d",
 			r.Dataset, r.Model, r.Setting, r.Transport,
 			count("transport_messages_total"), st["transport_bytes_total"]/(1<<20),
 			count("transport_broadcast_messages_total"), st["transport_broadcast_bytes_total"]/(1<<20),
-			count("transport_chunks_total"), count("transport_round_trips_total"), count("transport_reconnects_total"))
+			count("transport_round_trips_total"), count("transport_reconnects_total"))
 		if comp {
 			raw := st["transport_raw_bytes_total"] + st["transport_raw_broadcast_bytes_total"]
 			moved := st["transport_bytes_total"] + st["transport_broadcast_bytes_total"]

@@ -8,10 +8,10 @@ import (
 	"github.com/collablearn/ciarec/internal/param"
 )
 
-// compressor is the codec-selection state shared by the concrete
-// backends: the configured Compression level and, while a broadcast is
-// open, the round's broadcast source — the delta reference point-to-
-// point uploads are coded against.
+// compressor is the codec-selection state of the serializing path
+// (Wire, Socket, compressed inproc): the configured Compression level
+// and, while a broadcast is open, the round's broadcast source — the
+// delta reference point-to-point uploads are coded against.
 //
 // The reference is published with an atomic pointer because the
 // simulators call Send from inside their parallel regions while the

@@ -21,11 +21,21 @@ func compressedBackends(t *testing.T, comp param.Compression) []Transport {
 	return ts
 }
 
+// traffic keeps the Stats counters every backend fills, dropping the
+// RPC counters only socket has.
+func traffic(st Stats) Stats {
+	return Stats{
+		Messages: st.Messages, Bytes: st.Bytes,
+		BroadcastMessages: st.BroadcastMessages, BroadcastBytes: st.BroadcastBytes,
+		RawBytes: st.RawBytes, RawBroadcastBytes: st.RawBroadcastBytes,
+	}
+}
+
 // A compressed round — broadcast out, perturbed payload back — must
-// compute bit-identical values on every backend: inproc applies the
-// same encode→decode the serializing backends do, and the socket
-// server only relays bytes. The received values must also stay within
-// the codec's documented error bound of what was sent.
+// compute bit-identical values, and count identical traffic, on every
+// backend: compressed inproc is the serializing path Wire runs, and the
+// socket server only relays bytes. The received values must also stay
+// within the codec's documented error bound of what was sent.
 func TestCompressedBackendsEquivalent(t *testing.T) {
 	for _, bits := range []int{8, 16} {
 		comp := param.Compression{Bits: bits}
@@ -33,6 +43,7 @@ func TestCompressedBackendsEquivalent(t *testing.T) {
 			type result struct {
 				name            string
 				bcast, received *param.Set
+				traffic         Stats
 			}
 			var results []result
 			for _, tr := range compressedBackends(t, comp) {
@@ -81,7 +92,7 @@ func TestCompressedBackendsEquivalent(t *testing.T) {
 						}
 					}
 				}
-				results = append(results, result{tr.Name(), dst, got.Clone()})
+				results = append(results, result{tr.Name(), dst, got.Clone(), traffic(tr.Stats())})
 				pool.Put(got)
 				tr.Close()
 			}
@@ -92,15 +103,20 @@ func TestCompressedBackendsEquivalent(t *testing.T) {
 				if !param.Equal(results[0].received, r.received, 0) {
 					t.Errorf("received values differ between %s and %s", results[0].name, r.name)
 				}
+				if r.traffic != results[0].traffic {
+					t.Errorf("traffic differs between %s %+v and %s %+v",
+						results[0].name, results[0].traffic, r.name, r.traffic)
+				}
 			}
 		})
 	}
 }
 
-// With compression off every backend must keep RawBytes == Bytes: the
-// dense codec is the raw accounting.
+// With compression off every backend must keep RawBytes == Bytes (the
+// dense codec is the raw accounting) and count identical traffic.
 func TestCompressionOffRawEqualsBytes(t *testing.T) {
-	for _, tr := range compressedBackends(t, param.Compression{}) {
+	var first Stats
+	for i, tr := range compressedBackends(t, param.Compression{}) {
 		var pool param.Buffers
 		src := testSet(1)
 		bc, err := tr.OpenBroadcast(0, src)
@@ -122,6 +138,11 @@ func TestCompressionOffRawEqualsBytes(t *testing.T) {
 		}
 		if st.RawBytes == 0 || st.RawBroadcastBytes == 0 {
 			t.Errorf("%s: raw byte counters not accumulated: %+v", tr.Name(), st)
+		}
+		if i == 0 {
+			first = traffic(st)
+		} else if traffic(st) != first {
+			t.Errorf("%s: traffic %+v differs from inproc %+v", tr.Name(), traffic(st), first)
 		}
 		tr.Close()
 	}

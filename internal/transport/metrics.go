@@ -12,7 +12,6 @@ var statsMetrics = []struct {
 	{"transport_bytes_total", func(s Stats) int64 { return s.Bytes }},
 	{"transport_broadcast_messages_total", func(s Stats) int64 { return s.BroadcastMessages }},
 	{"transport_broadcast_bytes_total", func(s Stats) int64 { return s.BroadcastBytes }},
-	{"transport_chunks_total", func(s Stats) int64 { return s.Chunks }},
 	{"transport_raw_bytes_total", func(s Stats) int64 { return s.RawBytes }},
 	{"transport_raw_broadcast_bytes_total", func(s Stats) int64 { return s.RawBroadcastBytes }},
 	{"transport_round_trips_total", func(s Stats) int64 { return s.RoundTrips }},

@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"github.com/collablearn/ciarec/internal/param"
 	"github.com/collablearn/ciarec/internal/transport/rpc"
@@ -26,20 +24,19 @@ import (
 // mode (transport.Dial) connects to an external worker (cmd/ciaworker)
 // and the same round spans OS processes.
 //
-// Like Wire, Socket panics on codec failures — the bytes come from the
-// matching encoder, so a parse failure is a bug. Network failures are a
-// runtime condition, handled by the client's RetryPolicy: a round-trip
-// that exhausts its attempts surfaces as a transfer error (wrapping
-// rpc.ErrUnavailable) for the simulators to treat as a lost message or
-// unreachable participant.
+// Socket runs the same serializing path as Wire; only the carry
+// differs. Unlike Wire it does not panic on a payload that fails to
+// decode: in dialed mode the relayed bytes come from another process,
+// so a response that does not parse is a transfer error
+// ("transport: socket send: …"), like a network failure. Network
+// failures are handled by the client's RetryPolicy: a round-trip that
+// exhausts its attempts surfaces as a transfer error wrapping
+// rpc.ErrUnavailable. The simulators treat either as a lost message or
+// an unreachable participant.
 type Socket struct {
-	counters
-	compressor
-	name string
-	cl   *rpc.Client
-	srv  *rpc.Server // loopback mode only
-	dir  string      // loopback unix socket temp dir
-	bufs sync.Pool   // *bytes.Buffer
+	serial
+	srv *rpc.Server // loopback mode only
+	dir string      // loopback unix socket temp dir
 }
 
 var _ Transport = (*Socket)(nil)
@@ -92,13 +89,8 @@ func dialSocket(network, addr string, policy rpc.RetryPolicy, comp param.Compres
 	if network == "tcp" {
 		name = "socket-tcp"
 	}
-	t := &Socket{name: name, cl: cl}
-	t.comp = comp
-	return t, nil
+	return &Socket{serial: serial{name: name, cl: cl, compressor: compressor{comp: comp}}}, nil
 }
-
-// Name implements Transport.
-func (t *Socket) Name() string { return t.name }
 
 // Stats implements Transport, adding the RPC exchange counters on top
 // of the shared traffic accounting.
@@ -126,134 +118,4 @@ func (t *Socket) Close() error {
 		os.RemoveAll(t.dir)
 	}
 	return err
-}
-
-func (t *Socket) getBuf() *bytes.Buffer {
-	if b, ok := t.bufs.Get().(*bytes.Buffer); ok {
-		b.Reset()
-		return b
-	}
-	return new(bytes.Buffer)
-}
-
-// encode marshals s into a pooled buffer and returns it with the
-// encoded length (delta-coded against ref in compressed mode).
-func (t *Socket) encode(s, ref *param.Set) (*bytes.Buffer, int64) {
-	buf := t.getBuf()
-	return buf, t.encodeSet(buf, s, ref)
-}
-
-// decodeFrame decodes an RPC response payload into dst, which must
-// have the encoded structure (and the encoder's ref in compressed
-// delta mode — the server relays the frame bytes untouched, so the
-// reference lives only on this, the encoding, side).
-func decodeFrame(f *rpc.Frame, dst, ref *param.Set) error {
-	var r bytes.Reader
-	r.Reset(f.Payload)
-	if _, err := dst.DecodeFromRef(&r, ref); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Send implements Transport: marshal, round-trip the bytes through the
-// RPC server, recycle the sender's set, and unmarshal the relayed
-// response into a pool-recycled set of the same structure. On RPC
-// failure (the server stayed unreachable through the RetryPolicy) the
-// payload has already been recycled, the receive set is returned to
-// the pool, and the error surfaces for the simulator to treat as a
-// lost message.
-func (t *Socket) Send(round, from int, payload *param.Set, pool *param.Buffers) (*param.Set, error) {
-	ref := t.sendRef(round)
-	wire := int64(payload.WireBytes())
-	buf, n := t.encode(payload, ref)
-	recv := pool.GetShaped(payload)
-	if recv == nil {
-		// Pool cold (first rounds): clone the payload for its structure;
-		// the decode below overwrites every value.
-		recv = payload.Clone()
-	}
-	pool.Put(payload)
-	err := t.cl.RoundTrip(rpc.MsgSend, uint32(round), uint32(from), buf.Bytes(), func(f *rpc.Frame) error {
-		if f.Type != rpc.MsgSendAck {
-			return fmt.Errorf("unexpected response type %d to send", f.Type)
-		}
-		return decodeFrame(f, recv, ref)
-	})
-	t.bufs.Put(buf)
-	if err != nil {
-		pool.Put(recv)
-		return nil, fmt.Errorf("transport: socket send: %w", err)
-	}
-	t.messages.Add(1)
-	t.bytes.Add(n)
-	t.rawBytes.Add(wire)
-	t.chunks.Add(1)
-	return recv, nil
-}
-
-// OpenBroadcast implements Transport: upload the encoded source once
-// (coded absolute — receivers have no reference yet); every Deliver
-// downloads and decodes it. In compressed mode the source also becomes
-// the round's delta reference for uploads until Close; the reference
-// never crosses the socket, so a server restart or relay cannot
-// desynchronize it.
-func (t *Socket) OpenBroadcast(round int, src *param.Set) (Broadcast, error) {
-	buf, n := t.encode(src, nil)
-	var id uint32
-	err := t.cl.RoundTrip(rpc.MsgBcastOpen, uint32(round), 0, buf.Bytes(), func(f *rpc.Frame) error {
-		if f.Type != rpc.MsgBcastOpened {
-			return fmt.Errorf("unexpected response type %d to broadcast open", f.Type)
-		}
-		id = f.ID
-		return nil
-	})
-	t.bufs.Put(buf)
-	if err != nil {
-		return nil, fmt.Errorf("transport: socket broadcast open: %w", err)
-	}
-	t.setRef(round, src)
-	return &socketBroadcast{t: t, round: uint32(round), id: id, n: n, wire: int64(src.WireBytes())}, nil
-}
-
-type socketBroadcast struct {
-	t     *Socket
-	round uint32
-	id    uint32
-	n     int64
-	wire  int64
-}
-
-// Deliver downloads the stored broadcast payload into dst. Concurrent
-// Delivers each ride their own pooled connection. On RPC failure dst
-// is unchanged and the error surfaces for the simulator to treat as an
-// unreachable receiver.
-func (b *socketBroadcast) Deliver(_ int, dst *param.Set) error {
-	err := b.t.cl.RoundTrip(rpc.MsgBcastGet, b.round, b.id, nil, func(f *rpc.Frame) error {
-		if f.Type != rpc.MsgBcastData {
-			return fmt.Errorf("unexpected response type %d to broadcast get", f.Type)
-		}
-		return decodeFrame(f, dst, nil)
-	})
-	if err != nil {
-		return fmt.Errorf("transport: socket broadcast deliver: %w", err)
-	}
-	b.t.bMessages.Add(1)
-	b.t.bBytes.Add(b.n)
-	b.t.rawBBytes.Add(b.wire)
-	b.t.chunks.Add(1)
-	return nil
-}
-
-// Close releases the server-side broadcast storage. A close that fails
-// (server unreachable) is tolerated silently: the server's bounded
-// broadcast store evicts the orphaned entry on its own.
-func (b *socketBroadcast) Close() {
-	b.t.clearRef()
-	b.t.cl.RoundTrip(rpc.MsgBcastClose, b.round, b.id, nil, func(f *rpc.Frame) error {
-		if f.Type != rpc.MsgBcastClosed {
-			return fmt.Errorf("unexpected response type %d to broadcast close", f.Type)
-		}
-		return nil
-	})
 }

@@ -9,7 +9,8 @@
 //
 //   - Inproc passes payload pointers through unchanged — the
 //     historical in-memory behaviour, byte-identical to the
-//     pre-transport simulators.
+//     pre-transport simulators. It is dense only: "inproc" with a
+//     compression level builds the serializing path below instead.
 //   - Wire round-trips every payload through the binary codec
 //     (param.Set WriteTo → pooled byte buffers → DecodeFrom). It
 //     proves that a deployment which actually serializes its traffic
@@ -31,12 +32,17 @@
 //     blackouts — from a declarative FaultPlan, so every chaos
 //     scenario is reproducible from a (seed, plan) pair.
 //
+// Wire, Socket and compressed inproc share one serializing path
+// (encode, shape the receive set, decode with the round's delta
+// reference, count); they differ only in how the encoded bytes reach
+// the decoder: directly, or through an RPC round-trip.
+//
 // # Contract
 //
 // Ownership: Send consumes its payload whether or not it succeeds —
 // the caller must not touch it afterwards. Inproc returns the same
-// set; the serializing backends recycle the payload into the caller's
-// param.Buffers pool and return a decoded copy drawn from that pool.
+// set; the serializing path recycles the payload into the caller's
+// param.Buffers pool and returns a decoded copy drawn from that pool.
 // Either way the caller owns the returned set and recycles it
 // (pool.Put) once the receiver has consumed it. On error the payload
 // has been recycled and the returned set is nil. Broadcast handles
@@ -49,9 +55,11 @@
 // an error when the fan-out source could not be staged. The in-memory
 // backends never fail (codec bugs still panic: bytes produced by the
 // matching encoder in the same process can only fail to parse if the
-// codec itself is broken). The simulators treat transfer errors as
-// protocol events — a lost upload, an unreachable participant — never
-// as panics.
+// codec itself is broken). On socket a response that fails to decode
+// is a transfer error instead, because in dialed mode another process
+// relayed the bytes. The simulators treat transfer errors as protocol
+// events — a lost upload, an unreachable participant — never as
+// panics.
 //
 // Marshalling time: Send and Broadcast.Deliver are called from inside
 // the simulators' parallel regions (parx.ForEach), so the serializing
@@ -69,13 +77,13 @@
 // WriteCompressedTo / DecodeFromRef): the received values differ from
 // the sent ones by at most the codec's documented error bound
 // (param.Compression.MaxError), but deterministically so — the same
-// payload always decodes to the same values, on every backend (Inproc
-// applies the same encode→decode round-trip the serializing backends
-// do), so compressed runs are still byte-identical across backends and
-// worker counts. Uploads sent while the round's broadcast is open are
-// delta-coded against the broadcast source; compressed payloads must
-// be finite and within the codec's ±1e300 range (a violation panics,
-// like any other codec bug). All implementations must be safe for
+// payload always decodes to the same values, on every backend
+// (compressed inproc is the same serializing path), so compressed runs
+// are still byte-identical across backends and worker counts. Uploads
+// sent while the round's broadcast is open are delta-coded against the
+// broadcast source; compressed payloads must be finite and within the
+// codec's ±1e300 range (a violation panics, like any other codec bug).
+// All implementations must be safe for
 // concurrent use; traffic counters are atomic sums, so totals are
 // independent of worker interleaving. A transport
 // must not source free-running randomness or reorder messages:
@@ -123,10 +131,6 @@ type Stats struct {
 	// deliveries (the fed global-model download).
 	BroadcastMessages int64
 	BroadcastBytes    int64
-	// Chunks counts wire framing units. Every backend, socket
-	// included, frames each payload whole, so it equals Messages +
-	// BroadcastMessages.
-	Chunks int64
 	// RawBytes and RawBroadcastBytes are the dense-codec sizes of the
 	// same traffic (param.Set.WireBytes summed per transfer): what the
 	// payloads would have cost without compression. With compression
@@ -208,7 +212,6 @@ type Broadcast interface {
 type counters struct {
 	messages, bytes     atomic.Int64
 	bMessages, bBytes   atomic.Int64
-	chunks              atomic.Int64
 	rawBytes, rawBBytes atomic.Int64
 }
 
@@ -218,7 +221,6 @@ func (c *counters) Stats() Stats {
 		Bytes:             c.bytes.Load(),
 		BroadcastMessages: c.bMessages.Load(),
 		BroadcastBytes:    c.bBytes.Load(),
-		Chunks:            c.chunks.Load(),
 		RawBytes:          c.rawBytes.Load(),
 		RawBroadcastBytes: c.rawBBytes.Load(),
 	}
@@ -237,9 +239,9 @@ type Options struct {
 	Retry *RetryPolicy
 	// Compression selects the payload codec for every backend: the
 	// zero value keeps the dense float64 codec, 8 or 16 bits switches
-	// all transfers to the sparse+quantized CPQ1 codec. Inproc applies
-	// the same encode→decode round-trip the serializing backends do,
-	// so a compressed run computes identical values on every backend.
+	// all transfers to the sparse+quantized CPQ1 codec. Compressed
+	// inproc is built as the serializing path Wire runs, so a
+	// compressed run computes identical values on every backend.
 	Compression param.Compression
 }
 
@@ -300,13 +302,12 @@ func NewOptions(name string, o Options) (Transport, error) {
 	var err error
 	switch inner {
 	case "", "inproc":
-		ip := NewInproc()
-		ip.comp = o.Compression
-		t = ip
+		t = NewInproc()
+		if o.Compression.Enabled() {
+			t = &serial{name: "inproc", compressor: compressor{comp: o.Compression}}
+		}
 	case "wire":
-		w := NewWire()
-		w.comp = o.Compression
-		t = w
+		t = &Wire{serial{name: "wire", compressor: compressor{comp: o.Compression}}}
 	case "socket":
 		t, err = newLoopbackSocket("unix", o.retry(), o.Compression)
 	case "socket-tcp":

@@ -69,7 +69,7 @@ func TestInprocSendPassesPointerThrough(t *testing.T) {
 		t.Fatal("inproc Send must return the same set")
 	}
 	st := tr.Stats()
-	if st.Messages != 1 || st.Bytes != int64(payload.WireBytes()) || st.Chunks != 1 {
+	if st.Messages != 1 || st.Bytes != int64(payload.WireBytes()) {
 		t.Fatalf("stats = %+v", st)
 	}
 }
