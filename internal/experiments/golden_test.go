@@ -373,6 +373,9 @@ func TestGoldenDeterminism(t *testing.T) {
 	for name, h := range goldenGossipCIAHashes(t) {
 		hashes[name] = h
 	}
+	for name, h := range goldenFedCIAHashes(t) {
+		hashes[name] = h
+	}
 
 	if *updateGolden {
 		blob, err := json.MarshalIndent(hashes, "", "  ")
