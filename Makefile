@@ -59,7 +59,8 @@ chaos:
 		-run='Faulty|Fault|Resilience|Straggler|Quorum|Blackout|DeliverFailure|UploadLoss|InactivePlan|Retry|Backoff|Reconnect|Timeout|Shutdown|Close|Eviction|Idle|Unreachable|GivesUp|SilentServer|RelayRestart' \
 		./internal/transport/ ./internal/transport/rpc/ ./internal/fed/ ./internal/gossip/ ./internal/experiments/
 
-# Microbenchmarks of the round engine and the parameter pipeline,
+# Microbenchmarks of the round engine, the parameter pipeline and the
+# batched scoring kernels (AVX2 and scalar sub-benchmarks),
 # emitted in benchstat-comparable form. Compare two trees with e.g.
 #
 #	make bench > old.txt   # on the baseline checkout
@@ -67,8 +68,8 @@ chaos:
 #	benchstat old.txt new.txt
 bench:
 	$(GO) test -run='^$$' -count=$(BENCH_COUNT) -benchmem \
-		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCIAEndRound|BenchmarkRefreshFictive|BenchmarkTrainLocal|BenchmarkCodecThroughput|BenchmarkTrueCommunities' \
-		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/ ./internal/evalx/
+		-bench='BenchmarkFedRound|BenchmarkObsOverhead|BenchmarkGossipCycle|BenchmarkParamClone|BenchmarkUtilityHR|BenchmarkUtilityF1|BenchmarkFedAggregate|BenchmarkWireRound|BenchmarkSocketRound|BenchmarkScoreItems|BenchmarkCIAEndRound|BenchmarkRefreshFictive|BenchmarkTrainLocal|BenchmarkCodecThroughput|BenchmarkTrueCommunities|BenchmarkSigmoidInto|BenchmarkGemvRows|BenchmarkDotNormRows' \
+		./internal/fed/ ./internal/gossip/ ./internal/param/ ./internal/model/ ./internal/attack/ ./internal/evalx/ ./internal/mathx/
 
 # Full paper-table reproduction pass (one iteration per table).
 bench-tables:

@@ -65,25 +65,40 @@ func BenchmarkCIAEndRound(b *testing.B) {
 		}
 	}
 	// Share-less: payloads omit the user table and every target is
-	// scored against its own fictive user, one gather per target.
-	b.Run("gmf/all-users/shareless", func(b *testing.B) {
-		f := model.NewGMFFactory(d.NumUsers, d.NumItems, 8)
-		ev := NewShareLessEval(f(0), d.Train)
-		ev.RefreshFictive(f(0).Params(), 5, mathx.NewRand(1))
-		c := New(Config{Beta: 0.99, K: 8, NumUsers: d.NumUsers, Workers: 1, Eval: ev})
-		private := f(0).PrivateEntries()
-		for u := 0; u < d.NumUsers; u++ {
-			c.Observe(u, f(uint64(u+1)).Params().Without(private...))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for u := 0; u < d.NumUsers; u++ {
-				c.dirty[u] = struct{}{}
-			}
-			c.EndRound()
-		}
+	// scored against its own fictive user, one gather per target. The
+	// movielens cell is fl-shareless-chaos's sizing (140 users × 260
+	// items, ~40 items per target).
+	ml, err := dataset.GenerateSynthetic(dataset.SyntheticConfig{
+		NumUsers: 140, NumItems: 260, NumCommunities: 4,
+		MeanItemsPerUser: 40, MinItemsPerUser: 10, Affinity: 0.85, ZipfExponent: 0.9, Seed: 1,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, cell := range []struct {
+		name string
+		d    *dataset.Dataset
+	}{{"gmf/all-users/shareless", d}, {"gmf/movielens/shareless", ml}} {
+		b.Run(cell.name, func(b *testing.B) {
+			d := cell.d
+			f := model.NewGMFFactory(d.NumUsers, d.NumItems, 8)
+			ev := NewShareLessEval(f(0), d.Train)
+			ev.RefreshFictive(f(0).Params(), 5, mathx.NewRand(1))
+			c := New(Config{Beta: 0.99, K: 8, NumUsers: d.NumUsers, Workers: 1, Eval: ev})
+			private := f(0).PrivateEntries()
+			for u := 0; u < d.NumUsers; u++ {
+				c.Observe(u, f(uint64(u+1)).Params().Without(private...))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for u := 0; u < d.NumUsers; u++ {
+					c.dirty[u] = struct{}{}
+				}
+				c.EndRound()
+			}
+		})
+	}
 }
 
 // BenchmarkRefreshFictive prices one Share-less refit — every target's

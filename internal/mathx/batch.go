@@ -67,12 +67,7 @@ func Gemv(m *Matrix, v, bias, dst []float64) {
 	if bias != nil && len(bias) != m.Rows {
 		panic(fmt.Sprintf("mathx: Gemv bias length %d != rows %d", len(bias), m.Rows))
 	}
-	cols := m.Cols
-	base := 0
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = dotRow(m.Data[base:base+cols:base+cols], v)
-		base += cols
-	}
+	gemvRows(m, nil, v, dst)
 	if bias != nil {
 		AddInto(dst, bias, dst)
 	}
@@ -89,17 +84,25 @@ func GemvRows(m *Matrix, rows []int, v, bias, dst []float64) {
 	if len(dst) != len(rows) {
 		panic(fmt.Sprintf("mathx: GemvRows dst length %d != rows length %d", len(dst), len(rows)))
 	}
-	cols := m.Cols
-	if bias == nil {
+	gemvRows(m, rows, v, dst)
+	if bias != nil {
 		for i, r := range rows {
-			base := r * cols
-			dst[i] = dotRow(m.Data[base:base+cols:base+cols], v)
+			dst[i] += bias[r]
 		}
-		return
 	}
-	for i, r := range rows {
+}
+
+// gemvRowsGo is the scalar row sweep behind Gemv and GemvRows:
+// dst[i] = dotRow(row r, v) with r = rows[i], or r = i when rows is nil.
+func gemvRowsGo(m *Matrix, rows []int, v, dst []float64) {
+	cols := m.Cols
+	for i := range dst {
+		r := i
+		if rows != nil {
+			r = rows[i]
+		}
 		base := r * cols
-		dst[i] = dotRow(m.Data[base:base+cols:base+cols], v) + bias[r]
+		dst[i] = dotRow(m.Data[base:base+cols:base+cols], v)
 	}
 }
 
@@ -152,6 +155,11 @@ func DotNormRows(m *Matrix, rows []int, v, dots, sqnorms []float64) {
 		panic(fmt.Sprintf("mathx: DotNormRows dst lengths %d/%d != rows length %d",
 			len(dots), len(sqnorms), len(rows)))
 	}
+	dotNormRows(m, rows, v, dots, sqnorms)
+}
+
+// dotNormRowsGo is the scalar sweep behind DotNormRows.
+func dotNormRowsGo(m *Matrix, rows []int, v, dots, sqnorms []float64) {
 	cols := m.Cols
 	for i, r := range rows {
 		base := r * cols
@@ -183,6 +191,11 @@ func SigmoidInto(x, dst []float64) {
 	if len(x) != len(dst) {
 		panic(fmt.Sprintf("mathx: SigmoidInto length mismatch %d != %d", len(x), len(dst)))
 	}
+	sigmoidInto(x, dst)
+}
+
+// sigmoidIntoGo is the scalar loop behind SigmoidInto.
+func sigmoidIntoGo(x, dst []float64) {
 	for i, v := range x {
 		dst[i] = Sigmoid(v)
 	}

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -203,4 +204,77 @@ func TestBatchKernelPanics(t *testing.T) {
 	expectPanic("SigmoidInto mismatch", func() { SigmoidInto(v3, v4) })
 	expectPanic("AddInto mismatch", func() { AddInto(v3, v4, v4) })
 	expectPanic("NegScaleInto mismatch", func() { NegScaleInto(1, v3, v4) })
+}
+
+// The kernel microbenchmarks price each batched call at the sizes the
+// models use (dim 8, a 700-item catalogue, 45-item targets): "kernel"
+// is the exported call, which dispatches to the AVX2 kernel where
+// initialisation enabled it, "scalar" the Go loop behind it.
+
+var benchSink float64
+
+func BenchmarkSigmoidInto(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 64))
+	for _, n := range []int{64, 700} {
+		x := randVec(r, n)
+		Scale(4, x)
+		dst := make([]float64, n)
+		for _, p := range []struct {
+			name string
+			f    func(x, dst []float64)
+		}{{"kernel", SigmoidInto}, {"scalar", sigmoidIntoGo}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, p.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					p.f(x, dst)
+				}
+				benchSink = dst[0]
+			})
+		}
+	}
+}
+
+func BenchmarkGemvRows(b *testing.B) {
+	r := rand.New(rand.NewPCG(2, 64))
+	m := randMatrix(r, 700, 8)
+	v := randVec(r, 8)
+	rows := make([]int, 45)
+	for i := range rows {
+		rows[i] = r.IntN(700)
+	}
+	dst := make([]float64, len(rows))
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GemvRows(m, rows, v, nil, dst)
+		}
+		benchSink = dst[0]
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			gemvRowsGo(m, rows, v, dst)
+		}
+		benchSink = dst[0]
+	})
+}
+
+func BenchmarkDotNormRows(b *testing.B) {
+	r := rand.New(rand.NewPCG(3, 64))
+	m := randMatrix(r, 700, 8)
+	v := randVec(r, 8)
+	rows := make([]int, m.Rows)
+	for i := range rows {
+		rows[i] = i
+	}
+	dots, norms := make([]float64, len(rows)), make([]float64, len(rows))
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			DotNormRows(m, rows, v, dots, norms)
+		}
+		benchSink = dots[0]
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			dotNormRowsGo(m, rows, v, dots, norms)
+		}
+		benchSink = dots[0]
+	})
 }

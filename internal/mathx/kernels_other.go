@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package mathx
+
+func gemvRows(m *Matrix, rows []int, v, dst []float64) { gemvRowsGo(m, rows, v, dst) }
+
+func dotNormRows(m *Matrix, rows []int, v, dots, sqnorms []float64) {
+	dotNormRowsGo(m, rows, v, dots, sqnorms)
+}
+
+func sigmoidInto(x, dst []float64) { sigmoidIntoGo(x, dst) }
