@@ -19,6 +19,9 @@ import "fmt"
 // on Dot), SqDistRows/SqDistRowsGather use SqDist's strictly sequential
 // order — so a batched sweep is bit-identical to the per-item loop it
 // replaces, row by row, regardless of how many rows a call covers.
+// On amd64, Gemv/GemvRows/DotNormRows and SigmoidInto dispatch to AVX2
+// kernels (kernels_amd64.go) that keep the same order lane by lane;
+// the Go loops below are the fallback and the kernels' reference.
 
 // dotRow is Dot without the length check, operating on pre-sliced
 // row storage. It must mirror Dot exactly (same unroll, same pairwise

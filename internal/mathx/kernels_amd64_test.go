@@ -35,10 +35,9 @@ func eachPath(t *testing.T, f func(t *testing.T)) {
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // sigmoidInputs returns n random arguments across the kernel's range
-// and beyond, then the edge cases: ±0, the ±708 range limits, ±709
-// (beyond it, where Exp's argument still rounds to a normal result),
-// ±745 (the subnormal end of Exp), arguments whose sigmoid is
-// subnormal, NaN and ±Inf.
+// and beyond, then the edge cases: ±0, the ±708 range limits and their
+// neighbours, ±709 (Exp(−709) is already subnormal), ±745 (the last
+// nonzero Exp), arguments whose sigmoid is subnormal, NaN and ±Inf.
 func sigmoidInputs(n int) []float64 {
 	r := rand.New(rand.NewPCG(24, 7))
 	x := make([]float64, 0, n+64)
