@@ -255,6 +255,11 @@ func (c *CIA) Predict(t int) []int {
 	return mathx.TopKSelect(c.scores[t], c.hasSeen, c.cfg.K, nil)
 }
 
+// Scores returns target t's relevance scores indexed by sender, as of
+// the last EndRound (0 for a sender never scored). Callers must not
+// mutate the returned row; the next EndRound rewrites it.
+func (c *CIA) Scores(t int) []float64 { return c.scores[t] }
+
 // Accuracies returns Accuracy@R (Eq. 6) for every target against the
 // provided ground-truth communities (truths[t] for target t). One
 // selection buffer serves every target.

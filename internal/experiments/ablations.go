@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/evalx"
 	"github.com/collablearn/ciarec/internal/fed"
@@ -188,34 +187,23 @@ func RunFictiveAblation(spec Spec) ([]FictiveRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	k := spec.K(d.NumUsers)
-	targets := d.Train
-	truths := evalx.TrueCommunities(d, k)
-	random := evalx.RandomBound(k, d.NumUsers)
+	random := evalx.RandomBound(spec.K(d.NumUsers), d.NumUsers)
 
 	run := func(zeroVector bool) (float64, error) {
-		policy := defense.ShareLess{Tau: DefaultShareLessTau}
-		ev := newEval(factory, targets, policy)
-		obs := &flObserver{
-			cia:    attack.New(attack.Config{Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev}),
-			truths: truths,
-			rec:    evalx.NewRecorder(),
-		}
-		var sim *fed.Simulation
-		if zeroVector {
-			obs.refit = func(int) { ev.SetFictive(make([]float64, spec.Dim)) }
-		} else {
-			obs.refit = func(round int) {
-				ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, mathx.NewRand(uint64(round)^0xf17))
-			}
-		}
-		sim, tr, err := newFed(spec, fed.Config{Dataset: d, Factory: factory, Policy: policy, Observer: obs})
+		r, err := newFLRun(FLOpts{Data: d, Policy: defense.ShareLess{Tau: DefaultShareLessTau}, Spec: spec}, factory, nil, 0)
 		if err != nil {
 			return 0, err
 		}
-		defer tr.Close()
-		sim.Run()
-		aac, _ := obs.rec.MaxAAC()
+		defer r.Close()
+		if zeroVector {
+			r.refit = func(int) { r.ev.SetFictive(make([]float64, spec.Dim)) }
+		} else {
+			r.refit = func(round int) {
+				r.ev.RefreshFictive(r.fed.Global().Params(), fictiveEpochs, mathx.NewRand(uint64(round)^0xf17))
+			}
+		}
+		r.run()
+		aac, _ := r.rec.MaxAAC()
 		return aac, nil
 	}
 
@@ -268,10 +256,11 @@ func RunRelevanceAblation(spec Spec) ([]RelevanceRow, error) {
 			m.SetRawRelevance(raw)
 			return m
 		}
-		res, err := runFLCIA(FLOpts{Data: d, Spec: spec}, factory)
+		r, err := newFLRun(FLOpts{Data: d, Spec: spec}, factory, nil, 0)
 		if err != nil {
 			return nil, err
 		}
+		res := r.runToEnd()
 		setting := "norm-adjusted relevance (default)"
 		if raw {
 			setting = "raw squared-distance relevance"

@@ -107,72 +107,56 @@ func runCompressionRatioCell(spec Spec, bits int, keep float64) (CompressionRati
 	if err != nil {
 		return CompressionRatioRow{}, err
 	}
-	k := s.K(d.NumUsers)
-	targets := d.Train
-	truths := evalx.TrueCommunities(d, k)
 	var policy defense.Policy
 	if keep < 1 {
 		policy = defense.TopKSparsify{Fraction: keep}
 	}
+	r, err := newFLRun(FLOpts{Data: d, Policy: policy, Spec: s, Utility: UtilityHR}, factory, nil, 0)
+	if err != nil {
+		return CompressionRatioRow{}, err
+	}
+	defer r.Close()
+	k := r.k
 
 	rng := mathx.NewRand(s.Seed ^ 0xc0a1)
 	targetUser := rng.IntN(d.NumUsers)
 	target := d.Train[targetUser]
-	truth := evalx.TrueCommunity(d, target, k)
-
 	obs := &ratioObserver{
-		cia: attack.New(attack.Config{
-			Beta: s.Beta, K: k, NumUsers: d.NumUsers,
-			Eval: attack.NewRecommenderEval(factory(0), targets),
-		}),
-		mia:    attack.NewMIA(0.6, k, factory(0), targets, d),
-		truths: truths,
-		truth:  truth,
-		ciaRec: evalx.NewRecorder(),
+		mia:    attack.NewMIA(0.6, k, factory(0), d.Train, d),
+		truths: r.truths,
+		truth:  evalx.TrueCommunity(d, target, k),
 		miaRec: evalx.NewRecorder(),
 	}
-	var utility []float64
+	r.also = obs
 	aiaRound := s.Rounds / 2
-	sim, tr, err := newFed(s, fed.Config{
-		Dataset:  d,
-		Factory:  factory,
-		Policy:   policy,
-		Observer: obs,
-		OnRound: func(round int, fs *fed.Simulation) {
-			utility = append(utility, fs.UtilityHR(s.HRK, s.NumNeg))
-			if round == aiaRound && obs.aia == nil && obs.aiaErr == nil {
-				// OnRound runs between rounds on the driving goroutine;
-				// the next round's uploads (and so OnUpload calls) start
-				// strictly after it returns.
-				obs.aia, obs.aiaErr = attack.TrainAIA(fs.Global(), d, attack.AIAConfig{
-					Target: target, K: k, Rand: rng,
-				})
+	for round := 0; round < s.Rounds; round++ {
+		r.RunRound()
+		if round == aiaRound {
+			// Between rounds: the next round's uploads (and so
+			// OnUpload calls) start strictly after the AIA is trained.
+			obs.aia, err = attack.TrainAIA(r.fed.Global(), d, attack.AIAConfig{
+				Target: target, K: k, Rand: rng,
+			})
+			if err != nil {
+				return CompressionRatioRow{}, err
 			}
-		},
-	})
-	if err != nil {
-		return CompressionRatioRow{}, err
-	}
-	defer tr.Close()
-	sim.Run()
-	if obs.aiaErr != nil {
-		return CompressionRatioRow{}, obs.aiaErr
+		}
 	}
 
-	st := tr.Stats()
+	st := r.tr.Stats()
 	raw := st.RawBytes + st.RawBroadcastBytes
 	moved := st.Bytes + st.BroadcastBytes
 	ratio := 1.0
 	if moved > 0 && raw > 0 {
 		ratio = float64(raw) / float64(moved)
 	}
-	ciaAAC, _ := obs.ciaRec.MaxAAC()
+	ciaAAC, _ := r.rec.MaxAAC()
 	miaAAC, _ := obs.miaRec.MaxAAC()
 	return CompressionRatioRow{
 		Bits:      bits,
 		Keep:      keep,
 		Ratio:     ratio,
-		Utility:   mathx.Max(utility),
+		Utility:   mathx.Max(r.utility),
 		CIAMaxAAC: ciaAAC,
 		MIAMaxAAC: miaAAC,
 		AIAMaxAAC: obs.bestAIA,
@@ -180,23 +164,19 @@ func runCompressionRatioCell(spec Spec, bits int, keep float64) (CompressionRati
 	}, nil
 }
 
-// ratioObserver feeds one federation's uploads to CIA, MIA and (once
-// trained) AIA simultaneously.
+// ratioObserver feeds the uploads the CIA sees to MIA and (once
+// trained) AIA.
 type ratioObserver struct {
-	cia    *attack.CIA
-	mia    *attack.MIA
-	aia    *attack.AIA
-	aiaErr error
+	mia *attack.MIA
+	aia *attack.AIA
 
 	truths  []map[int]struct{}
 	truth   map[int]struct{}
-	ciaRec  *evalx.Recorder
 	miaRec  *evalx.Recorder
 	bestAIA float64
 }
 
 func (o *ratioObserver) OnUpload(msg fed.Message) {
-	o.cia.Observe(msg.From, msg.Params)
 	o.mia.Observe(msg.From, msg.Params)
 	if o.aia != nil {
 		o.aia.Observe(msg.From, msg.Params)
@@ -204,8 +184,6 @@ func (o *ratioObserver) OnUpload(msg fed.Message) {
 }
 
 func (o *ratioObserver) OnRoundEnd(round int) {
-	o.cia.EndRound()
-	o.ciaRec.Record(o.cia.Accuracies(o.truths))
 	o.miaRec.Record(o.mia.Accuracies(o.truths))
 	if o.aia != nil {
 		if acc := o.aia.Accuracy(o.truth); acc > o.bestAIA {

@@ -6,10 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/defense"
-	"github.com/collablearn/ciarec/internal/fed"
 	"github.com/collablearn/ciarec/internal/gossip"
 	"github.com/collablearn/ciarec/internal/mathx"
 )
@@ -193,26 +191,16 @@ func RunTargetedFL(d *dataset.Dataset, family string, spec Spec, target []int, k
 	if err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		policy = defense.FullSharing{}
-	}
-	ev := newEval(factory, [][]int{target}, policy)
-	cia := attack.New(attack.Config{
-		Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev,
-	})
-	obs := &flObserver{cia: cia}
-	var sim *fed.Simulation
-	if ev.ShareLess() {
-		rng := mathx.NewRand(spec.Seed ^ 0x7a9)
-		obs.refit = func(int) { ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, rng) }
-	}
-	sim, tr, err := newFed(spec, fed.Config{Dataset: d, Factory: factory, Policy: policy, Observer: obs})
+	r, err := newFLRun(FLOpts{Data: d, Policy: policy, Spec: spec}, factory, [][]int{target}, k)
 	if err != nil {
 		return nil, err
 	}
-	defer tr.Close()
-	sim.Run()
-	return cia.Predict(0), nil
+	defer r.Close()
+	if r.ev.ShareLess() {
+		r.refitFrom(mathx.NewRand(spec.Seed ^ 0x7a9))
+	}
+	r.run()
+	return r.cia.Predict(0), nil
 }
 
 // RunFigure1 reproduces the §II motivating example: a server-side CIA

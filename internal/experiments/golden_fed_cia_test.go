@@ -4,15 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"math"
 	"testing"
-
-	"github.com/collablearn/ciarec/internal/attack"
-	"github.com/collablearn/ciarec/internal/defense"
-	"github.com/collablearn/ciarec/internal/evalx"
-	"github.com/collablearn/ciarec/internal/fed"
-	"github.com/collablearn/ciarec/internal/param"
 )
 
 // The FedAvg full-sharing CIA cells pin Table II's attack output: after
@@ -22,69 +15,12 @@ import (
 // catalogue sweep (Gemv/GemvRows/DotNormRows, SigmoidInto) that CIA
 // runs on forked evaluators.
 
-// scoreTable is an Evaluator that records every score its inner
-// evaluator returns into scores[t][sender]. Forks share the table;
-// concurrent workers score disjoint senders, so they write disjoint
-// cells.
-type scoreTable struct {
-	inner  *attack.RecommenderEval
-	scores [][]float64
-}
-
-func (e *scoreTable) Load(state *param.Set) { e.inner.Load(state) }
-func (e *scoreTable) NumTargets() int       { return e.inner.NumTargets() }
-
-func (e *scoreTable) Score(sender, t int) float64 {
-	s := e.inner.Score(sender, t)
-	e.scores[t][sender] = s
-	return s
-}
-
-func (e *scoreTable) ScoreTargets(sender int, dst []float64) {
-	e.inner.ScoreTargets(sender, dst)
-	for t, s := range dst {
-		e.scores[t][sender] = s
-	}
-}
-
-func (e *scoreTable) Fork() attack.Evaluator {
-	return &scoreTable{inner: e.inner.Fork().(*attack.RecommenderEval), scores: e.scores}
-}
-
-// fedCIADigest digests flObserver's rounds: the score table, then each
-// target's prediction and accuracy.
-type fedCIADigest struct {
-	*flObserver
-	table *scoreTable
-	h     hash.Hash
-}
-
-func (o fedCIADigest) OnRoundEnd(round int) {
-	o.flObserver.OnRoundEnd(round)
-	var buf [8]byte
-	for _, row := range o.table.scores {
-		for _, s := range row {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
-			o.h.Write(buf[:])
-		}
-	}
-	for t, acc := range o.cia.Accuracies(o.truths) {
-		predicted := o.cia.Predict(t)
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(predicted)))
-		o.h.Write(buf[:])
-		for _, u := range predicted {
-			binary.LittleEndian.PutUint64(buf[:], uint64(u))
-			o.h.Write(buf[:])
-		}
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(acc))
-		o.h.Write(buf[:])
-	}
-}
-
 // goldenFedCIARun runs Table II's cell for family on dataset (FedAvg,
 // full sharing, every user a target, K = 5%) for 5 rounds on the given
 // backend and worker count, with CIA scoring on the same number of
-// workers, and returns the digest chain.
+// workers, and returns the digest chain: after every round the score
+// table, then each target's prediction and accuracy; at the end the
+// global model.
 func goldenFedCIARun(t *testing.T, backend string, workers int, dataset, family string) string {
 	t.Helper()
 	spec := BenchSpec()
@@ -100,27 +36,37 @@ func goldenFedCIARun(t *testing.T, backend string, workers int, dataset, family 
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := spec.K(d.NumUsers)
-	table := &scoreTable{inner: newEval(factory, d.Train, defense.FullSharing{}), scores: make([][]float64, len(d.Train))}
-	for i := range table.scores {
-		table.scores[i] = make([]float64, d.NumUsers)
-	}
-	obs := fedCIADigest{table: table, h: sha256.New(), flObserver: &flObserver{
-		cia: attack.New(attack.Config{
-			Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: table, Workers: workers,
-		}),
-		truths: evalx.TrueCommunities(d, k),
-	}}
-	sim, tr, err := newFed(spec, fed.Config{Dataset: d, Factory: factory, Policy: defense.FullSharing{}, Observer: obs})
+	r, err := newFLRun(FLOpts{Data: d, Spec: spec}, factory, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	sim.Run()
-	if _, err := sim.Global().Params().WriteTo(obs.h); err != nil {
+	defer r.Close()
+	h := sha256.New()
+	var buf [8]byte
+	for round := 0; round < spec.Rounds; round++ {
+		r.RunRound()
+		for tgt := range r.truths {
+			for _, s := range r.cia.Scores(tgt) {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
+				h.Write(buf[:])
+			}
+		}
+		for tgt, acc := range r.cia.Accuracies(r.truths) {
+			predicted := r.cia.Predict(tgt)
+			binary.LittleEndian.PutUint64(buf[:], uint64(len(predicted)))
+			h.Write(buf[:])
+			for _, u := range predicted {
+				binary.LittleEndian.PutUint64(buf[:], uint64(u))
+				h.Write(buf[:])
+			}
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(acc))
+			h.Write(buf[:])
+		}
+	}
+	if _, err := r.fed.Global().Params().WriteTo(h); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%x", obs.h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // goldenFedCIACells are Table II's foursquare cells: each must reproduce

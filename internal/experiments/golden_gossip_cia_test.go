@@ -11,9 +11,6 @@ import (
 	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/evalx"
 	"github.com/collablearn/ciarec/internal/gossip"
-	"github.com/collablearn/ciarec/internal/mathx"
-	"github.com/collablearn/ciarec/internal/model"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // The full-sharing gossip CIA cells pin Table III's attack output: every
@@ -38,32 +35,10 @@ func (v *scoreDigest) Score(sender, t int) float64 {
 	return s
 }
 
-// gossipCIADigest digests glObserver's per-node rounds.
-type gossipCIADigest struct {
-	*glObserver
-	h hash.Hash
-}
-
-func (o gossipCIADigest) OnRoundEnd(round int) {
-	o.glObserver.OnRoundEnd(round)
-	var buf [8]byte
-	for a, cia := range o.perNode {
-		predicted := cia.Predict(0)
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(predicted)))
-		o.h.Write(buf[:])
-		for _, u := range predicted {
-			binary.LittleEndian.PutUint64(buf[:], uint64(u))
-			o.h.Write(buf[:])
-		}
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(evalx.Accuracy(predicted, o.truths[a])))
-		o.h.Write(buf[:])
-	}
-}
-
 // goldenGossipCIARun runs variant × family on dataset under full sharing
 // with RunGLCIA's per-node adversaries on the given backend and worker
-// count, and digests every round's predictions and accuracies plus the
-// final model of every node.
+// count, and digests every score the adversaries compute, every round's
+// predictions and accuracies, and the final model of every node.
 func goldenGossipCIARun(t *testing.T, backend string, workers int, variant gossip.Variant, dataset, family string) string {
 	t.Helper()
 	spec := BenchSpec()
@@ -73,51 +48,39 @@ func goldenGossipCIARun(t *testing.T, backend string, workers int, variant gossi
 		t.Fatal(err)
 	}
 	SplitFor(family, d)
-	factory, err := MakeFactory(family, d, spec)
+	spec.GLRounds, spec.Seed, spec.Transport = 5, 7, backend
+	r, err := newGLRun(GLOpts{Data: d, Family: family, Variant: variant, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, k := d.NumUsers, spec.K(d.NumUsers)
-	ev := attack.NewRecommenderEval(factory(0), d.Train)
-	obs := gossipCIADigest{h: sha256.New(), glObserver: &glObserver{
-		ev:      ev,
-		truths:  evalx.TrueCommunities(d, k),
-		rec:     evalx.NewRecorder(),
-		rng:     mathx.NewRand(7 ^ 0x90551b),
-		perNode: make([]*attack.CIA, n),
-	}}
-	for a := range obs.perNode {
-		obs.perNode[a] = attack.New(attack.Config{
-			Beta: spec.Beta, K: k, NumUsers: n, Eval: &scoreDigest{targetView{ev: ev, t: a}, obs.h},
+	defer r.Close()
+	h := sha256.New()
+	for a := range r.advs {
+		r.advs[a] = attack.New(attack.Config{
+			Beta: spec.Beta, K: r.k, NumUsers: r.n, Eval: &scoreDigest{targetView{ev: r.ev, t: a}, h},
 		})
 	}
-	tr, err := transport.New(backend)
-	if err != nil {
-		t.Fatal(err)
+	var buf [8]byte
+	for round := 0; round < spec.GLRounds; round++ {
+		r.RunRound()
+		for a, cia := range r.advs {
+			predicted := cia.Predict(0)
+			binary.LittleEndian.PutUint64(buf[:], uint64(len(predicted)))
+			h.Write(buf[:])
+			for _, u := range predicted {
+				binary.LittleEndian.PutUint64(buf[:], uint64(u))
+				h.Write(buf[:])
+			}
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(evalx.Accuracy(predicted, r.truths[a])))
+			h.Write(buf[:])
+		}
 	}
-	defer tr.Close()
-	sim, err := gossip.New(gossip.Config{
-		Dataset:   d,
-		Factory:   factory,
-		Variant:   variant,
-		Rounds:    5,
-		Train:     model.TrainOptions{Epochs: spec.LocalEpochs},
-		Workers:   workers,
-		Transport: tr,
-		Observer:  obs,
-		Seed:      7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs.sim = sim
-	sim.Run()
-	for u := 0; u < n; u++ {
-		if _, err := sim.Node(u).Params().WriteTo(obs.h); err != nil {
+	for u := 0; u < d.NumUsers; u++ {
+		if _, err := r.gossip.Node(u).Params().WriteTo(h); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return fmt.Sprintf("%x", obs.h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // goldenGossipCIACells are the full-sharing gossip CIA cells: each must

@@ -10,12 +10,8 @@ import (
 
 	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/defense"
-	"github.com/collablearn/ciarec/internal/evalx"
-	"github.com/collablearn/ciarec/internal/fed"
 	"github.com/collablearn/ciarec/internal/gossip"
-	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/model"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 // The Share-less golden cells pin the adversary's side of a Share-less
@@ -44,20 +40,6 @@ func digestFictive(h hash.Hash, ev *attack.RecommenderEval, t int, predicted []i
 	}
 }
 
-// shareLessFedDigest digests flObserver's rounds.
-type shareLessFedDigest struct {
-	*flObserver
-	ev *attack.RecommenderEval
-	h  hash.Hash
-}
-
-func (o shareLessFedDigest) OnRoundEnd(round int) {
-	o.flObserver.OnRoundEnd(round)
-	for t := range o.truths {
-		digestFictive(o.h, o.ev, t, o.cia.Predict(t))
-	}
-}
-
 // goldenShareLessFedRun runs the reference movielens GMF federation
 // under Share-less with RunFLCIA's adversary (every user a target, CIA
 // on spec.Workers workers) and digests every round's fictive users and
@@ -71,53 +53,21 @@ func goldenShareLessFedRun(t *testing.T) string {
 		t.Fatal(err)
 	}
 	SplitFor("gmf", d)
+	spec.Rounds, spec.LocalEpochs, spec.Seed = 4, 1, 7
 	factory := model.NewGMFFactory(d.NumUsers, d.NumItems, spec.Dim)
-	k := spec.K(d.NumUsers)
-	ev := attack.NewShareLessEval(factory(0), d.Train)
-	rng := mathx.NewRand(7 ^ 0x51ce)
-	var sim *fed.Simulation
-	obs := shareLessFedDigest{h: sha256.New(), ev: ev, flObserver: &flObserver{
-		cia: attack.New(attack.Config{
-			Beta: spec.Beta, K: k, NumUsers: d.NumUsers, Eval: ev, Workers: spec.Workers,
-		}),
-		refit:  func(int) { ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, rng) },
-		truths: evalx.TrueCommunities(d, k),
-		rec:    evalx.NewRecorder(),
-	}}
-	tr, err := transport.New("inproc")
+	r, err := newFLRun(FLOpts{Data: d, Policy: defense.ShareLess{Tau: DefaultShareLessTau}, Spec: spec}, factory, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
-	sim, err = fed.New(fed.Config{
-		Dataset:   d,
-		Factory:   factory,
-		Policy:    defense.ShareLess{Tau: DefaultShareLessTau},
-		Rounds:    4,
-		Train:     model.TrainOptions{Epochs: 1},
-		Workers:   spec.Workers,
-		Transport: tr,
-		Observer:  obs,
-		Seed:      7,
-	})
-	if err != nil {
-		t.Fatal(err)
+	defer r.Close()
+	h := sha256.New()
+	for round := 0; round < spec.Rounds; round++ {
+		r.RunRound()
+		for tgt := range r.truths {
+			digestFictive(h, r.ev, tgt, r.cia.Predict(tgt))
+		}
 	}
-	sim.Run()
-	return fmt.Sprintf("%x", obs.h.Sum(nil))
-}
-
-// shareLessGossipDigest digests glObserver's per-node rounds.
-type shareLessGossipDigest struct {
-	*glObserver
-	h hash.Hash
-}
-
-func (o shareLessGossipDigest) OnRoundEnd(round int) {
-	o.glObserver.OnRoundEnd(round)
-	for a, cia := range o.perNode {
-		digestFictive(o.h, o.ev, a, cia.Predict(0))
-	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // goldenShareLessGossipRun runs rand-gossip GMF on movielens under
@@ -132,43 +82,21 @@ func goldenShareLessGossipRun(t *testing.T) string {
 		t.Fatal(err)
 	}
 	SplitFor("gmf", d)
-	factory := model.NewGMFFactory(d.NumUsers, d.NumItems, spec.Dim)
-	n, k := d.NumUsers, spec.K(d.NumUsers)
-	ev := attack.NewShareLessEval(factory(0), d.Train)
-	obs := shareLessGossipDigest{h: sha256.New(), glObserver: &glObserver{
-		ev:        ev,
-		truths:    evalx.TrueCommunities(d, k),
-		rec:       evalx.NewRecorder(),
-		rng:       mathx.NewRand(7 ^ 0x90551b),
-		shareLess: true,
-		perNode:   make([]*attack.CIA, n),
-	}}
-	for a := range obs.perNode {
-		obs.perNode[a] = attack.New(attack.Config{
-			Beta: spec.Beta, K: k, NumUsers: n, Eval: &targetView{ev: ev, t: a},
-		})
-	}
-	tr, err := transport.New("inproc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	sim, err := gossip.New(gossip.Config{
-		Dataset:   d,
-		Factory:   factory,
-		Policy:    defense.ShareLess{Tau: DefaultShareLessTau},
-		Variant:   gossip.RandGossip,
-		Rounds:    6,
-		Train:     model.TrainOptions{Epochs: 1},
-		Workers:   spec.Workers,
-		Transport: tr,
-		Observer:  obs,
-		Seed:      7,
+	spec.GLRounds, spec.LocalEpochs, spec.Seed = 6, 1, 7
+	r, err := newGLRun(GLOpts{
+		Data: d, Family: "gmf", Policy: defense.ShareLess{Tau: DefaultShareLessTau},
+		Variant: gossip.RandGossip, Spec: spec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.sim = sim
-	sim.Run()
-	return fmt.Sprintf("%x", obs.h.Sum(nil))
+	defer r.Close()
+	h := sha256.New()
+	for round := 0; round < spec.GLRounds; round++ {
+		r.RunRound()
+		for a, cia := range r.advs {
+			digestFictive(h, r.ev, a, cia.Predict(0))
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -11,16 +11,16 @@ import (
 
 // TestRegistryViewsAgree pins the deduplicated counter plumbing: the
 // obs registry is the rendering source of truth, and RunResult's other
-// views (transport.Stats, the pre-rendered Resilience string) must
-// agree with it exactly. One eventful run (churn + Byzantine + trimmed
-// mean) checks all three surfaces at once:
+// view, transport.Stats, must agree with it exactly. One eventful run
+// (churn + Byzantine + trimmed mean) checks both surfaces at once:
 //
-//   - resilienceLine rendered from the registry snapshot reproduces
-//     the protocol's Resilience.String byte for byte;
 //   - transport.StatsSnapshot of the Stats struct equals the
 //     registry's transport_* values sample for sample;
 //   - the scenario's metrics_out dump round-trips to the same
 //     snapshot.
+//
+// The resilience_* views are held to the simulators' Resilience()
+// accounting by the fed and gossip packages' own tests.
 func TestRegistryViewsAgree(t *testing.T) {
 	sc := ChurnByzScenario()
 	sc.MetricsOut = filepath.Join(t.TempDir(), "metrics.json")
@@ -28,15 +28,11 @@ func TestRegistryViewsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resilience == "" {
-		t.Fatal("churn-byz scenario produced no resilience activity")
-	}
 	if res.Metrics == nil {
 		t.Fatal("RunResult.Metrics not populated")
 	}
-
-	if got := resilienceLine(AttackRow{Metrics: res.Metrics}); got != res.Resilience {
-		t.Errorf("registry-rendered resilience line %q != Resilience.String view %q", got, res.Resilience)
+	if resilienceLine(AttackRow{Metrics: res.Metrics}) == "" {
+		t.Fatal("churn-byz scenario produced no resilience activity")
 	}
 
 	statsView := transport.StatsSnapshot(res.Traffic)

@@ -62,9 +62,10 @@ func TestResilienceScenarioChurnByzEquivalence(t *testing.T) {
 		return res
 	}
 	ref := run("inproc", 1)
+	refLine := resilienceLine(AttackRow{Metrics: ref.Metrics})
 	for _, key := range []string{"joins=", "leaves=", "rejoins=", "byzantine-uploads="} {
-		if !strings.Contains(ref.Resilience, key) {
-			t.Fatalf("resilience summary %q lacks %q — the scenario exercised nothing", ref.Resilience, key)
+		if !strings.Contains(refLine, key) {
+			t.Fatalf("resilience summary %q lacks %q — the scenario exercised nothing", refLine, key)
 		}
 	}
 	if len(ref.Utility) == 0 || ref.BestUtility() <= 0 {
@@ -88,8 +89,8 @@ func TestResilienceScenarioChurnByzEquivalence(t *testing.T) {
 						t.Fatalf("utility differs at round %d: %v != %v", r, res.Utility[r], ref.Utility[r])
 					}
 				}
-				if res.Resilience != ref.Resilience {
-					t.Fatalf("resilience accounting %q != reference %q", res.Resilience, ref.Resilience)
+				if line := resilienceLine(AttackRow{Metrics: res.Metrics}); line != refLine {
+					t.Fatalf("resilience accounting %q != reference %q", line, refLine)
 				}
 			})
 		}

@@ -40,10 +40,6 @@ type RunResult struct {
 	// round-trips), so wire vs socket overhead is visible per run.
 	TransportName string
 	Traffic       transport.Stats
-	// Resilience summarizes the run's non-zero fault, churn and
-	// Byzantine counters as key=value pairs (fed.Resilience.String /
-	// gossip.Resilience.String; "" for an uneventful run).
-	Resilience string
 	// Metrics is the end-of-run snapshot of the run's obs registry
 	// (the same counters the transport/resilience accessors expose,
 	// under the metric names in OBSERVABILITY.md). Always populated:
@@ -104,7 +100,7 @@ const fictiveEpochs = 5
 // fictive-user evaluator under Share-less (partial models carry no user
 // rows), the full-model one otherwise.
 func newEval(factory model.Factory, targets [][]int, policy defense.Policy) *attack.RecommenderEval {
-	if isShareLess(policy) {
+	if _, ok := policy.(defense.ShareLess); ok {
 		return attack.NewShareLessEval(factory(0), targets)
 	}
 	return attack.NewRecommenderEval(factory(0), targets)
@@ -169,105 +165,11 @@ func RunFLCIA(o FLOpts) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	return runFLCIA(o, factory)
-}
-
-// runFLCIA is RunFLCIA over an explicit model factory (o.Family is
-// ignored), for ablation-modified models no family name describes.
-func runFLCIA(o FLOpts, factory model.Factory) (RunResult, error) {
-	if o.Policy == nil {
-		o.Policy = defense.FullSharing{}
-	}
-	k := o.Spec.K(o.Data.NumUsers)
-	truths := evalx.TrueCommunities(o.Data, k)
-	ev := newEval(factory, o.Data.Train, o.Policy)
-	// CIA scores (and, under Share-less, refits) on forks of ev, one
-	// per worker: Workers == 0 resolves to runtime.NumCPU() inside
-	// attack.New.
-	cia := attack.New(attack.Config{
-		Beta:     o.Spec.Beta,
-		K:        k,
-		NumUsers: o.Data.NumUsers,
-		Eval:     ev,
-		Workers:  o.Spec.Workers,
-	})
-	flObs := &flObserver{cia: cia, truths: truths, rec: evalx.NewRecorder()}
-	var sim *fed.Simulation
-	if ev.ShareLess() {
-		// Re-fit e_A against the freshest item embeddings the server
-		// holds (§IV-C); under full participation every sender is
-		// re-scored this round anyway.
-		rng := mathx.NewRand(o.Spec.Seed ^ 0x51ce)
-		flObs.refit = func(int) { ev.RefreshFictive(sim.Global().Params(), fictiveEpochs, rng) }
-	}
-	// Pin the registry so newFed registers into the one snapshotted below.
-	o.Spec.Metrics = runRegistry(o.Spec)
-	var utility []float64
-	sim, tr, err := newFed(o.Spec, fed.Config{
-		Dataset:        o.Data,
-		Factory:        factory,
-		Policy:         o.Policy,
-		ClientFraction: o.ClientFraction,
-		DropoutProb:    o.DropoutProb,
-		Observer:       flObs,
-		// Utility sweeps run on the simulator's deterministic parallel
-		// evaluation engine (Spec.Workers, per-(seed, round, user)
-		// negative streams), so the recorded curve is independent of the
-		// worker count, of the attack evaluation above and of how often
-		// it is sampled.
-		OnRound: func(round int, s *fed.Simulation) {
-			switch o.Utility {
-			case UtilityHR:
-				utility = append(utility, s.UtilityHR(o.Spec.HRK, o.Spec.NumNeg))
-			case UtilityF1:
-				utility = append(utility, s.UtilityF1(o.Spec.HRK))
-			}
-		},
-	})
+	r, err := newFLRun(o, factory, nil, 0)
 	if err != nil {
 		return RunResult{}, err
 	}
-	defer tr.Close()
-	sim.Run()
-
-	// The FL server's upper bound is 1 under full participation; with
-	// sampling or dropout it is whatever coverage it accumulated.
-	var upper float64
-	seen := cia.Seen()
-	for _, truth := range truths {
-		upper += evalx.UpperBound(seen, truth)
-	}
-	upper /= float64(len(truths))
-	res := flObs.rec.Summarize(evalx.RandomBound(k, o.Data.NumUsers), upper)
-	return RunResult{
-		Attack: res, Utility: utility,
-		TransportName: tr.Name(), Traffic: tr.Stats(),
-		Resilience: sim.Resilience().String(),
-		Metrics:    o.Spec.Metrics.Snapshot(),
-	}, nil
-}
-
-// flObserver adapts a CIA instance to the fed.Observer interface:
-// Alg. 1's loop over received models, then per round an optional
-// fictive-user refit before scoring and, when rec is set, accuracy
-// recording against truths.
-type flObserver struct {
-	cia    *attack.CIA
-	refit  func(round int)
-	truths []map[int]struct{}
-	rec    *evalx.Recorder
-}
-
-func (o *flObserver) OnUpload(msg fed.Message) { o.cia.Observe(msg.From, msg.Params) }
-
-func (o *flObserver) OnRoundEnd(round int) {
-	if o.refit != nil {
-		o.refit(round)
-	}
-	o.cia.EndRound()
-	if o.rec != nil {
-		o.rec.Record(o.cia.Accuracies(o.truths))
-	}
+	return r.runToEnd(), nil
 }
 
 // GLOpts parameterizes a gossip CIA run.
@@ -297,6 +199,227 @@ type GLOpts struct {
 // training set and the AAC averages over placements; in colluder mode
 // one coalition attacks every target simultaneously.
 func RunGLCIA(o GLOpts) (RunResult, error) {
+	r, err := newGLRun(o)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return r.runToEnd(), nil
+}
+
+// ciaRun is what every CIA run holds, whatever the protocol: the
+// simulation with its transport and metric registry, the evaluator the
+// adversaries score with, the adversaries, and the recorders of their
+// per-round accuracy and of the utility curve. advs lists the
+// adversaries (the FedAvg server, one per gossip node, or one
+// coalition), each attacking the same number of targets; numbering
+// the targets in that order gives the run's target index j, which keys
+// truths[j] and the evaluator's target (and fictive user) j.
+type ciaRun struct {
+	sim    simulation
+	rounds int
+	tr     transport.Transport
+	reg    *obs.Registry
+	ev     *attack.RecommenderEval
+	advs   []*attack.CIA
+	k, n   int
+	truths []map[int]struct{} // nil: no accuracy is recorded
+	rec    *evalx.Recorder
+	// kind selects the utility sampled after every round: HR@hrK
+	// against numNeg negatives, or F1@hrK.
+	kind        UtilityKind
+	hrK, numNeg int
+	utility     []float64
+}
+
+// simulation is the protocol simulator a ciaRun steps.
+type simulation interface {
+	RunRound()
+	Round() int
+	UtilityHR(k, numNeg int) float64
+	UtilityF1(k int) float64
+}
+
+// RunRound runs the next protocol round. The adversaries observe its
+// traffic, score at its end and record their accuracy.
+func (r *ciaRun) RunRound() { r.sim.RunRound() }
+
+// run steps through every remaining round.
+func (r *ciaRun) run() {
+	for r.sim.Round() < r.rounds {
+		r.RunRound()
+	}
+}
+
+// runToEnd runs every remaining round, summarizes the run and closes
+// it.
+func (r *ciaRun) runToEnd() RunResult {
+	defer r.Close()
+	r.run()
+	return r.result()
+}
+
+// Close releases the run's transport.
+func (r *ciaRun) Close() error { return r.tr.Close() }
+
+// result summarizes the rounds run so far.
+func (r *ciaRun) result() RunResult {
+	return RunResult{
+		Attack:        r.rec.Summarize(evalx.RandomBound(r.k, r.n), r.upperBound()),
+		Utility:       r.utility,
+		TransportName: r.tr.Name(),
+		Traffic:       r.tr.Stats(),
+		Metrics:       r.reg.Snapshot(),
+	}
+}
+
+// perAdversary is the number of targets each adversary attacks.
+func (r *ciaRun) perAdversary() int { return r.ev.NumTargets() / len(r.advs) }
+
+// record appends the round's accuracy of every target to rec.
+func (r *ciaRun) record() {
+	if r.truths == nil {
+		return
+	}
+	per := r.perAdversary()
+	accs := make([]float64, 0, len(r.truths))
+	for i, cia := range r.advs {
+		accs = append(accs, cia.Accuracies(r.truths[i*per:(i+1)*per])...)
+	}
+	r.rec.Record(accs)
+}
+
+// upperBound is the §V-C accuracy upper bound averaged over targets,
+// from what each adversary has observed so far. The FL server's is 1
+// under full participation; with sampling or dropout it is whatever
+// coverage it accumulated.
+func (r *ciaRun) upperBound() float64 {
+	per := r.perAdversary()
+	var sum float64
+	for i, cia := range r.advs {
+		seen := cia.Seen()
+		for _, truth := range r.truths[i*per : (i+1)*per] {
+			sum += evalx.UpperBound(seen, truth)
+		}
+	}
+	return sum / float64(len(r.truths))
+}
+
+// sampleUtility records the round's utility. The sweeps run on the
+// simulator's deterministic parallel evaluation engine (Spec.Workers,
+// per-(seed, round, user) negative streams), so the curve is
+// independent of the worker count, of the attack and of how often it
+// is sampled.
+func (r *ciaRun) sampleUtility() {
+	switch r.kind {
+	case UtilityHR:
+		r.utility = append(r.utility, r.sim.UtilityHR(r.hrK, r.numNeg))
+	case UtilityF1:
+		r.utility = append(r.utility, r.sim.UtilityF1(r.hrK))
+	}
+}
+
+// flRun is a FedAvg federation under a server-side CIA adversary
+// (Alg. 1), built by newFLRun and stepped with RunRound. Every FedAvg
+// experiment with a server CIA runs through it.
+type flRun struct {
+	ciaRun
+	fed *fed.Simulation
+	cia *attack.CIA
+	// refit re-fits the fictive users before the adversary scores
+	// (Share-less, §IV-C); nil skips it.
+	refit func(round int)
+	// also observes every upload and round end after the adversary:
+	// the MIA or AIA of an experiment comparing attacks on the same
+	// uploads.
+	also fed.Observer
+}
+
+// newFLRun builds a FedAvg run whose server adversary infers, at
+// community size k, the communities of the target item sets. Nil
+// targets are §VI-A's protocol: every user's training set is a target,
+// k is Spec.K, and the accuracy against the true communities is
+// recorded; a caller passing targets sets truths itself to record.
+// Under Share-less the adversary re-fits every fictive user each round
+// against the freshest global item embeddings, on a stream of its own.
+// The caller steps the run and must Close it.
+func newFLRun(o FLOpts, factory model.Factory, targets [][]int, k int) (*flRun, error) {
+	if o.Policy == nil {
+		o.Policy = defense.FullSharing{}
+	}
+	n := o.Data.NumUsers
+	r := &flRun{ciaRun: ciaRun{kind: o.Utility, hrK: o.Spec.HRK, numNeg: o.Spec.NumNeg, rounds: o.Spec.Rounds, k: k, n: n, rec: evalx.NewRecorder()}}
+	if targets == nil {
+		targets = o.Data.Train
+		r.k = o.Spec.K(n)
+		r.truths = evalx.TrueCommunities(o.Data, r.k)
+	}
+	r.ev = newEval(factory, targets, o.Policy)
+	// CIA scores on forks of ev, one per worker.
+	r.cia = attack.New(attack.Config{Beta: o.Spec.Beta, K: r.k, NumUsers: n, Eval: r.ev, Workers: o.Spec.Workers})
+	r.advs = []*attack.CIA{r.cia}
+	if r.ev.ShareLess() {
+		r.refitFrom(mathx.NewRand(o.Spec.Seed ^ 0x51ce))
+	}
+	// Pin the registry so newFed registers into the one result snapshots.
+	o.Spec.Metrics = runRegistry(o.Spec)
+	r.reg = o.Spec.Metrics
+	sim, tr, err := newFed(o.Spec, fed.Config{
+		Dataset:        o.Data,
+		Factory:        factory,
+		Policy:         o.Policy,
+		ClientFraction: o.ClientFraction,
+		DropoutProb:    o.DropoutProb,
+		Observer:       r,
+		OnRound:        func(int, *fed.Simulation) { r.sampleUtility() },
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.fed, r.sim, r.tr = sim, sim, tr
+	return r, nil
+}
+
+// refitFrom makes the adversary re-fit every fictive user each round
+// against the global model's item embeddings, drawing from rng.
+func (r *flRun) refitFrom(rng *rand.Rand) {
+	r.refit = func(int) { r.ev.RefreshFictive(r.fed.Global().Params(), fictiveEpochs, rng) }
+}
+
+func (r *flRun) OnUpload(msg fed.Message) {
+	r.cia.Observe(msg.From, msg.Params)
+	if r.also != nil {
+		r.also.OnUpload(msg)
+	}
+}
+
+func (r *flRun) OnRoundEnd(round int) {
+	if r.refit != nil {
+		r.refit(round)
+	}
+	r.cia.EndRound()
+	r.record()
+	if r.also != nil {
+		r.also.OnRoundEnd(round)
+	}
+}
+
+// glRun is a gossip network under CIA adversaries (Alg. 2), built by
+// newGLRun and stepped with RunRound: one adversary per node targeting
+// its own training set (§VI-B), or one coalition fed by every
+// colluder's inbox and targeting every user (§VI-D).
+type glRun struct {
+	ciaRun
+	gossip *gossip.Simulation
+	// rng draws the coalition and the Share-less refits.
+	rng *rand.Rand
+	// colluders, sorted ascending, feed the coalition advs[0]; nil in
+	// single-adversary mode, where advs[a] is node a's adversary.
+	colluders []int
+}
+
+// newGLRun builds the gossip run o describes. The caller steps it and
+// must Close it.
+func newGLRun(o GLOpts) (*glRun, error) {
 	if o.Policy == nil {
 		o.Policy = defense.FullSharing{}
 	}
@@ -306,55 +429,49 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 	}
 	factory, err := MakeFactory(o.Family, o.Data, o.Spec)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 	n := o.Data.NumUsers
 	k := o.Spec.K(n)
-	truths := evalx.TrueCommunities(o.Data, k)
-	ev := newEval(factory, o.Data.Train, o.Policy)
-	glObs := &glObserver{
-		ev:        ev,
-		truths:    truths,
-		rec:       evalx.NewRecorder(),
-		rng:       mathx.NewRand(o.Spec.Seed ^ 0x90551b),
-		shareLess: ev.ShareLess(),
+	rounds := o.Spec.GLRounds
+	if rounds == 0 {
+		rounds = o.Spec.Rounds
+	}
+	r := &glRun{
+		ciaRun: ciaRun{
+			kind: o.Utility, hrK: o.Spec.HRK, numNeg: o.Spec.NumNeg, rounds: rounds, k: k, n: n,
+			truths: evalx.TrueCommunities(o.Data, k),
+			rec:    evalx.NewRecorder(),
+			ev:     newEval(factory, o.Data.Train, o.Policy),
+		},
+		rng: mathx.NewRand(o.Spec.Seed ^ 0x90551b),
 	}
 	if o.ColluderFrac > 0 {
-		nc := int(o.ColluderFrac * float64(n))
-		if nc < 1 {
-			nc = 1
-		}
-		glObs.colluders = mathx.SampleWithoutReplacement(glObs.rng, n, nc)
-		slices.Sort(glObs.colluders)
-		glObs.coalition = attack.New(attack.Config{
-			Beta: beta, K: k, NumUsers: n, Eval: ev, Workers: o.Spec.Workers,
-		})
+		nc := max(int(o.ColluderFrac*float64(n)), 1)
+		r.colluders = mathx.SampleWithoutReplacement(r.rng, n, nc)
+		slices.Sort(r.colluders)
+		r.advs = []*attack.CIA{attack.New(attack.Config{
+			Beta: beta, K: k, NumUsers: n, Eval: r.ev, Workers: o.Spec.Workers,
+		})}
 	} else {
-		glObs.perNode = make([]*attack.CIA, n)
-		for a := 0; a < n; a++ {
-			glObs.perNode[a] = attack.New(attack.Config{
+		r.advs = make([]*attack.CIA, n)
+		for a := range r.advs {
+			r.advs[a] = attack.New(attack.Config{
 				Beta: beta, K: k, NumUsers: n,
-				Eval: &targetView{ev: ev, t: a},
+				Eval: &targetView{ev: r.ev, t: a},
 			})
 		}
 	}
-
-	glRounds := o.Spec.GLRounds
-	if glRounds == 0 {
-		glRounds = o.Spec.Rounds
-	}
 	tr, err := newTransport(o.Spec)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
-	defer tr.Close()
-	var utility []float64
 	sim, err := gossip.New(gossip.Config{
 		Dataset:     o.Data,
 		Factory:     factory,
 		Policy:      o.Policy,
 		Variant:     o.Variant,
-		Rounds:      glRounds,
+		Rounds:      rounds,
 		StaticGraph: o.StaticGraph,
 		Train:       model.TrainOptions{Epochs: o.Spec.LocalEpochs},
 		Workers:     o.Spec.Workers,
@@ -363,32 +480,18 @@ func RunGLCIA(o GLOpts) (RunResult, error) {
 		ChurnPlan:   o.Spec.ChurnPlan,
 		Byzantine:   o.Spec.Byzantine,
 		Tracer:      o.Spec.Trace,
-		Observer:    glObs,
-		OnRound: func(round int, s *gossip.Simulation) {
-			switch o.Utility {
-			case UtilityHR:
-				utility = append(utility, s.UtilityHR(o.Spec.HRK, o.Spec.NumNeg))
-			case UtilityF1:
-				utility = append(utility, s.UtilityF1(o.Spec.HRK))
-			}
-		},
-		Seed: o.Spec.Seed,
+		Observer:    r,
+		OnRound:     func(int, *gossip.Simulation) { r.sampleUtility() },
+		Seed:        o.Spec.Seed,
 	})
 	if err != nil {
-		return RunResult{}, err
+		tr.Close()
+		return nil, err
 	}
-	glObs.sim = sim
-	reg := runRegistry(o.Spec)
-	sim.RegisterMetrics(reg)
-	sim.Run()
-
-	res := glObs.rec.Summarize(evalx.RandomBound(k, n), glObs.meanUpperBound())
-	return RunResult{
-		Attack: res, Utility: utility,
-		TransportName: tr.Name(), Traffic: tr.Stats(),
-		Resilience: sim.Resilience().String(),
-		Metrics:    reg.Snapshot(),
-	}, nil
+	r.reg = runRegistry(o.Spec)
+	sim.RegisterMetrics(r.reg)
+	r.gossip, r.sim, r.tr = sim, sim, tr
+	return r, nil
 }
 
 // targetView exposes a single target of a shared multi-target
@@ -403,77 +506,29 @@ func (v *targetView) Load(s *param.Set)           { v.ev.Load(s) }
 func (v *targetView) Score(sender, _ int) float64 { return v.ev.Score(sender, v.t) }
 func (v *targetView) NumTargets() int             { return 1 }
 
-// glObserver adapts CIA instances to gossip traffic (Alg. 2).
-type glObserver struct {
-	sim    *gossip.Simulation
-	ev     *attack.RecommenderEval
-	truths []map[int]struct{}
-	rec    *evalx.Recorder
-	rng    *rand.Rand
-
-	// single-adversary mode: one CIA per placement.
-	perNode []*attack.CIA
-	// colluder mode: one coalition fed by all colluders' inboxes;
-	// colluders is sorted ascending.
-	colluders []int
-	coalition *attack.CIA
-
-	shareLess bool
-}
-
-func (o *glObserver) OnReceive(msg gossip.Message) {
-	if o.coalition != nil {
-		if _, ok := slices.BinarySearch(o.colluders, msg.To); ok {
-			o.coalition.Observe(msg.From, msg.Params)
-		}
+func (r *glRun) OnReceive(msg gossip.Message) {
+	if r.colluders == nil {
+		r.advs[msg.To].Observe(msg.From, msg.Params)
 		return
 	}
-	o.perNode[msg.To].Observe(msg.From, msg.Params)
+	if _, ok := slices.BinarySearch(r.colluders, msg.To); ok {
+		r.advs[0].Observe(msg.From, msg.Params)
+	}
 }
 
-func (o *glObserver) OnRoundEnd(round int) {
-	if o.coalition != nil {
-		if o.shareLess {
+func (r *glRun) OnRoundEnd(int) {
+	shareLess := r.ev.ShareLess()
+	for a, cia := range r.advs {
+		if shareLess && r.colluders != nil {
 			// The coalition refreshes every target's e_A against the
 			// lowest-id colluder's item embeddings.
-			o.ev.RefreshFictive(o.sim.Node(o.colluders[0]).Params(), fictiveEpochs, o.rng)
-		}
-		o.coalition.EndRound()
-		o.rec.Record(o.coalition.Accuracies(o.truths))
-		return
-	}
-	accs := make([]float64, len(o.perNode))
-	for a, cia := range o.perNode {
-		if o.shareLess {
-			o.ev.RefreshFictiveOne(a, o.sim.Node(a).Params(), fictiveEpochs, o.rng)
+			r.ev.RefreshFictive(r.gossip.Node(r.colluders[0]).Params(), fictiveEpochs, r.rng)
+		} else if shareLess {
+			r.ev.RefreshFictiveOne(a, r.gossip.Node(a).Params(), fictiveEpochs, r.rng)
 		}
 		cia.EndRound()
-		accs[a] = evalx.Accuracy(cia.Predict(0), o.truths[a])
 	}
-	o.rec.Record(accs)
-}
-
-// meanUpperBound is the §V-C accuracy upper bound averaged over
-// adversaries (placements or coalition targets) at the end of the run.
-func (o *glObserver) meanUpperBound() float64 {
-	if o.coalition != nil {
-		seen := o.coalition.Seen()
-		var sum float64
-		for _, truth := range o.truths {
-			sum += evalx.UpperBound(seen, truth)
-		}
-		return sum / float64(len(o.truths))
-	}
-	var sum float64
-	for a, cia := range o.perNode {
-		sum += evalx.UpperBound(cia.Seen(), o.truths[a])
-	}
-	return sum / float64(len(o.perNode))
-}
-
-func isShareLess(p defense.Policy) bool {
-	_, ok := p.(defense.ShareLess)
-	return ok
+	r.record()
 }
 
 // utilityFor maps a model family to its paper utility metric.

@@ -140,11 +140,8 @@ func TestScenarioRunsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resilience == "" {
-		t.Fatal("churn-byz run reported no resilience counters")
-	}
-	if !strings.Contains(res.Resilience, "byzantine-uploads=") {
-		t.Fatalf("resilience summary %q lacks byzantine uploads", res.Resilience)
+	if n := res.Metrics["resilience_byzantine_uploads"]; n <= 0 {
+		t.Fatalf("churn-byz run counted %v byzantine uploads", n)
 	}
 	if res.BestUtility() <= 0 {
 		t.Fatal("churn-byz run recorded no utility")
@@ -162,8 +159,8 @@ func TestScenarioRunsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(gres.Resilience, "leaves=") {
-		t.Fatalf("gossip resilience summary %q lacks churn counters", gres.Resilience)
+	if n := gres.Metrics["resilience_leaves"]; n <= 0 {
+		t.Fatalf("gossip churn run counted %v leaves", n)
 	}
 }
 

@@ -98,52 +98,43 @@ func RunAIAComparison(spec Spec) (AIAComparison, error) {
 	if err != nil {
 		return AIAComparison{}, err
 	}
-	cia := attack.New(attack.Config{
-		Beta: spec.Beta, K: k, NumUsers: d.NumUsers,
-		Eval: attack.NewRecommenderEval(factory(0), [][]int{target}),
-	})
 
-	obs := &aiaObserver{aia: aia, cia: cia, truth: truth}
 	// Continue the federation with both attacks observing. A fresh,
 	// re-seeded simulation keeps the harness simple: install the warm
 	// parameters into the new run's global model.
 	cont := half
 	cont.Seed = spec.Seed ^ 0x5ec
-	sim, tr, err := newFed(cont, fed.Config{Dataset: d, Factory: factory, Observer: obs})
+	r, err := newFLRun(FLOpts{Data: d, Spec: cont}, factory, [][]int{target}, k)
 	if err != nil {
 		return AIAComparison{}, err
 	}
-	defer tr.Close()
-	sim.Global().Params().CopyFrom(warm.Global().Params())
-	sim.Run()
+	defer r.Close()
+	r.truths = []map[int]struct{}{truth}
+	obs := &aiaObserver{aia: aia, truth: truth}
+	r.also = obs
+	r.fed.Global().Params().CopyFrom(warm.Global().Params())
+	r.run()
 
+	ciaAAC, _ := r.rec.MaxAAC()
 	return AIAComparison{
 		AIAMaxAAC: obs.bestAIA,
-		CIAMaxAAC: obs.bestCIA,
+		CIAMaxAAC: ciaAAC,
 		Random:    evalx.RandomBound(k, d.NumUsers),
 	}, nil
 }
 
+// aiaObserver feeds the uploads the CIA sees to the AIA.
 type aiaObserver struct {
 	aia     *attack.AIA
-	cia     *attack.CIA
 	truth   map[int]struct{}
 	bestAIA float64
-	bestCIA float64
 }
 
-func (o *aiaObserver) OnUpload(msg fed.Message) {
-	o.aia.Observe(msg.From, msg.Params)
-	o.cia.Observe(msg.From, msg.Params)
-}
+func (o *aiaObserver) OnUpload(msg fed.Message) { o.aia.Observe(msg.From, msg.Params) }
 
 func (o *aiaObserver) OnRoundEnd(round int) {
 	if acc := o.aia.Accuracy(o.truth); acc > o.bestAIA {
 		o.bestAIA = acc
-	}
-	o.cia.EndRound()
-	if acc := evalx.Accuracy(o.cia.Predict(0), o.truth); acc > o.bestCIA {
-		o.bestCIA = acc
 	}
 }
 

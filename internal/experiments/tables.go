@@ -56,9 +56,9 @@ func RenderRows(title string, rows []AttackRow) string {
 }
 
 // resilienceKeys is the merged fed+gossip resilience counter order:
-// each protocol's Resilience.String declaration order is preserved (a
-// run only ever populates one protocol's keys), mapped to the
-// resilience_* metric names the simulations register.
+// each protocol's Resilience field order is preserved (a run only ever
+// populates one protocol's keys), mapped to the resilience_* metric
+// names the simulations register.
 var resilienceKeys = []struct{ key, metric string }{
 	{"blackouts", "resilience_blackouts"},
 	{"deliver-failures", "resilience_deliver_failures"},
@@ -78,8 +78,8 @@ var resilienceKeys = []struct{ key, metric string }{
 }
 
 // resilienceLine renders a row's non-zero resilience counters as
-// key=value pairs from its registry snapshot, matching the protocols'
-// Resilience.String output exactly ("" for a row without a snapshot).
+// key=value pairs from its registry snapshot ("" for a row without a
+// snapshot or an uneventful run).
 func resilienceLine(r AttackRow) string {
 	var b strings.Builder
 	for _, k := range resilienceKeys {
@@ -475,24 +475,21 @@ func RunTable8(spec Spec) (Table8Result, error) {
 	if err != nil {
 		return Table8Result{}, err
 	}
-	k := spec.K(d.NumUsers)
-	targets := d.Train
-	truths := evalx.TrueCommunities(d, k)
 	rhos := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 
 	// One federation run, all attacks observing the same uploads.
-	cia := attack.New(attack.Config{
-		Beta: spec.Beta, K: k, NumUsers: d.NumUsers,
-		Eval: attack.NewRecommenderEval(factory(0), targets),
-	})
+	r, err := newFLRun(FLOpts{Data: d, Spec: spec}, factory, nil, 0)
+	if err != nil {
+		return Table8Result{}, err
+	}
+	defer r.Close()
 	plain := make([]*attack.MIA, len(rhos))
 	guarded := make([]*attack.MIA, len(rhos))
 	for i, rho := range rhos {
-		plain[i] = attack.NewMIA(rho, k, factory(0), targets, d)
-		guarded[i] = attack.NewMIA(rho, k, factory(0), targets, d)
+		plain[i] = attack.NewMIA(rho, r.k, factory(0), d.Train, d)
+		guarded[i] = attack.NewMIA(rho, r.k, factory(0), d.Train, d)
 		guarded[i].Guarded = true
 	}
-	rec := evalx.NewRecorder()
 	newRecs := func() []*evalx.Recorder {
 		out := make([]*evalx.Recorder, len(rhos))
 		for i := range out {
@@ -501,19 +498,14 @@ func RunTable8(spec Spec) (Table8Result, error) {
 		return out
 	}
 	obs := &table8Observer{
-		cia: cia, plain: plain, guarded: guarded,
-		truths: truths, rec: rec,
+		plain: plain, guarded: guarded, truths: r.truths,
 		plainRecs: newRecs(), guardedRecs: newRecs(),
 	}
-	sim, tr, err := newFed(spec, fed.Config{Dataset: d, Factory: factory, Observer: obs})
-	if err != nil {
-		return Table8Result{}, err
-	}
-	defer tr.Close()
-	sim.Run()
+	r.also = obs
+	r.run()
 
 	out := Table8Result{}
-	ciaAAC, _ := rec.MaxAAC()
+	ciaAAC, _ := r.rec.MaxAAC()
 	out.CIAMaxAAC = ciaAAC
 	for i, rho := range rhos {
 		pAAC, _ := obs.plainRecs[i].MaxAAC()
@@ -529,18 +521,16 @@ func RunTable8(spec Spec) (Table8Result, error) {
 	return out, nil
 }
 
+// table8Observer feeds the uploads to every MIA of Table VIII's sweep.
 type table8Observer struct {
-	cia         *attack.CIA
 	plain       []*attack.MIA
 	guarded     []*attack.MIA
 	truths      []map[int]struct{}
-	rec         *evalx.Recorder
 	plainRecs   []*evalx.Recorder
 	guardedRecs []*evalx.Recorder
 }
 
 func (o *table8Observer) OnUpload(msg fed.Message) {
-	o.cia.Observe(msg.From, msg.Params)
 	for i := range o.plain {
 		o.plain[i].Observe(msg.From, msg.Params)
 		o.guarded[i].Observe(msg.From, msg.Params)
@@ -548,8 +538,6 @@ func (o *table8Observer) OnUpload(msg fed.Message) {
 }
 
 func (o *table8Observer) OnRoundEnd(round int) {
-	o.cia.EndRound()
-	o.rec.Record(o.cia.Accuracies(o.truths))
 	for i := range o.plain {
 		o.plainRecs[i].Record(o.plain[i].Accuracies(o.truths))
 		o.guardedRecs[i].Record(o.guarded[i].Accuracies(o.truths))

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -333,33 +332,6 @@ func (s *Simulation) Resilience() Resilience {
 		r.Rejoins = s.membership.Rejoins()
 	}
 	return r
-}
-
-// String renders the non-zero counters as space-separated key=value
-// pairs in declaration order ("" when nothing happened), the form the
-// experiment tables print per run.
-func (r Resilience) String() string {
-	var b strings.Builder
-	add := func(key string, v int64) {
-		if v == 0 {
-			return
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", key, v)
-	}
-	add("blackouts", r.BlackoutRounds)
-	add("deliver-failures", r.DeliverFailures)
-	add("upload-failures", r.UploadFailures)
-	add("stragglers", r.Stragglers)
-	add("quorum-misses", r.QuorumMisses)
-	add("joins", r.Joins)
-	add("leaves", r.Leaves)
-	add("rejoins", r.Rejoins)
-	add("byzantine-uploads", r.ByzantineUploads)
-	add("clipped-uploads", r.ClippedUploads)
-	return b.String()
 }
 
 // New builds a federated simulation from cfg.

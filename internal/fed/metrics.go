@@ -7,8 +7,8 @@ import (
 
 // RegisterMetrics installs live views of the simulation's counters
 // into reg: the transport's transport_* traffic counters, the
-// resilience_* fault accounting (same keys as Resilience.String with
-// dashes underscored), the parameter pool's hit/miss counts and —
+// resilience_* fault accounting (one view per Resilience field), the
+// parameter pool's hit/miss counts and —
 // when the simulation is traced — the tracer's span volume. The
 // registry only ever reads; the simulation stays the owner of every
 // counter. No-op on a nil registry.

@@ -3,10 +3,14 @@ package fed
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/mathx"
+	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
 	"github.com/collablearn/ciarec/internal/transport"
 )
@@ -333,5 +337,64 @@ func TestResilienceAggregatorValidation(t *testing.T) {
 		if err != nil || got != a {
 			t.Errorf("aggregator round trip %v: got %v, %v", a, got, err)
 		}
+	}
+}
+
+// TestResilienceMetricViews holds the registry's resilience_* views to
+// the Resilience() accounting they read: after a run with churn,
+// Byzantine uploads, norm clipping and every fault family, there is
+// one view per field and each equals its field.
+func TestResilienceMetricViews(t *testing.T) {
+	d := fedTestDataset(t)
+	churn := churnTestPlan()
+	byz := attack.Byzantine{Kind: attack.ByzSignFlip, Fraction: 0.2, Seed: 9}
+	plan := transport.FaultPlan{
+		Seed: 3, DropProb: 0.1, SendLossProb: 0.1, DeliverLossProb: 0.1, BroadcastFailProb: 0.15,
+		SlowProb: 0.3, SlowLatency: 500 * time.Millisecond,
+	}
+	cfg := fedConfig(d)
+	cfg.Rounds = 10
+	cfg.Transport = faultyTransport(t, "inproc", plan)
+	cfg.FaultPlan = &plan
+	cfg.StragglerDeadline = 100 * time.Millisecond
+	cfg.Quorum = 0.6
+	cfg.ChurnPlan = &churn
+	cfg.Byzantine = &byz
+	cfg.Aggregator = AggNormClip
+	cfg.ClipNorm = 0.5
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
+	s.Run()
+
+	r := s.Resilience()
+	want := map[string]int64{
+		"resilience_blackouts":         r.BlackoutRounds,
+		"resilience_deliver_failures":  r.DeliverFailures,
+		"resilience_upload_failures":   r.UploadFailures,
+		"resilience_stragglers":        r.Stragglers,
+		"resilience_quorum_misses":     r.QuorumMisses,
+		"resilience_joins":             r.Joins,
+		"resilience_leaves":            r.Leaves,
+		"resilience_rejoins":           r.Rejoins,
+		"resilience_byzantine_uploads": r.ByzantineUploads,
+		"resilience_clipped_uploads":   r.ClippedUploads,
+	}
+	for name, v := range want {
+		if v == 0 {
+			t.Errorf("%s is 0: the run is too tame to tell the views apart (%+v)", name, r)
+		}
+	}
+	got := map[string]int64{}
+	for name, v := range reg.Snapshot() {
+		if strings.HasPrefix(name, "resilience_") {
+			got[name] = int64(v)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resilience views %v, Resilience() fields %v", got, want)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"github.com/collablearn/ciarec/internal/attack"
@@ -308,31 +307,6 @@ func (s *Simulation) Resilience() Resilience {
 		r.Rejoins = s.membership.Rejoins()
 	}
 	return r
-}
-
-// String renders the non-zero counters as space-separated key=value
-// pairs in declaration order ("" when nothing happened), the form the
-// experiment tables print per run.
-func (r Resilience) String() string {
-	var b strings.Builder
-	add := func(key string, v int64) {
-		if v == 0 {
-			return
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", key, v)
-	}
-	add("lost-pushes", r.LostPushes)
-	add("skipped-peers", r.SkippedPeers)
-	add("absent-skips", r.AbsentSkips)
-	add("joins", r.Joins)
-	add("leaves", r.Leaves)
-	add("rejoins", r.Rejoins)
-	add("stale-resets", r.StaleResets)
-	add("byzantine-pushes", r.ByzantinePushes)
-	return b.String()
 }
 
 // push is one node's (possibly absent) outgoing transfer for the

@@ -2,9 +2,12 @@ package gossip
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/attack"
+	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
 	"github.com/collablearn/ciarec/internal/transport"
 )
@@ -162,5 +165,60 @@ func TestResilienceGossipChurnInactivePlanIsFree(t *testing.T) {
 		if !param.Equal(ref[u], inactive[u], 0) {
 			t.Fatalf("node %d differs under an inactive churn plan", u)
 		}
+	}
+}
+
+// TestResilienceMetricViews holds the registry's resilience_* views to
+// the Resilience() accounting they read: after a run with churn,
+// Byzantine pushes and faults, there is one view per field and each
+// equals its field.
+func TestResilienceMetricViews(t *testing.T) {
+	d := gossipTestDataset(t)
+	churn := churnTestPlan()
+	byz := attack.Byzantine{Kind: attack.ByzCollude, Fraction: 0.2, Seed: 9}
+	plan := transport.FaultPlan{Seed: 3, DropProb: 0.15, SendLossProb: 0.15}
+	tr, err := transport.NewOptions(transport.FaultyPrefix+"inproc", transport.Options{Plan: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cfg := gossipConfig(d)
+	cfg.Rounds = 10
+	cfg.Transport = tr
+	cfg.FaultPlan = &plan
+	cfg.ChurnPlan = &churn
+	cfg.Byzantine = &byz
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.RegisterMetrics(reg)
+	s.Run()
+
+	r := s.Resilience()
+	want := map[string]int64{
+		"resilience_lost_pushes":      r.LostPushes,
+		"resilience_skipped_peers":    r.SkippedPeers,
+		"resilience_absent_skips":     r.AbsentSkips,
+		"resilience_joins":            r.Joins,
+		"resilience_leaves":           r.Leaves,
+		"resilience_rejoins":          r.Rejoins,
+		"resilience_stale_resets":     r.StaleResets,
+		"resilience_byzantine_pushes": r.ByzantinePushes,
+	}
+	for name, v := range want {
+		if v == 0 {
+			t.Errorf("%s is 0: the run is too tame to tell the views apart (%+v)", name, r)
+		}
+	}
+	got := map[string]int64{}
+	for name, v := range reg.Snapshot() {
+		if strings.HasPrefix(name, "resilience_") {
+			got[name] = int64(v)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resilience views %v, Resilience() fields %v", got, want)
 	}
 }
