@@ -368,12 +368,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		}
 		hashes[r.name] = ref
 	}
-	hashes["cia-shareless/fed-gmf"] = goldenShareLessFedRun(t)
-	hashes["cia-shareless/gossip-gmf"] = goldenShareLessGossipRun(t)
-	for name, h := range goldenGossipCIAHashes(t) {
-		hashes[name] = h
-	}
-	for name, h := range goldenFedCIAHashes(t) {
+	for name, h := range goldenCIAHashes(t) {
 		hashes[name] = h
 	}
 
