@@ -65,21 +65,33 @@ var flExperiments = []struct {
 
 // TestFLExperimentOutputsPinned holds every experiment in
 // flExperiments byte-identical at the default deployment (testSpec at
-// 4 rounds). The digests live apart from golden.json because
-// TestGoldenDeterminism replays every golden.json cell on every
-// backend. After an intentional change, regenerate with
+// 4 rounds), and again at Workers = 1: neither the rounds nor the CIA
+// scoring may depend on the worker count. The digests live apart from
+// golden.json because TestGoldenDeterminism replays every golden.json
+// cell on every backend. After an intentional change, regenerate with
 //
 //	go test ./internal/experiments/ -run TestFLExperimentOutputsPinned -update
 func TestFLExperimentOutputsPinned(t *testing.T) {
 	spec := testSpec()
 	spec.Rounds = 4
-	got := map[string]string{}
-	for _, e := range flExperiments {
-		out, err := e.run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+	digests := func(s Spec) map[string]string {
+		out := map[string]string{}
+		for _, e := range flExperiments {
+			text, err := e.run(s)
+			if err != nil {
+				t.Fatalf("%s at workers %d: %v", e.name, s.Workers, err)
+			}
+			out[e.name] = fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
 		}
-		got[e.name] = fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
+		return out
+	}
+	got := digests(spec)
+	serial := spec
+	serial.Workers = 1
+	for name, h := range digests(serial) {
+		if h != got[name] {
+			t.Errorf("%s: output digest %s at workers 1 != %s at workers %d", name, h, got[name], spec.Workers)
+		}
 	}
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
