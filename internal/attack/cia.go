@@ -17,11 +17,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/collablearn/ciarec/internal/evalx"
 	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/parx"
 )
 
 // Evaluator scores a loaded model state against registered targets.
@@ -186,37 +186,21 @@ func (c *CIA) EndRound() {
 		return
 	}
 	senders := make([]int, 0, len(c.dirty))
-	//lint:sorted keys are drained and sorted below so worker chunking is deterministic; scores are keyed writes of pure (s, t) functions
+	//lint:sorted keys are drained and sorted below; scores are keyed writes of pure (s, t) functions
 	for s := range c.dirty {
 		senders = append(senders, s)
 	}
 	clear(c.dirty)
-	// Sort so the parallel chunk partition (and any future
-	// order-sensitive consumer) cannot depend on map iteration order.
+	// Sort so the scoring order cannot depend on map iteration order.
 	sort.Ints(senders)
 
 	if c.cfg.Workers == 1 || len(senders) < 2*c.cfg.Workers {
 		c.scoreSenders(0, senders)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (len(senders) + c.cfg.Workers - 1) / c.cfg.Workers
-	for w := 0; w < c.cfg.Workers; w++ {
-		lo := w * chunk
-		if lo >= len(senders) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(senders) {
-			hi = len(senders)
-		}
-		wg.Add(1)
-		go func(w int, part []int) {
-			defer wg.Done()
-			c.scoreSenders(w, part)
-		}(w, senders[lo:hi])
-	}
-	wg.Wait()
+	parx.ForEach(c.cfg.Workers, len(senders), func(w, i int) {
+		c.scoreSenders(w, senders[i:i+1])
+	})
 }
 
 // scoreSenders re-scores senders on worker w's evaluator: one

@@ -40,6 +40,8 @@ type BPRMF struct {
 	scoreBuf []float64
 	// fictiveMask is PlanFictiveUser's item-membership scratch.
 	fictiveMask []bool
+	// order is TrainLocal's shuffle buffer, reused across calls.
+	order []int
 }
 
 var _ Recommender = (*BPRMF)(nil)
@@ -172,12 +174,11 @@ func (m *BPRMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 	if len(items) == 0 {
 		return
 	}
-	order := make([]int, len(items))
-	copy(order, items)
+	m.order = append(m.order[:0], items...)
 	ref := opt.driftRows(BPRMFItemEmb)
 	for e := 0; e < opt.Epochs; e++ {
-		mathx.Shuffle(opt.Rand, order)
-		for _, pos := range order {
+		mathx.Shuffle(opt.Rand, m.order)
+		for _, pos := range m.order {
 			for n := 0; n < opt.NegPerPos; n++ {
 				m.bprStep(u, pos, d.SampleNegative(opt.Rand, u), opt, ref)
 			}

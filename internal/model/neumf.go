@@ -62,6 +62,8 @@ type NeuMF struct {
 	wg, uPart, scoreBuf []float64
 	// fictiveMask is PlanFictiveUser's item-membership scratch.
 	fictiveMask []bool
+	// order is TrainLocal's shuffle buffer, reused across calls.
+	order []int
 }
 
 // gradViews carves the lazily-allocated backprop workspace into its
@@ -321,12 +323,11 @@ func (m *NeuMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 	if len(items) == 0 {
 		return
 	}
-	order := make([]int, len(items))
-	copy(order, items)
+	m.order = append(m.order[:0], items...)
 	refG, refM := opt.driftRows(NeuMFItemEmbGMF), opt.driftRows(NeuMFItemEmbMLP)
 	for e := 0; e < opt.Epochs; e++ {
-		mathx.Shuffle(opt.Rand, order)
-		for _, pos := range order {
+		mathx.Shuffle(opt.Rand, m.order)
+		for _, pos := range m.order {
 			m.sgdStep(u, pos, 1, opt, refG, refM)
 			for n := 0; n < opt.NegPerPos; n++ {
 				m.sgdStep(u, d.SampleNegative(opt.Rand, u), 0, opt, refG, refM)

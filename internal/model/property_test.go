@@ -129,3 +129,39 @@ func TestMLPDistributionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TrainLocal shuffles a model-owned buffer: after the first call a
+// local epoch allocates nothing, and a clone trains on a buffer of its
+// own, so models trained on different goroutines never share one.
+func TestTrainLocalReusesShuffleBuffer(t *testing.T) {
+	d := tinyDataset(t)
+	order := func(m Recommender) []int {
+		switch m := m.(type) {
+		case *GMF:
+			return m.order
+		case *BPRMF:
+			return m.order
+		case *NeuMF:
+			return m.order
+		}
+		t.Fatalf("no shuffle buffer on %T", m)
+		return nil
+	}
+	for _, m := range []Recommender{
+		NewGMF(d.NumUsers, d.NumItems, 4, 1),
+		NewBPRMF(d.NumUsers, d.NumItems, 4, 1),
+		NewNeuMF(d.NumUsers, d.NumItems, 4, 1),
+	} {
+		r := mathx.NewRand(2)
+		if a := testing.AllocsPerRun(20, func() {
+			m.TrainLocal(d, 0, TrainOptions{Rand: r})
+		}); a != 0 {
+			t.Errorf("%s: TrainLocal allocates %v times per call", m.Name(), a)
+		}
+		c := m.Clone()
+		c.TrainLocal(d, 0, TrainOptions{Rand: r})
+		if &order(c)[0] == &order(m)[0] {
+			t.Errorf("%s: Clone shares the shuffle buffer", m.Name())
+		}
+	}
+}

@@ -91,9 +91,9 @@ func paperSet() *Set {
 // column). The dense CPS1 rows run on a paper-scale payload, for the
 // zero-copy little-endian fast path and the portable per-float
 // fallback: encode (WriteTo into a warm buffer), trusted decode
-// (DecodeFrom, the transport receive path), and untrusted decode
-// (ReadFrom, checkpoint loading). The cpq1/ rows price the compressed
-// codec (see benchCompressedCodec).
+// (DecodeFromRef, the transport receive path), and untrusted decode
+// (ReadFrom). The cpq1/ rows price the compressed codec (see
+// benchCompressedCodec).
 func BenchmarkCodecThroughput(b *testing.B) {
 	src := paperSet()
 	size := int64(src.WireBytes())
@@ -126,7 +126,7 @@ func BenchmarkCodecThroughput(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dst.DecodeFrom(bytes.NewReader(encoded.Bytes())); err != nil {
+				if _, err := dst.DecodeFromRef(bytes.NewReader(encoded.Bytes()), nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,12 +1,10 @@
 package param
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -35,9 +33,12 @@ import (
 // the two payload forms per entry, so the format degrades gracefully:
 // dense-ish payloads cost n·bits/8 bytes, sparse ones nnz·(4+bits/8).
 //
-// Decoders accept both this format and the dense CPS1 format of
-// serialize.go by sniffing the 4-byte magic, which is what lets one
-// transport seam negotiate compression per payload.
+// Both decoders, ReadFrom and DecodeFromRef, accept this format and
+// the dense CPS1 format of serialize.go by sniffing the 4-byte magic,
+// which is what lets one transport seam negotiate compression per
+// payload. The CPQ1 pieces below — flags, quantization range,
+// dequantizer, sparse body — are what wireReader.entry adds to the
+// CPS1 entry decode.
 const compressMagic = "CPQ1"
 
 const (
@@ -52,13 +53,12 @@ const (
 // range has diverged long before compression is its problem.
 const codecRangeLimit = 1e300
 
-// sparseExpandBudget caps how many coordinates the untrusted decode
-// path (ReadFrom) will materialize for sparse entries across one
-// stream: a sparse entry's dense size is claimed by its header, not
-// carried as bytes, so without a cap a ~40-byte stream could demand
-// gigabytes of zero-fill. 2^22 float64s = 32 MiB. The transport's
-// in-place DecodeFromRef path has no such cap — its storage exists
-// before any byte is read.
+// sparseExpandBudget caps how many coordinates ReadFrom will
+// materialize for sparse entries across one stream: a sparse entry's
+// dense size is claimed by its header, not carried as bytes, so without
+// a cap a ~40-byte stream could demand gigabytes of zero-fill. 2^22
+// float64s = 32 MiB. DecodeFromRef needs no such cap — it writes into
+// the receiver's storage, which exists before any byte is read.
 const sparseExpandBudget = 1 << 22
 
 // Compression selects the lossy wire codec. The zero value disables
@@ -400,150 +400,73 @@ func scanPayload(data, ref []float64) (pr payloadRange, bad int) {
 // broadcast source here, so an upload that diverges from the global
 // model in few coordinates encodes as a genuinely sparse delta. The
 // resulting stream decodes through DecodeFromRef with the same ref
-// (delta-free streams also through ReadFrom/DecodeFrom).
+// (delta-free streams also through ReadFrom).
 //
 // All values (after delta subtraction) must be finite and within
 // ±1e300; see Compression for the reconstruction-error contract.
 func (s *Set) WriteCompressedTo(w io.Writer, c Compression, ref *Set) (int64, error) {
-	type buffered interface {
-		io.Writer
-		io.ByteWriter
-	}
-	if bw, ok := w.(buffered); ok {
-		return s.encodeCompressed(bw, c, ref)
-	}
-	bw := bufio.NewWriter(w)
-	n, err := s.encodeCompressed(bw, c, ref)
-	if err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
-}
-
-func (s *Set) encodeCompressed(w io.Writer, c Compression, ref *Set) (int64, error) {
 	if c.Bits != 8 && c.Bits != 16 {
 		return 0, fmt.Errorf("param: unsupported compression %d (want 8 or 16 bits)", c.Bits)
 	}
-	sp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(sp)
-	scratch := *sp
-	lb := c.levelBytes()
-	var n int64
-	write := func(b []byte) error {
-		if _, err := w.Write(b); err != nil {
-			return err
+	return s.encode(w, c, ref)
+}
+
+// quantized writes entry e's CPQ1 flags and payload, delta-coded
+// against re's values when re is non-nil.
+func (ew *wireWriter) quantized(c Compression, e, re *Entry) {
+	var refData []float64
+	if re != nil {
+		refData = re.Data
+	}
+	// First pass: value range and sparsity of the (delta) payload.
+	pr, bad := scanPayload(e.Data, refData)
+	if bad >= 0 {
+		v := e.Data[bad]
+		if refData != nil {
+			v -= refData[bad]
 		}
-		n += int64(len(b))
-		return nil
-	}
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		return write(scratch[:4])
-	}
-	writeF64 := func(v float64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(v))
-		return write(scratch[:8])
-	}
-	if _, err := io.WriteString(w, compressMagic); err != nil {
-		return n, err
-	}
-	n += int64(len(compressMagic))
-	scratch[0] = byte(c.Bits)
-	if err := write(scratch[:1]); err != nil {
-		return n, err
-	}
-	if err := writeU32(uint32(len(s.entries))); err != nil {
-		return n, err
-	}
-	for i := range s.entries {
-		e := &s.entries[i]
-		var refData []float64
-		if ref != nil {
-			if ri, ok := ref.index[e.Name]; ok {
-				if re := &ref.entries[ri]; re.Rows == e.Rows && re.Cols == e.Cols {
-					refData = re.Data
-				}
-			}
-		}
-		// First pass: value range and sparsity of the (delta) payload.
-		pr, bad := scanPayload(e.Data, refData)
-		if bad >= 0 {
-			v := e.Data[bad]
-			if refData != nil {
-				v -= refData[bad]
-			}
-			return n, fmt.Errorf("param: entry %q: value %g at %d outside the codec's ±%g range",
+		if ew.err == nil {
+			ew.err = fmt.Errorf("param: entry %q: value %g at %d outside the codec's ±%g range",
 				e.Name, v, bad, float64(codecRangeLimit))
 		}
-		sparse := 20+pr.nnz*(4+lb) < 16+len(e.Data)*lb
-		flags := byte(0)
-		if sparse {
-			flags |= flagSparse
-		}
-		if refData != nil {
-			flags |= flagDelta
-		}
-		if err := writeU32(uint32(len(e.Name))); err != nil {
-			return n, err
-		}
-		if _, err := io.WriteString(w, e.Name); err != nil {
-			return n, err
-		}
-		n += int64(len(e.Name))
-		if err := writeU32(uint32(e.Rows)); err != nil {
-			return n, err
-		}
-		if err := writeU32(uint32(e.Cols)); err != nil {
-			return n, err
-		}
-		scratch[0] = flags
-		if err := write(scratch[:1]); err != nil {
-			return n, err
-		}
-		if sparse {
-			if err := writeU32(uint32(pr.nnz)); err != nil {
-				return n, err
-			}
-			if err := writeF64(pr.loNZ); err != nil {
-				return n, err
-			}
-			if err := writeF64(pr.hiNZ); err != nil {
-				return n, err
-			}
-			q := newQuantizer(c, pr.loNZ, pr.hiNZ)
-			for j := 0; j < len(e.Data); {
-				var k int
-				k, j = q.quantizeSparse(scratch, lb, e.Data, refData, j)
-				if k > 0 {
-					if err := write(scratch[:k]); err != nil {
-						return n, err
-					}
-				}
-			}
-			continue
-		}
-		if err := writeF64(pr.lo); err != nil {
-			return n, err
-		}
-		if err := writeF64(pr.hi); err != nil {
-			return n, err
-		}
-		q := newQuantizer(c, pr.lo, pr.hi)
-		per := len(scratch) / lb
-		for lo := 0; lo < len(e.Data); lo += per {
-			hi := min(lo+per, len(e.Data))
-			var rd []float64
-			if refData != nil {
-				rd = refData[lo:hi]
-			}
-			buf := scratch[:lb*(hi-lo)]
-			q.quantize(buf, lb, e.Data[lo:hi], rd)
-			if err := write(buf); err != nil {
-				return n, err
-			}
-		}
+		return
 	}
-	return n, nil
+	lb := c.levelBytes()
+	sparse := 20+pr.nnz*(4+lb) < 16+len(e.Data)*lb
+	flags := byte(0)
+	if sparse {
+		flags |= flagSparse
+	}
+	if refData != nil {
+		flags |= flagDelta
+	}
+	ew.u8(flags)
+	if sparse {
+		ew.u32(uint32(pr.nnz))
+		ew.f64(pr.loNZ)
+		ew.f64(pr.hiNZ)
+		q := newQuantizer(c, pr.loNZ, pr.hiNZ)
+		for j := 0; j < len(e.Data) && ew.err == nil; {
+			var k int
+			k, j = q.quantizeSparse(ew.scratch, lb, e.Data, refData, j)
+			ew.write(ew.scratch[:k])
+		}
+		return
+	}
+	ew.f64(pr.lo)
+	ew.f64(pr.hi)
+	q := newQuantizer(c, pr.lo, pr.hi)
+	per := len(ew.scratch) / lb
+	for lo := 0; lo < len(e.Data) && ew.err == nil; lo += per {
+		hi := min(lo+per, len(e.Data))
+		var rd []float64
+		if refData != nil {
+			rd = refData[lo:hi]
+		}
+		buf := ew.scratch[:lb*(hi-lo)]
+		q.quantize(buf, lb, e.Data[lo:hi], rd)
+		ew.write(buf)
+	}
 }
 
 func (d *wireReader) u8(v *byte) error {
@@ -565,7 +488,7 @@ func (d *wireReader) f64(v *float64) error {
 // quantRange reads and validates one entry's lo/hi quantization range.
 // The ±1e300 limit mirrors the encoder's, so every level of a valid
 // stream reconstructs to a finite value.
-func (d *wireReader) quantRange(c Compression) (quantizer, error) {
+func (d *wireReader) quantRange() (quantizer, error) {
 	var lo, hi float64
 	if err := d.f64(&lo); err != nil {
 		return quantizer{}, fmt.Errorf("quantization range: %w", err)
@@ -577,7 +500,7 @@ func (d *wireReader) quantRange(c Compression) (quantizer, error) {
 		lo < -codecRangeLimit || hi > codecRangeLimit {
 		return quantizer{}, fmt.Errorf("invalid quantization range [%g, %g]", lo, hi)
 	}
-	return newQuantizer(c, lo, hi), nil
+	return newQuantizer(d.comp, lo, hi), nil
 }
 
 // dequantizer reconstructs the stored levels of one entry. At 8 bits
@@ -675,10 +598,10 @@ func (dq *dequantizer) sparse(dst []float64, src []byte, prev int, add bool) (in
 }
 
 // sparseBody reads a sparse entry payload — nnz (index, level) pairs —
-// and scatters it into dst through dq.sparse. The pairs stream through
-// scratch, so a lying nnz costs no allocation.
-func (d *wireReader) sparseBody(dq *dequantizer, dst []float64, nnz uint32, add bool) error {
-	pair := 4 + dq.lb
+// and scatters it into dst through d.dq.sparse. The pairs stream
+// through scratch, so a lying nnz costs no allocation.
+func (d *wireReader) sparseBody(dst []float64, nnz uint32, add bool) error {
+	pair := 4 + d.dq.lb
 	perChunk := len(d.scratch) / pair
 	prev := -1
 	for read := 0; read < int(nnz); {
@@ -688,181 +611,10 @@ func (d *wireReader) sparseBody(dq *dequantizer, dst []float64, nnz uint32, add 
 			return err
 		}
 		var err error
-		if prev, err = dq.sparse(dst, buf, prev, add); err != nil {
+		if prev, err = d.dq.sparse(dst, buf, prev, add); err != nil {
 			return err
 		}
 		read += cn
-	}
-	return nil
-}
-
-// readCompressed is ReadFrom's CPQ1 tail: the untrusted allocating
-// decode, entered after the prologue has been consumed. Delta-coded
-// entries are rejected — without the encoder's reference there is
-// nothing sound to reconstruct; the transports decode deltas in place
-// via DecodeFromRef.
-func (s *Set) readCompressed(d *wireReader, c Compression, count uint32) error {
-	out := New()
-	budget := int64(sparseExpandBudget)
-	lb := c.levelBytes()
-	var dq dequantizer
-	for i := uint32(0); i < count; i++ {
-		nameBytes, rows, cols, err := d.entryHeader(i)
-		if err != nil {
-			return err
-		}
-		name := string(nameBytes)
-		if out.Has(name) {
-			return fmt.Errorf("param: duplicate entry %q", name)
-		}
-		size := uint64(rows) * uint64(cols)
-		if size > 1<<32 {
-			return fmt.Errorf("param: entry %q implausible size %d", name, size)
-		}
-		var flags byte
-		if err := d.u8(&flags); err != nil {
-			return fmt.Errorf("param: entry %q flags: %w", name, err)
-		}
-		if flags&^(flagSparse|flagDelta) != 0 {
-			return fmt.Errorf("param: entry %q unknown flags %#x", name, flags)
-		}
-		if flags&flagDelta != 0 {
-			return fmt.Errorf("param: entry %q is delta-coded and only decodes against a reference (DecodeFromRef)", name)
-		}
-		if flags&flagSparse != 0 {
-			var nnz uint32
-			if err := d.u32(&nnz); err != nil {
-				return fmt.Errorf("param: entry %q sparse count: %w", name, err)
-			}
-			if uint64(nnz) > size {
-				return fmt.Errorf("param: entry %q sparse count %d exceeds size %d", name, nnz, size)
-			}
-			q, err := d.quantRange(c)
-			if err != nil {
-				return fmt.Errorf("param: entry %q %w", name, err)
-			}
-			if int64(size) > budget {
-				return fmt.Errorf("param: entry %q sparse expansion %d exceeds the stream budget (%d values)",
-					name, size, int64(sparseExpandBudget))
-			}
-			budget -= int64(size)
-			data := make([]float64, size)
-			dq.reset(q, lb, uint64(nnz))
-			if err := d.sparseBody(&dq, data, nnz, false); err != nil {
-				return fmt.Errorf("param: entry %q: %w", name, err)
-			}
-			out.Add(name, int(rows), int(cols), data)
-			continue
-		}
-		q, err := d.quantRange(c)
-		if err != nil {
-			return fmt.Errorf("param: entry %q %w", name, err)
-		}
-		dq.reset(q, lb, size)
-		// Storage grows only after each chunk's bytes have arrived.
-		data := make([]float64, 0, min(size, floatChunk))
-		per := uint64(len(d.scratch) / lb)
-		for uint64(len(data)) < size {
-			cn := int(min(size-uint64(len(data)), per))
-			buf := d.scratch[:lb*cn]
-			if err := d.full(buf); err != nil {
-				return fmt.Errorf("param: entry %q data: %w", name, err)
-			}
-			lo := len(data)
-			data = slices.Grow(data, cn)[:lo+cn]
-			dq.dense(data[lo:], buf, nil)
-		}
-		out.Add(name, int(rows), int(cols), data)
-	}
-	*s = *out
-	return nil
-}
-
-// decodeCompressed is DecodeFromRef's CPQ1 tail: the in-place
-// structure-matched decode of the transport receive path, entered
-// after the prologue has been consumed. Delta-coded entries
-// reconstruct against ref, which must carry a same-name same-shape
-// entry (the transports pass the broadcast source the encoder used).
-func (s *Set) decodeCompressed(d *wireReader, c Compression, ref *Set) error {
-	lb := c.levelBytes()
-	var dq dequantizer
-	for i := range s.entries {
-		e := &s.entries[i]
-		name, rows, cols, err := d.entryHeader(uint32(i))
-		if err != nil {
-			return err
-		}
-		if string(name) != e.Name {
-			return fmt.Errorf("param: entry %d name %q != receiver's %q", i, name, e.Name)
-		}
-		if int(rows) != e.Rows || int(cols) != e.Cols {
-			return fmt.Errorf("param: entry %q shape %dx%d != receiver's %dx%d",
-				e.Name, rows, cols, e.Rows, e.Cols)
-		}
-		var flags byte
-		if err := d.u8(&flags); err != nil {
-			return fmt.Errorf("param: entry %q flags: %w", e.Name, err)
-		}
-		if flags&^(flagSparse|flagDelta) != 0 {
-			return fmt.Errorf("param: entry %q unknown flags %#x", e.Name, flags)
-		}
-		var refData []float64
-		if flags&flagDelta != 0 {
-			var re *Entry
-			if ref != nil {
-				if ri, ok := ref.index[e.Name]; ok {
-					re = &ref.entries[ri]
-				}
-			}
-			if re == nil || re.Rows != e.Rows || re.Cols != e.Cols {
-				return fmt.Errorf("param: entry %q is delta-coded but the reference set has no matching entry", e.Name)
-			}
-			refData = re.Data
-		}
-		size := uint64(len(e.Data))
-		if flags&flagSparse != 0 {
-			var nnz uint32
-			if err := d.u32(&nnz); err != nil {
-				return fmt.Errorf("param: entry %q sparse count: %w", e.Name, err)
-			}
-			if uint64(nnz) > size {
-				return fmt.Errorf("param: entry %q sparse count %d exceeds size %d", e.Name, nnz, size)
-			}
-			q, err := d.quantRange(c)
-			if err != nil {
-				return fmt.Errorf("param: entry %q %w", e.Name, err)
-			}
-			// Unstored coordinates are exact: the reference value under
-			// delta coding, zero otherwise.
-			if refData != nil {
-				copy(e.Data, refData)
-			} else {
-				clear(e.Data)
-			}
-			dq.reset(q, lb, uint64(nnz))
-			if err := d.sparseBody(&dq, e.Data, nnz, true); err != nil {
-				return fmt.Errorf("param: entry %q: %w", e.Name, err)
-			}
-			continue
-		}
-		q, err := d.quantRange(c)
-		if err != nil {
-			return fmt.Errorf("param: entry %q %w", e.Name, err)
-		}
-		dq.reset(q, lb, size)
-		per := len(d.scratch) / lb
-		for lo := 0; lo < len(e.Data); lo += per {
-			hi := min(lo+per, len(e.Data))
-			buf := d.scratch[:lb*(hi-lo)]
-			if err := d.full(buf); err != nil {
-				return fmt.Errorf("param: entry %q data: %w", e.Name, err)
-			}
-			var rd []float64
-			if refData != nil {
-				rd = refData[lo:hi]
-			}
-			dq.dense(e.Data[lo:hi], buf, rd)
-		}
 	}
 	return nil
 }

@@ -166,7 +166,7 @@ var updateCorpus = flag.Bool("update", false, "rewrite the FuzzSparseCodecDecode
 //     construction, so WriteCompressedTo at the stream's bit width
 //     must succeed, and never produce more bytes than the consumed
 //     prefix (the encoder picks the smaller payload form per entry);
-//   - the transport's in-place decode (DecodeFrom on a receiver with
+//   - the transport's in-place decode (DecodeFromRef on a receiver with
 //     the parsed structure) accepts everything ReadFrom accepts and
 //     produces the same values;
 //   - both decoders match the frozen pre-optimisation decoders of
@@ -208,15 +208,15 @@ func FuzzSparseCodecDecode(f *testing.F) {
 			t.Fatalf("decode of canonical re-encoding failed: %v", err)
 		}
 		dst := scrubbedClone(s)
-		dn, err := dst.DecodeFrom(bytes.NewReader(data[:n]))
+		dn, err := dst.DecodeFromRef(bytes.NewReader(data[:n]), nil)
 		if err != nil {
-			t.Fatalf("DecodeFrom rejected a ReadFrom-accepted stream: %v", err)
+			t.Fatalf("DecodeFromRef rejected a ReadFrom-accepted stream: %v", err)
 		}
 		if dn != n {
-			t.Fatalf("DecodeFrom consumed %d bytes, ReadFrom %d", dn, n)
+			t.Fatalf("DecodeFromRef consumed %d bytes, ReadFrom %d", dn, n)
 		}
 		if !Equal(s, dst, 0) {
-			t.Fatal("DecodeFrom and ReadFrom disagree on values")
+			t.Fatal("DecodeFromRef and ReadFrom disagree on values")
 		}
 	})
 }

@@ -337,7 +337,8 @@ func TestDeltaDecodeMalformedMatchesOracle(t *testing.T) {
 
 // The codec's steady state allocates nothing: encoding into a warm
 // buffer and decoding in place reuse pooled scratch and stack-held
-// tables.
+// tables. Compression{} runs the dense CPS1 codec (WriteTo), which
+// the wire transport uses when compression is off.
 func TestCompressedCodecZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -355,24 +356,32 @@ func TestCompressedCodecZeroAllocs(t *testing.T) {
 	for j := range big.At(0).Data {
 		big.At(0).Data[j] = float64(j%37) - 18
 	}
-	for _, bits := range []int{8, 16} {
-		c := Compression{Bits: bits}
+	encode := func(buf *bytes.Buffer, src *Set, c Compression, ref *Set) error {
+		var err error
+		if c.Enabled() {
+			_, err = src.WriteCompressedTo(buf, c, ref)
+		} else {
+			_, err = src.WriteTo(buf)
+		}
+		return err
+	}
+	for _, c := range []Compression{{}, {Bits: 8}, {Bits: 16}} {
 		for _, tc := range []struct {
 			name     string
 			src, ref *Set
 		}{{"abs", ref, nil}, {"delta", upd, ref}, {"large", big, nil}} {
 			var buf bytes.Buffer
-			if _, err := tc.src.WriteCompressedTo(&buf, c, tc.ref); err != nil {
+			if err := encode(&buf, tc.src, c, tc.ref); err != nil {
 				t.Fatal(err)
 			}
 			encoded := append([]byte(nil), buf.Bytes()...)
 			if a := testing.AllocsPerRun(50, func() {
 				buf.Reset()
-				if _, err := tc.src.WriteCompressedTo(&buf, c, tc.ref); err != nil {
+				if err := encode(&buf, tc.src, c, tc.ref); err != nil {
 					t.Fatal(err)
 				}
 			}); a != 0 {
-				t.Errorf("%dbit %s: WriteCompressedTo into a warm buffer: %v allocs", bits, tc.name, a)
+				t.Errorf("%s %s: encode into a warm buffer: %v allocs", c, tc.name, a)
 			}
 			dst := tc.src.Clone()
 			var rd bytes.Reader
@@ -382,7 +391,7 @@ func TestCompressedCodecZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}); a != 0 {
-				t.Errorf("%dbit %s: DecodeFromRef: %v allocs", bits, tc.name, a)
+				t.Errorf("%s %s: DecodeFromRef: %v allocs", c, tc.name, a)
 			}
 		}
 	}

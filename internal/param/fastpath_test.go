@@ -35,7 +35,7 @@ func randomSet(r *rand.Rand) *Set {
 
 // TestCodecFastPathPortableEquivalence pins the two codec paths to each
 // other: identical encoded bytes, and identical decoded values through
-// both ReadFrom and DecodeFrom, in every fast/portable combination.
+// both ReadFrom and DecodeFromRef, in every fast/portable combination.
 func TestCodecFastPathPortableEquivalence(t *testing.T) {
 	r := rand.New(rand.NewPCG(21, 22))
 	for trial := 0; trial < 50; trial++ {
@@ -69,10 +69,10 @@ func TestCodecFastPathPortableEquivalence(t *testing.T) {
 		check("fast ReadFrom", &viaRead)
 		viaDecode := s.Clone()
 		viaDecode.Scale(0) // ensure the decode really writes every value
-		if _, err := viaDecode.DecodeFrom(bytes.NewReader(fast.Bytes())); err != nil {
+		if _, err := viaDecode.DecodeFromRef(bytes.NewReader(fast.Bytes()), nil); err != nil {
 			t.Fatal(err)
 		}
-		check("fast DecodeFrom", viaDecode)
+		check("fast DecodeFromRef", viaDecode)
 		withPortableCodec(t, func() {
 			var p Set
 			if _, err := p.ReadFrom(bytes.NewReader(fast.Bytes())); err != nil {
@@ -81,10 +81,10 @@ func TestCodecFastPathPortableEquivalence(t *testing.T) {
 			check("portable ReadFrom", &p)
 			pd := s.Clone()
 			pd.Scale(0)
-			if _, err := pd.DecodeFrom(bytes.NewReader(fast.Bytes())); err != nil {
+			if _, err := pd.DecodeFromRef(bytes.NewReader(fast.Bytes()), nil); err != nil {
 				t.Fatal(err)
 			}
-			check("portable DecodeFrom", pd)
+			check("portable DecodeFromRef", pd)
 		})
 	}
 }

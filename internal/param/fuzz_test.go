@@ -2,6 +2,7 @@ package param
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"testing"
 )
@@ -33,14 +34,18 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
-// FuzzParamSetReadFrom fuzzes the wire codec's untrusted entry point:
+// FuzzParamSetReadFrom fuzzes the dense codec's two decoders:
 //
-//   - any input either parses or fails with an error — never a panic;
+//   - any input either parses or fails with an error — never a panic —
+//     through ReadFrom and through the transports' in-place
+//     DecodeFromRef, which runs on every input against a receiver
+//     shaped from the stream's own headers (cps1Receiver), whether
+//     ReadFrom accepts the input or not;
 //   - a successful parse is canonical: re-encoding the parsed set
 //     reproduces exactly the consumed prefix of the input
-//     (WriteTo ∘ ReadFrom = identity on the wire), and the transport's
-//     in-place DecodeFrom agrees with ReadFrom on it;
-//   - the reported byte count never exceeds the input length.
+//     (WriteTo ∘ ReadFrom = identity on the wire), and DecodeFromRef
+//     agrees with ReadFrom on it;
+//   - neither decoder reports more bytes than the input holds.
 func FuzzParamSetReadFrom(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -51,6 +56,9 @@ func FuzzParamSetReadFrom(f *testing.F) {
 			// byte-identical to the input; FuzzSparseCodecDecode owns
 			// that space with the compressed invariants.
 			return
+		}
+		if dn, _ := cps1Receiver(data).DecodeFromRef(bytes.NewReader(data), nil); dn > int64(len(data)) {
+			t.Fatalf("DecodeFromRef reported %d bytes from a %d-byte input", dn, len(data))
 		}
 		s := New()
 		n, err := s.ReadFrom(bytes.NewReader(data))
@@ -71,17 +79,57 @@ func FuzzParamSetReadFrom(f *testing.F) {
 		// accepts and produce the same values.
 		dst := s.Clone()
 		dst.Scale(0) // scrub so agreement is not vacuous
-		dn, err := dst.DecodeFrom(bytes.NewReader(data[:n]))
+		dn, err := dst.DecodeFromRef(bytes.NewReader(data[:n]), nil)
 		if err != nil {
-			t.Fatalf("DecodeFrom rejected a ReadFrom-accepted stream: %v", err)
+			t.Fatalf("DecodeFromRef rejected a ReadFrom-accepted stream: %v", err)
 		}
 		if dn != n {
-			t.Fatalf("DecodeFrom consumed %d bytes, ReadFrom %d", dn, n)
+			t.Fatalf("DecodeFromRef consumed %d bytes, ReadFrom %d", dn, n)
 		}
 		if !Equal(s, dst, 0) {
-			t.Fatal("DecodeFrom and ReadFrom disagree on values")
+			t.Fatal("DecodeFromRef and ReadFrom disagree on values")
 		}
 	})
+}
+
+// cps1Receiver parses the entry headers of a CPS1 stream — skipping
+// each payload by its claimed size — and returns a receiver with that
+// structure, so DecodeFromRef can be driven on hostile dense input the
+// way cpq1Receiver drives it on compressed input. Parsing stops at the
+// first truncated or implausible header, or once the entries hold
+// 2^16 values.
+func cps1Receiver(data []byte) *Set {
+	recv := New()
+	if len(data) < 8 || string(data[:4]) != serializeMagic {
+		return recv
+	}
+	count := binary.LittleEndian.Uint32(data[4:])
+	p, total := 8, uint64(0)
+	u32 := func() (uint32, bool) {
+		if p+4 > len(data) {
+			return 0, false
+		}
+		p += 4
+		return binary.LittleEndian.Uint32(data[p-4:]), true
+	}
+	for i := uint32(0); i < count; i++ {
+		nameLen, ok := u32()
+		if !ok || nameLen > 4096 || p+int(nameLen) > len(data) {
+			return recv
+		}
+		name := string(data[p : p+int(nameLen)])
+		p += int(nameLen)
+		rows, ok1 := u32()
+		cols, ok2 := u32()
+		size := uint64(rows) * uint64(cols)
+		if !ok1 || !ok2 || rows > 1<<16 || cols > 1<<16 || total+size > 1<<16 || recv.Has(name) {
+			return recv
+		}
+		total += size
+		recv.Add(name, int(rows), int(cols), make([]float64, size))
+		p += 8 * int(size)
+	}
+	return recv
 }
 
 // A header lying about its entry size must fail after allocating
@@ -113,6 +161,31 @@ func TestReadFromHugeClaimDoesNotOverAllocate(t *testing.T) {
 	}
 }
 
+// An implausible entry count or entry size is rejected as soon as its
+// field is read, before any further byte is consumed, even when the
+// stream goes on to carry well-formed data.
+func TestReadFromRejectsImplausibleClaims(t *testing.T) {
+	u32 := binary.LittleEndian.AppendUint32
+	entry := func(rows, cols uint32) []byte {
+		return u32(u32(append(u32(nil, 1), 'm'), rows), cols)
+	}
+	payload := make([]byte, 8*(floatChunk+1))
+	for _, tc := range []struct {
+		name        string
+		claim, rest []byte
+	}{
+		{"entry count 2^20+1", u32(nil, 1<<20+1), append(entry(1, 1), payload...)},
+		{"entry size 2^32+2^16", append(u32(nil, 1), entry(1<<16+1, 1<<16)...), payload},
+	} {
+		in := append([]byte(serializeMagic), tc.claim...)
+		want := int64(len(in))
+		n, err := New().ReadFrom(bytes.NewReader(append(in, tc.rest...)))
+		if err == nil || n != want {
+			t.Errorf("%s: ReadFrom read %d bytes (want %d) and returned %v", tc.name, n, want, err)
+		}
+	}
+}
+
 func TestReadFromRejectsDuplicateEntryNames(t *testing.T) {
 	var in bytes.Buffer
 	in.WriteString("CPS1")
@@ -139,7 +212,7 @@ func TestDecodeFromMatchingStructure(t *testing.T) {
 	dst := src.Clone()
 	dst.Scale(0)
 	backing := dst.At(0).Data
-	n, err := dst.DecodeFrom(bytes.NewReader(buf.Bytes()))
+	n, err := dst.DecodeFromRef(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +223,7 @@ func TestDecodeFromMatchingStructure(t *testing.T) {
 		t.Fatal("decoded values differ")
 	}
 	if &backing[0] != &dst.At(0).Data[0] {
-		t.Fatal("DecodeFrom replaced backing storage instead of writing in place")
+		t.Fatal("DecodeFromRef replaced backing storage instead of writing in place")
 	}
 }
 
@@ -177,15 +250,15 @@ func TestDecodeFromStructureMismatch(t *testing.T) {
 		}(),
 	}
 	for name, dst := range cases {
-		if _, err := dst.DecodeFrom(bytes.NewReader(buf.Bytes())); err == nil {
+		if _, err := dst.DecodeFromRef(bytes.NewReader(buf.Bytes()), nil); err == nil {
 			t.Errorf("%s: expected structural-mismatch error", name)
 		}
 	}
 }
 
-// DecodeFrom is the transport's receive path and must be value-
+// DecodeFromRef is the transport's receive path and must be value-
 // transparent: NaN payloads (a diverged simulation) pass through
-// rather than erroring, unlike the checkpoint-loading ReadFrom.
+// rather than erroring, unlike the untrusted-input ReadFrom.
 func TestDecodeFromCarriesNaN(t *testing.T) {
 	src := New()
 	src.AddVector("v", []float64{1, 2})
@@ -198,7 +271,7 @@ func TestDecodeFromCarriesNaN(t *testing.T) {
 		b[i] = 0xFF // corrupt the last float into a NaN
 	}
 	dst := src.Clone()
-	if _, err := dst.DecodeFrom(bytes.NewReader(b)); err != nil {
+	if _, err := dst.DecodeFromRef(bytes.NewReader(b), nil); err != nil {
 		t.Fatalf("transport decode must carry NaN: %v", err)
 	}
 	if v := dst.Get("v")[1]; v == v {

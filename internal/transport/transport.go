@@ -12,7 +12,7 @@
 //     pre-transport simulators. It is dense only: "inproc" with a
 //     compression level builds the serializing path below instead.
 //   - Wire round-trips every payload through the binary codec
-//     (param.Set WriteTo → pooled byte buffers → DecodeFrom). It
+//     (param.Set WriteTo → pooled byte buffers → DecodeFromRef). It
 //     proves that a deployment which actually serializes its traffic
 //     computes exactly the same models.
 //   - Socket ("socket" over a Unix-domain socket, "socket-tcp" over
