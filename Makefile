@@ -39,14 +39,16 @@ race:
 	$(GO) test -race -timeout=40m ./...
 
 # Short coverage-guided fuzz of the wire codecs (dense CPS1 and the
-# sparse+quantized CPQ1 decoder), the RPC frame decoder and the
-# declarative scenario decoder (the committed seed corpora under
-# */testdata/fuzz always run as part of `make test`).
+# sparse+quantized CPQ1 decoder), the RPC frame decoder, the
+# declarative scenario decoder and the deployment-plan spec grammar
+# (the committed seed corpora under */testdata/fuzz always run as part
+# of `make test`).
 fuzz:
 	$(GO) test -fuzz='^FuzzParamSetReadFrom$$' -fuzztime=30s -run='^$$' ./internal/param/
 	$(GO) test -fuzz='^FuzzSparseCodecDecode$$' -fuzztime=30s -run='^$$' ./internal/param/
 	$(GO) test -fuzz='^FuzzFrameRead$$' -fuzztime=30s -run='^$$' ./internal/transport/rpc/
 	$(GO) test -fuzz='^FuzzScenarioDecode$$' -fuzztime=30s -run='^$$' ./internal/experiments/
+	$(GO) test -fuzz='^FuzzPlanSpec$$' -fuzztime=30s -run='^$$' ./internal/planspec/
 
 # Fault-injection suite under the race detector: the deterministic
 # chaos equivalence runs (same (seed, plan) → byte-identical output on

@@ -1,12 +1,12 @@
 package attack
 
 import (
+	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/planspec"
 )
 
 // ByzKind selects a Byzantine corruption strategy.
@@ -98,13 +98,9 @@ func (b Byzantine) Validate() error {
 	default:
 		return fmt.Errorf("attack: byzantine: unknown kind %d", int(b.Kind))
 	}
-	if b.Fraction < 0 || b.Fraction > 1 {
-		return fmt.Errorf("attack: byzantine: fraction %g outside [0, 1]", b.Fraction)
-	}
-	if b.Scale < 0 {
-		return fmt.Errorf("attack: byzantine: scale %g is negative", b.Scale)
-	}
-	return nil
+	return planspec.Check("attack: byzantine",
+		planspec.Prob("frac", b.Fraction),
+		planspec.NonNegative("scale", b.Scale))
 }
 
 // IsAdversary reports whether the participant is in the adversarial
@@ -117,8 +113,7 @@ func (b Byzantine) IsAdversary(id int) bool {
 	if b.Fraction >= 1 {
 		return true
 	}
-	lo, _ := mathx.StreamSeeds(b.Seed, byzTagSelect, 0, uint64(id))
-	return float64(lo>>11)/(1<<53) < b.Fraction
+	return mathx.StreamUniform(b.Seed, byzTagSelect, 0, uint64(id)) < b.Fraction
 }
 
 // Corrupt applies the adversary's strategy to the outgoing payload in
@@ -148,64 +143,40 @@ func (b Byzantine) Corrupt(round, id int, payload, ref *param.Set) {
 	}
 }
 
-// String renders the population in the form ParseByzantine accepts.
-func (b Byzantine) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "kind=%s,frac=%g", b.Kind, b.Fraction)
-	if b.Scale > 0 {
-		fmt.Fprintf(&sb, ",scale=%g", b.Scale)
+// byzKindFlag is ByzKind as a flag.Value over its spec tokens.
+type byzKindFlag ByzKind
+
+func (k *byzKindFlag) String() string { return ByzKind(*k).String() }
+
+func (k *byzKindFlag) Set(s string) error {
+	for kind := ByzSignFlip; kind <= ByzCollude; kind++ {
+		if kind.String() == s {
+			*k = byzKindFlag(kind)
+			return nil
+		}
 	}
-	fmt.Fprintf(&sb, ",seed=%d", b.Seed)
-	return sb.String()
+	return fmt.Errorf("unknown kind %q (want sign-flip, scaled-noise or collude)", s)
 }
 
-// ParseByzantine parses a comma-separated key=value adversary spec,
-// e.g. "kind=sign-flip,frac=0.1,scale=2,seed=3". "default" selects
-// DefaultByzantine verbatim; an empty string is the zero (disabled)
-// population.
-func ParseByzantine(spec string) (Byzantine, error) {
-	var b Byzantine
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return b, nil
-	}
-	if spec == "default" {
-		return DefaultByzantine(), nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return b, fmt.Errorf("attack: byzantine spec %q: want key=value", kv)
-		}
-		var err error
-		switch k {
-		case "kind":
-			switch v {
-			case "sign-flip":
-				b.Kind = ByzSignFlip
-			case "scaled-noise":
-				b.Kind = ByzScaledNoise
-			case "collude":
-				b.Kind = ByzCollude
-			default:
-				err = fmt.Errorf("unknown kind %q (want sign-flip, scaled-noise or collude)", v)
-			}
-		case "frac":
-			b.Fraction, err = strconv.ParseFloat(v, 64)
-		case "scale":
-			b.Scale, err = strconv.ParseFloat(v, 64)
-		case "seed":
-			b.Seed, err = strconv.ParseUint(v, 10, 64)
-		default:
-			return b, fmt.Errorf("attack: byzantine spec: unknown key %q", k)
-		}
-		if err != nil {
-			return b, fmt.Errorf("attack: byzantine spec %q: %w", kv, err)
-		}
-	}
-	if err := b.Validate(); err != nil {
-		return b, err
-	}
-	return b, nil
+// byzSpec declares the Byzantine-spec keys: "default" is
+// DefaultByzantine and "" the zero (disabled) population.
+var byzSpec = planspec.Grammar[Byzantine]{
+	Name:    "attack: byzantine",
+	Default: DefaultByzantine(),
+	Bind: func(fs *flag.FlagSet, b *Byzantine) {
+		fs.Var((*byzKindFlag)(&b.Kind), "kind", "")
+		fs.Float64Var(&b.Fraction, "frac", b.Fraction, "")
+		fs.Float64Var(&b.Scale, "scale", b.Scale, "")
+		fs.Uint64Var(&b.Seed, "seed", b.Seed, "")
+	},
 }
+
+// String renders the population in the form ParseByzantine accepts.
+func (b Byzantine) String() string { return byzSpec.String(b) }
+
+// ParseByzantine parses a comma-separated key=value adversary spec,
+// e.g. "kind=sign-flip,frac=0.1,scale=2,seed=3" (the keys are declared
+// in byzSpec, the grammar is package planspec's). "default" selects
+// DefaultByzantine verbatim; an empty string is the zero (disabled)
+// population. The result passes Validate.
+func ParseByzantine(spec string) (Byzantine, error) { return byzSpec.Parse(spec) }

@@ -236,30 +236,3 @@ func (res Result) String() string {
 	return fmt.Sprintf("MaxAAC=%.1f%% (round %d) Best10%%=%.1f%% random=%.1f%% upper=%.1f%%",
 		100*res.MaxAAC, res.MaxRound, 100*res.Best10AAC, 100*res.RandomBound, 100*res.UpperBound)
 }
-
-// UtilityCurve tracks a utility metric (HR@K or F1@K) across rounds.
-type UtilityCurve struct {
-	vals []float64
-}
-
-// Record appends one round's utility value.
-func (c *UtilityCurve) Record(v float64) { c.vals = append(c.vals, v) }
-
-// Final returns the last value (0 when empty).
-func (c *UtilityCurve) Final() float64 {
-	if len(c.vals) == 0 {
-		return 0
-	}
-	return c.vals[len(c.vals)-1]
-}
-
-// Best returns the maximum value (0 when empty).
-func (c *UtilityCurve) Best() float64 {
-	if len(c.vals) == 0 {
-		return 0
-	}
-	return mathx.Max(c.vals)
-}
-
-// Values returns the recorded series.
-func (c *UtilityCurve) Values() []float64 { return append([]float64(nil), c.vals...) }

@@ -154,22 +154,6 @@ func TestMaxAACPanicsEmpty(t *testing.T) {
 	NewRecorder().MaxAAC()
 }
 
-func TestUtilityCurve(t *testing.T) {
-	var c UtilityCurve
-	if c.Final() != 0 || c.Best() != 0 {
-		t.Fatal("empty curve should report 0")
-	}
-	c.Record(0.3)
-	c.Record(0.6)
-	c.Record(0.4)
-	if c.Final() != 0.4 || c.Best() != 0.6 {
-		t.Fatalf("Final=%v Best=%v", c.Final(), c.Best())
-	}
-	if len(c.Values()) != 3 {
-		t.Fatal("Values length wrong")
-	}
-}
-
 // A zero-round run (nothing recorded) must summarize to a zero Result
 // carrying only the configuration-derived bounds, not panic.
 func TestSummarizeNoRounds(t *testing.T) {

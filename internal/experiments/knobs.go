@@ -22,9 +22,10 @@ import (
 // defaults it differently.
 //
 // The nested plan fields reuse the textual key=value specs of their
-// typed parsers (transport.ParseFaultPlan, transport.ParseChurnPlan,
-// attack.ParseByzantine), so scenario files and flags share one
-// syntax.
+// typed parsers (transport.ParseFaultPlan, transport.ParseRetryPolicy,
+// transport.ParseChurnPlan, attack.ParseByzantine), so scenario files
+// and flags share one syntax. Package planspec defines that grammar
+// once for all four.
 type Knobs struct {
 	// Transport names the round-transport backend (see Spec.Transport);
 	// TransportAddr dials an external ciaworker instead of a loopback

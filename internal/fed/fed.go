@@ -209,6 +209,11 @@ func (c *Config) validate() error {
 	if c.Aggregator == AggNormClip && c.ClipNorm <= 0 {
 		return fmt.Errorf("fed: Config.ClipNorm must be positive for the norm-clip aggregator, got %v", c.ClipNorm)
 	}
+	if c.FaultPlan != nil {
+		if err := c.FaultPlan.Validate(); err != nil {
+			return fmt.Errorf("fed: %w", err)
+		}
+	}
 	if c.ChurnPlan != nil {
 		if err := c.ChurnPlan.Validate(); err != nil {
 			return fmt.Errorf("fed: %w", err)

@@ -321,6 +321,7 @@ func TestResilienceAggregatorValidation(t *testing.T) {
 		func(c *Config) { c.Aggregator = AggNormClip }, // missing ClipNorm
 		func(c *Config) { c.ChurnPlan = &transport.ChurnPlan{LeaveProb: 2} },
 		func(c *Config) { c.Byzantine = &attack.Byzantine{Fraction: -1} },
+		func(c *Config) { c.FaultPlan = &transport.FaultPlan{DropProb: 1.5} },
 	}
 	for i, mutate := range bad {
 		cfg := fedConfig(d)

@@ -111,10 +111,6 @@ type Config struct {
 	// StaticGraph disables view refreshing entirely — the ablation for
 	// the claim that gossip's privacy stems from its dynamics.
 	StaticGraph bool
-	// LossProb is the probability that a pushed model is lost in
-	// transit (never delivered, never observed). Failure injection for
-	// the decentralized setting.
-	LossProb float64
 	// FaultPlan is the declarative failure scenario the simulator
 	// consults for the one decision the transport cannot make: whether
 	// a push's chosen receiver is unreachable this round (the push is
@@ -207,8 +203,10 @@ func (c *Config) validate() error {
 	if c.ExplorationRatio < 0 || c.ExplorationRatio > 1 {
 		return fmt.Errorf("gossip: ExplorationRatio %v out of [0,1]", c.ExplorationRatio)
 	}
-	if c.LossProb < 0 || c.LossProb >= 1 {
-		return fmt.Errorf("gossip: LossProb %v out of [0,1)", c.LossProb)
+	if c.FaultPlan != nil {
+		if err := c.FaultPlan.Validate(); err != nil {
+			return fmt.Errorf("gossip: %w", err)
+		}
 	}
 	if c.ChurnPlan != nil {
 		if err := c.ChurnPlan.Validate(); err != nil {
@@ -268,8 +266,7 @@ type Simulation struct {
 // Resilience is the simulation's accumulated fault accounting.
 type Resilience struct {
 	// LostPushes counts pushes the transport failed to carry (injected
-	// faults or an unreachable backend) — distinct from LossProb losses,
-	// which never reach the transport.
+	// faults or an unreachable backend).
 	LostPushes int64
 	// SkippedPeers counts pushes skipped because the chosen receiver
 	// was unreachable under the FaultPlan.
@@ -439,11 +436,11 @@ func (s *Simulation) RunRound() {
 	}
 
 	// Phase 1a: awake nodes build their outgoing payload and put it on
-	// the transport (parallel; wake, peer choice, policy noise and loss
-	// draws all come from the sender's own RNG, in the same order as a
-	// serial round; transport stats are atomic sums, independent of
-	// worker interleaving). Lost messages never reach the transport —
-	// loss is the simulator's failure injection, not the wire's.
+	// the transport (parallel; wake, peer choice and policy noise draws
+	// all come from the sender's own RNG, in the same order as a serial
+	// round; transport stats are atomic sums, independent of worker
+	// interleaving). Transit loss is the transport's: a Faulty wrapper's
+	// failed Send counts as a lost push.
 	parx.ForEach(s.workers, len(s.nodes), func(w, u int) {
 		nd := &s.nodes[u]
 		s.pushes[u] = push{to: -1}
@@ -459,10 +456,6 @@ func (s *Simulation) RunRound() {
 		encStart := s.cfg.Tracer.Start()
 		payload := s.cfg.Policy.Outgoing(nd.m, nd.preTrain, nd.rng, &s.pool)
 		s.cfg.Tracer.Span(w, obs.PhaseEncode, round, u, encStart)
-		if s.cfg.LossProb > 0 && mathx.Bernoulli(nd.rng, s.cfg.LossProb) {
-			s.pool.Put(payload)
-			return // failure injection: message lost in transit
-		}
 		// Plan- and transport-level faults, churn checks and Byzantine
 		// corruption consume no RNG beyond their own counter-based
 		// streams, so a fault-free run's draw order is untouched by

@@ -6,6 +6,7 @@ import (
 	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/model"
+	"github.com/collablearn/ciarec/internal/transport"
 )
 
 func gossipTestDataset(t *testing.T) *dataset.Dataset {
@@ -39,6 +40,7 @@ func TestNewValidation(t *testing.T) {
 		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4)},
 		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4), Rounds: 3, OutDegree: d.NumUsers},
 		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4), Rounds: 3, WakeProb: 1.5},
+		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4), Rounds: 3, FaultPlan: &transport.FaultPlan{DropProb: 1.5}},
 		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers+1, d.NumItems, 4), Rounds: 3},
 	}
 	for i, cfg := range bad {

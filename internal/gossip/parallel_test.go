@@ -10,12 +10,16 @@ import (
 )
 
 // finalParams runs a fresh simulation from cfg with the given worker
-// count on an inproc transport and returns the transport and every
-// node's final parameter set.
+// count on an inproc transport (behind cfg.FaultPlan's fault injector
+// when set) and returns the transport and every node's final parameter
+// set.
 func finalParams(t *testing.T, cfg Config, workers int) (transport.Transport, []*param.Set) {
 	t.Helper()
 	cfg.Workers = workers
-	tr := transport.NewInproc()
+	tr, err := transport.NewOptions("inproc", transport.Options{Plan: cfg.FaultPlan})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Transport = tr
 	s, err := New(cfg)
 	if err != nil {
@@ -40,7 +44,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		"pers-gossip":  func(c *Config) { c.Variant = PersGossip },
 		"share-less":   func(c *Config) { c.Policy = defense.ShareLess{Tau: 1} },
 		"dp-sgd":       func(c *Config) { c.Policy = defense.DPSGD{Clip: 2, NoiseMultiplier: 0.05} },
-		"lossy-sparse": func(c *Config) { c.LossProb = 0.2; c.WakeProb = 0.5 },
+		"lossy-sparse": func(c *Config) { c.FaultPlan = &transport.FaultPlan{Seed: 1, SendLossProb: 0.2}; c.WakeProb = 0.5 },
 		// NeuMF scores its forward pass through model-owned scratch;
 		// with Pers-Gossip this exercises the cross-node Relevance
 		// calls of view refresh, which must not run concurrently.

@@ -12,27 +12,50 @@ import (
 // wrapped in the plan's fault injector.
 func runFaulty(t *testing.T, cfg Config, backend string, plan transport.FaultPlan) (*Simulation, []*param.Set, []float64) {
 	t.Helper()
-	tr, err := transport.NewOptions(transport.FaultyPrefix+backend, transport.Options{Plan: &plan})
+	cfg.FaultPlan = &plan
+	s, _, params, hr := runWithTransport(t, cfg, backend)
+	return s, params, hr
+}
+
+// A push the transport loses is neither delivered nor observed: every
+// awake node's push is either observed or counted in LostPushes. Nodes
+// fall back on local training, so utility still improves under heavy
+// transit loss.
+func TestFaultySendLossDropsPushes(t *testing.T) {
+	d := gossipTestDataset(t)
+	plan := transport.FaultPlan{Seed: 5, SendLossProb: 0.4}
+	cfg := gossipConfig(d)
+	cfg.Rounds = 20
+	cfg.Train.Epochs = 2
+	cfg.FaultPlan = &plan
+	rec := &recordingObserver{}
+	cfg.Observer = rec
+	tr, err := transport.NewOptions("inproc", transport.Options{Plan: &plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tr.Close() })
+	defer tr.Close()
 	cfg.Transport = tr
-	cfg.FaultPlan = &plan
-	var hr []float64
-	cfg.OnRound = func(round int, s *Simulation) {
-		hr = append(hr, s.UtilityHR(10, 20))
-	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := s.UtilityHR(10, 30)
 	s.Run()
-	out := make([]*param.Set, len(s.nodes))
-	for u := range s.nodes {
-		out[u] = s.nodes[u].m.Params().Clone()
+	after := s.UtilityHR(10, 30)
+	observed, lost := int64(len(rec.msgs)), s.Resilience().LostPushes
+	if lost == 0 {
+		t.Fatal("SendLossProb=0.4 lost no push")
 	}
-	return s, out, hr
+	if st := tr.Stats(); st.Messages != observed || st.InjectedFaults != lost {
+		t.Fatalf("traffic %+v, want %d messages and %d injected faults", st, observed, lost)
+	}
+	if observed+lost != int64(d.NumUsers*cfg.Rounds) {
+		t.Fatalf("observed %d + lost %d pushes, want %d", observed, lost, d.NumUsers*cfg.Rounds)
+	}
+	if after <= before {
+		t.Fatalf("training under loss did not improve HR: %.3f -> %.3f", before, after)
+	}
 }
 
 // An unreachable receiver skips the push without corrupting the

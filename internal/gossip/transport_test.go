@@ -17,11 +17,12 @@ func pushes(tr transport.Transport) [2]int64 {
 }
 
 // runWithTransport executes a fresh simulation from cfg on the named
-// backend and returns the simulation, its transport, every node's final
-// parameters and the per-round HR utility curve.
+// backend (behind cfg.FaultPlan's fault injector when set) and returns
+// the simulation, its transport, every node's final parameters and the
+// per-round HR utility curve.
 func runWithTransport(t *testing.T, cfg Config, backend string) (*Simulation, transport.Transport, []*param.Set, []float64) {
 	t.Helper()
-	tr, err := transport.New(backend)
+	tr, err := transport.NewOptions(backend, transport.Options{Plan: cfg.FaultPlan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestTransportBackendEquivalence(t *testing.T) {
 		"pers-gossip":  func(c *Config) { c.Variant = PersGossip },
 		"share-less":   func(c *Config) { c.Policy = defense.ShareLess{Tau: 1} },
 		"dp-sgd":       func(c *Config) { c.Policy = defense.DPSGD{Clip: 2, NoiseMultiplier: 0.05} },
-		"lossy-sparse": func(c *Config) { c.LossProb = 0.2; c.WakeProb = 0.5 },
+		"lossy-sparse": func(c *Config) { c.FaultPlan = &transport.FaultPlan{Seed: 1, SendLossProb: 0.2}; c.WakeProb = 0.5 },
 		"prme":         func(c *Config) { c.Factory = model.NewPRMEFactory(c.Dataset.NumUsers, c.Dataset.NumItems, 8) },
 	}
 	for name, mutate := range cases {

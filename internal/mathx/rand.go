@@ -50,6 +50,15 @@ func StreamSeeds(seed uint64, ids ...uint64) (lo, hi uint64) {
 	return h, mix64(h ^ 0x6a09e667f3bcc909)
 }
 
+// StreamUniform returns the [0, 1) uniform of the (seed, ids...)
+// substream: the top 53 bits of StreamSeeds' first word, scaled. It is
+// the one Bernoulli draw of the seed-driven deployment plans (faults,
+// churn, Byzantine selection, retry jitter).
+func StreamUniform(seed uint64, ids ...uint64) float64 {
+	lo, _ := StreamSeeds(seed, ids...)
+	return float64(lo>>11) / (1 << 53)
+}
+
 // NewStreamRand returns a generator positioned at the start of the
 // (seed, ids...) substream (see StreamSeeds). Hot loops that reseed per
 // item should instead hold a rand.PCG and call Seed with StreamSeeds to

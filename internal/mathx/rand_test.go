@@ -169,6 +169,19 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// StreamUniform is the top 53 bits of the stream's first seed word,
+// scaled to [0, 1): the fault, churn, Byzantine and retry-jitter
+// schedules depend on these exact bits.
+func TestStreamUniformIsTop53Bits(t *testing.T) {
+	for id := uint64(0); id < 100; id++ {
+		lo, _ := StreamSeeds(7, 3, id)
+		u := StreamUniform(7, 3, id)
+		if u != float64(lo>>11)/(1<<53) || u < 0 || u >= 1 {
+			t.Fatalf("StreamUniform(7, 3, %d) = %v, want the top 53 bits of %#x", id, u, lo)
+		}
+	}
+}
+
 func TestStreamSeedsDeterministicAndDistinct(t *testing.T) {
 	lo1, hi1 := StreamSeeds(7, 3, 11)
 	lo2, hi2 := StreamSeeds(7, 3, 11)

@@ -1,11 +1,11 @@
 package transport
 
 import (
+	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"github.com/collablearn/ciarec/internal/mathx"
+	"github.com/collablearn/ciarec/internal/planspec"
 )
 
 // Churn-decision stream tags. Disjoint from the fault tags so a
@@ -93,8 +93,7 @@ func (p ChurnPlan) InitiallyPresent(id int) bool {
 	if frac >= 1 {
 		return true
 	}
-	lo, _ := mathx.StreamSeeds(p.Seed, churnTagInitial, 0, uint64(id))
-	return float64(lo>>11)/(1<<53) < frac
+	return mathx.StreamUniform(p.Seed, churnTagInitial, 0, uint64(id)) < frac
 }
 
 // Leaves reports whether a participant present entering round r leaves
@@ -103,8 +102,7 @@ func (p ChurnPlan) Leaves(round, id int) bool {
 	if p.LeaveProb <= 0 || !p.active(round) {
 		return false
 	}
-	lo, _ := mathx.StreamSeeds(p.Seed, churnTagLeave, uint64(round), uint64(id))
-	return float64(lo>>11)/(1<<53) < p.LeaveProb
+	return mathx.StreamUniform(p.Seed, churnTagLeave, uint64(round), uint64(id)) < p.LeaveProb
 }
 
 // Joins reports whether a participant absent entering round r joins
@@ -113,8 +111,7 @@ func (p ChurnPlan) Joins(round, id int) bool {
 	if p.JoinProb <= 0 || !p.active(round) {
 		return false
 	}
-	lo, _ := mathx.StreamSeeds(p.Seed, churnTagJoin, uint64(round), uint64(id))
-	return float64(lo>>11)/(1<<53) < p.JoinProb
+	return mathx.StreamUniform(p.Seed, churnTagJoin, uint64(round), uint64(id)) < p.JoinProb
 }
 
 // Enabled reports whether the plan can change membership at all.
@@ -122,110 +119,42 @@ func (p ChurnPlan) Enabled() bool {
 	return p.LeaveProb > 0 || p.JoinProb > 0 || p.initialFraction() < 1
 }
 
+// churnSpec declares the churn-spec keys: "default" is
+// DefaultChurnPlan and "" the zero (disabled) plan.
+var churnSpec = planspec.Grammar[ChurnPlan]{
+	Name:    "transport: churn",
+	Default: DefaultChurnPlan(),
+	Bind: func(fs *flag.FlagSet, p *ChurnPlan) {
+		fs.Uint64Var(&p.Seed, "seed", p.Seed, "")
+		fs.Float64Var(&p.InitialFraction, "initial", p.InitialFraction, "")
+		fs.Float64Var(&p.LeaveProb, "leave", p.LeaveProb, "")
+		fs.Float64Var(&p.JoinProb, "join", p.JoinProb, "")
+		fs.IntVar(&p.StaleBound, "stale-bound", p.StaleBound, "")
+		fs.IntVar(&p.FromRound, "from", p.FromRound, "")
+		fs.IntVar(&p.ToRound, "to", p.ToRound, "")
+	},
+}
+
 // Validate checks the plan's probabilities and bounds.
 func (p ChurnPlan) Validate() error {
-	check := func(name string, v float64) error {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("transport: churn plan: %s %g outside [0, 1]", name, v)
-		}
-		return nil
-	}
-	if err := check("initial", p.InitialFraction); err != nil {
-		return err
-	}
-	if err := check("leave", p.LeaveProb); err != nil {
-		return err
-	}
-	if err := check("join", p.JoinProb); err != nil {
-		return err
-	}
-	if p.StaleBound < 0 {
-		return fmt.Errorf("transport: churn plan: stale-bound %d is negative", p.StaleBound)
-	}
-	if p.FromRound < 0 || p.ToRound < 0 {
-		return fmt.Errorf("transport: churn plan: round window [%d, %d) is negative", p.FromRound, p.ToRound)
-	}
-	return nil
+	return planspec.Check("transport: churn plan",
+		planspec.Prob("initial", p.InitialFraction),
+		planspec.Prob("leave", p.LeaveProb),
+		planspec.Prob("join", p.JoinProb),
+		planspec.NonNegative("stale-bound", p.StaleBound),
+		planspec.NonNegative("from", p.FromRound),
+		planspec.NonNegative("to", p.ToRound))
 }
 
 // String renders the plan in the form ParseChurnPlan accepts.
-func (p ChurnPlan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d", p.Seed)
-	add := func(k string, v float64) {
-		if v > 0 {
-			fmt.Fprintf(&b, ",%s=%g", k, v)
-		}
-	}
-	add("initial", p.InitialFraction)
-	add("leave", p.LeaveProb)
-	add("join", p.JoinProb)
-	if p.StaleBound > 0 {
-		fmt.Fprintf(&b, ",stale-bound=%d", p.StaleBound)
-	}
-	if p.FromRound > 0 {
-		fmt.Fprintf(&b, ",from=%d", p.FromRound)
-	}
-	if p.ToRound > 0 {
-		fmt.Fprintf(&b, ",to=%d", p.ToRound)
-	}
-	return b.String()
-}
+func (p ChurnPlan) String() string { return churnSpec.String(p) }
 
 // ParseChurnPlan parses a comma-separated key=value churn spec, e.g.
-// "seed=5,initial=0.8,leave=0.25,join=0.5,stale-bound=2". "default"
+// "seed=5,initial=0.8,leave=0.25,join=0.5,stale-bound=2" (the keys are
+// declared in churnSpec, the grammar is package planspec's). "default"
 // selects DefaultChurnPlan verbatim; an empty string is the zero
-// (disabled) plan. Probabilities must lie in [0, 1].
-func ParseChurnPlan(spec string) (ChurnPlan, error) {
-	var p ChurnPlan
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	if spec == "default" {
-		return DefaultChurnPlan(), nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return p, fmt.Errorf("transport: churn spec %q: want key=value", kv)
-		}
-		var err error
-		prob := func() (f float64) {
-			f, err = strconv.ParseFloat(v, 64)
-			if err == nil && (f < 0 || f > 1) {
-				err = fmt.Errorf("probability %g outside [0, 1]", f)
-			}
-			return f
-		}
-		switch k {
-		case "seed":
-			p.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "initial":
-			p.InitialFraction = prob()
-		case "leave":
-			p.LeaveProb = prob()
-		case "join":
-			p.JoinProb = prob()
-		case "stale-bound":
-			p.StaleBound, err = strconv.Atoi(v)
-		case "from":
-			p.FromRound, err = strconv.Atoi(v)
-		case "to":
-			p.ToRound, err = strconv.Atoi(v)
-		default:
-			return p, fmt.Errorf("transport: churn spec: unknown key %q", k)
-		}
-		if err != nil {
-			return p, fmt.Errorf("transport: churn spec %q: %w", kv, err)
-		}
-	}
-	if err := p.Validate(); err != nil {
-		return p, err
-	}
-	return p, nil
-}
+// (disabled) plan. The result passes Validate.
+func ParseChurnPlan(spec string) (ChurnPlan, error) { return churnSpec.Parse(spec) }
 
 // Membership is the replayable fold of a ChurnPlan's per-round
 // decisions over a fixed participant set: who is present each round,

@@ -2,14 +2,14 @@ package transport
 
 import (
 	"errors"
+	"flag"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/planspec"
 )
 
 // ErrInjected tags transfer failures manufactured by the Faulty
@@ -97,8 +97,7 @@ func (p FaultPlan) draw(tag uint64, round, id int, prob float64) bool {
 	if prob <= 0 || !p.active(round) {
 		return false
 	}
-	lo, _ := mathx.StreamSeeds(p.Seed, tag, uint64(round), uint64(id))
-	return float64(lo>>11)/(1<<53) < prob
+	return mathx.StreamUniform(p.Seed, tag, uint64(round), uint64(id)) < prob
 }
 
 // Unreachable reports whether the participant is blacked out for the
@@ -147,100 +146,51 @@ func (p FaultPlan) Enabled() bool {
 		p.BroadcastFailProb > 0 || p.SlowProb > 0 || p.BaseLatency > 0
 }
 
-// String renders the plan in the form ParseFaultPlan accepts.
-func (p FaultPlan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d", p.Seed)
-	add := func(k string, v float64) {
-		if v > 0 {
-			fmt.Fprintf(&b, ",%s=%g", k, v)
-		}
-	}
-	add("drop", p.DropProb)
-	add("send-loss", p.SendLossProb)
-	add("deliver-loss", p.DeliverLossProb)
-	add("bcast-fail", p.BroadcastFailProb)
-	add("slow", p.SlowProb)
-	if p.BaseLatency > 0 {
-		fmt.Fprintf(&b, ",base-latency=%s", p.BaseLatency)
-	}
-	if p.SlowLatency > 0 {
-		fmt.Fprintf(&b, ",slow-latency=%s", p.SlowLatency)
-	}
-	if p.FromRound > 0 {
-		fmt.Fprintf(&b, ",from=%d", p.FromRound)
-	}
-	if p.ToRound > 0 {
-		fmt.Fprintf(&b, ",to=%d", p.ToRound)
-	}
-	if p.RealSleep {
-		b.WriteString(",real-sleep")
-	}
-	return b.String()
+// faultSpec declares the fault-spec keys: "real-sleep" is boolean,
+// "default" is DefaultFaultPlan and "" the zero (inactive) plan.
+var faultSpec = planspec.Grammar[FaultPlan]{
+	Name:    "transport: fault",
+	Default: DefaultFaultPlan(),
+	Bind: func(fs *flag.FlagSet, p *FaultPlan) {
+		fs.Uint64Var(&p.Seed, "seed", p.Seed, "")
+		fs.Float64Var(&p.DropProb, "drop", p.DropProb, "")
+		fs.Float64Var(&p.SendLossProb, "send-loss", p.SendLossProb, "")
+		fs.Float64Var(&p.DeliverLossProb, "deliver-loss", p.DeliverLossProb, "")
+		fs.Float64Var(&p.BroadcastFailProb, "bcast-fail", p.BroadcastFailProb, "")
+		fs.Float64Var(&p.SlowProb, "slow", p.SlowProb, "")
+		fs.DurationVar(&p.BaseLatency, "base-latency", p.BaseLatency, "")
+		fs.DurationVar(&p.SlowLatency, "slow-latency", p.SlowLatency, "")
+		fs.IntVar(&p.FromRound, "from", p.FromRound, "")
+		fs.IntVar(&p.ToRound, "to", p.ToRound, "")
+		fs.BoolVar(&p.RealSleep, "real-sleep", p.RealSleep, "")
+	},
 }
 
-// ParseFaultPlan parses a comma-separated key=value fault spec, e.g.
-// "seed=7,drop=0.1,slow=0.2,slow-latency=1s,from=2,to=8". The bare
-// flag "real-sleep" takes no value; "default" selects DefaultFaultPlan
-// verbatim. Probabilities must lie in [0, 1]. An empty string is the
-// zero (inactive) plan.
-func ParseFaultPlan(spec string) (FaultPlan, error) {
-	var p FaultPlan
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return p, nil
-	}
-	if spec == "default" {
-		return DefaultFaultPlan(), nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "real-sleep" {
-			p.RealSleep = true
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return p, fmt.Errorf("transport: fault spec %q: want key=value", kv)
-		}
-		var err error
-		prob := func() (f float64) {
-			f, err = strconv.ParseFloat(v, 64)
-			if err == nil && (f < 0 || f > 1) {
-				err = fmt.Errorf("probability %g outside [0, 1]", f)
-			}
-			return f
-		}
-		switch k {
-		case "seed":
-			p.Seed, err = strconv.ParseUint(v, 10, 64)
-		case "drop":
-			p.DropProb = prob()
-		case "send-loss":
-			p.SendLossProb = prob()
-		case "deliver-loss":
-			p.DeliverLossProb = prob()
-		case "bcast-fail":
-			p.BroadcastFailProb = prob()
-		case "slow":
-			p.SlowProb = prob()
-		case "base-latency":
-			p.BaseLatency, err = time.ParseDuration(v)
-		case "slow-latency":
-			p.SlowLatency, err = time.ParseDuration(v)
-		case "from":
-			p.FromRound, err = strconv.Atoi(v)
-		case "to":
-			p.ToRound, err = strconv.Atoi(v)
-		default:
-			return p, fmt.Errorf("transport: fault spec: unknown key %q", k)
-		}
-		if err != nil {
-			return p, fmt.Errorf("transport: fault spec %q: %w", kv, err)
-		}
-	}
-	return p, nil
+// Validate checks that the probabilities lie in [0, 1] and that the
+// latencies and the round window are non-negative.
+func (p FaultPlan) Validate() error {
+	return planspec.Check("transport: fault plan",
+		planspec.Prob("drop", p.DropProb),
+		planspec.Prob("send-loss", p.SendLossProb),
+		planspec.Prob("deliver-loss", p.DeliverLossProb),
+		planspec.Prob("bcast-fail", p.BroadcastFailProb),
+		planspec.Prob("slow", p.SlowProb),
+		planspec.NonNegative("base-latency", p.BaseLatency),
+		planspec.NonNegative("slow-latency", p.SlowLatency),
+		planspec.NonNegative("from", p.FromRound),
+		planspec.NonNegative("to", p.ToRound))
 }
+
+// String renders the plan in the form ParseFaultPlan accepts.
+func (p FaultPlan) String() string { return faultSpec.String(p) }
+
+// ParseFaultPlan parses a comma-separated key=value fault spec, e.g.
+// "seed=7,drop=0.1,slow=0.2,slow-latency=1s,from=2,to=8" (the keys are
+// declared in faultSpec, the grammar is package planspec's). The bare
+// flag "real-sleep" takes no value; "default" selects DefaultFaultPlan
+// verbatim. An empty string is the zero (inactive) plan. The result
+// passes Validate.
+func ParseFaultPlan(spec string) (FaultPlan, error) { return faultSpec.Parse(spec) }
 
 // Faulty injects a FaultPlan's failures in front of any inner
 // transport: lost sends and deliveries surface as transfer errors

@@ -325,6 +325,17 @@ func TestFaultyConstruction(t *testing.T) {
 	}
 }
 
+// A struct-built plan passes the same Validate as a parsed one: an
+// out-of-range probability must not silently black out everybody.
+func TestFaultPlanValidatedByNewOptions(t *testing.T) {
+	for _, plan := range []FaultPlan{{DropProb: 1.5}, {SlowLatency: -time.Second}, {ToRound: -1}} {
+		if tr, err := NewOptions("wire", Options{Plan: &plan}); err == nil {
+			tr.Close()
+			t.Errorf("NewOptions accepted the invalid plan %+v", plan)
+		}
+	}
+}
+
 // RealSleep burns the virtual latency as wall time inside Send.
 func TestFaultyRealSleep(t *testing.T) {
 	plan := FaultPlan{Seed: 1, BaseLatency: 30 * time.Millisecond, RealSleep: true}

@@ -2,14 +2,13 @@ package rpc
 
 import (
 	"errors"
-	"fmt"
+	"flag"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/collablearn/ciarec/internal/mathx"
+	"github.com/collablearn/ciarec/internal/planspec"
 )
 
 // ErrUnavailable tags round-trip failures where the server could not be
@@ -87,52 +86,44 @@ func (p RetryPolicy) backoff(key uint64, retry int) time.Duration {
 	if d > p.MaxBackoff || d <= 0 { // <= 0: shift overflow
 		d = p.MaxBackoff
 	}
-	lo, _ := mathx.StreamSeeds(p.JitterSeed, key, uint64(retry))
-	u := float64(lo>>11) / (1 << 53) // [0, 1)
+	u := mathx.StreamUniform(p.JitterSeed, key, uint64(retry))
 	return time.Duration((0.5 + 0.5*u) * float64(d))
 }
 
-// String renders the policy in the form ParseRetryPolicy accepts.
-func (p RetryPolicy) String() string {
-	p = p.normalize()
-	return fmt.Sprintf("attempts=%d,backoff=%s,max-backoff=%s,timeout=%s,seed=%d",
-		p.MaxAttempts, p.BaseBackoff, p.MaxBackoff, p.Timeout, p.JitterSeed)
+// retrySpec declares the retry-spec keys. Both "" and "default" are
+// DefaultRetryPolicy, and every spec starts from it.
+var retrySpec = planspec.Grammar[RetryPolicy]{
+	Name:    "rpc: retry",
+	Empty:   DefaultRetryPolicy(),
+	Default: DefaultRetryPolicy(),
+	Bind: func(fs *flag.FlagSet, p *RetryPolicy) {
+		fs.IntVar(&p.MaxAttempts, "attempts", p.MaxAttempts, "")
+		fs.DurationVar(&p.BaseBackoff, "backoff", p.BaseBackoff, "")
+		fs.DurationVar(&p.MaxBackoff, "max-backoff", p.MaxBackoff, "")
+		fs.DurationVar(&p.Timeout, "timeout", p.Timeout, "")
+		fs.Uint64Var(&p.JitterSeed, "seed", p.JitterSeed, "")
+	},
 }
 
-// ParseRetryPolicy parses a comma-separated key=value retry spec, e.g.
-// "attempts=6,backoff=5ms,timeout=2s". Unknown keys error; omitted
-// keys keep the defaults. An empty string is the default policy.
-func ParseRetryPolicy(spec string) (RetryPolicy, error) {
-	p := DefaultRetryPolicy()
-	if strings.TrimSpace(spec) == "" {
-		return p, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return p, fmt.Errorf("rpc: retry spec %q: want key=value", kv)
-		}
-		var err error
-		switch k {
-		case "attempts":
-			p.MaxAttempts, err = strconv.Atoi(v)
-		case "backoff":
-			p.BaseBackoff, err = time.ParseDuration(v)
-		case "max-backoff":
-			p.MaxBackoff, err = time.ParseDuration(v)
-		case "timeout":
-			p.Timeout, err = time.ParseDuration(v)
-		case "seed":
-			p.JitterSeed, err = strconv.ParseUint(v, 10, 64)
-		default:
-			return p, fmt.Errorf("rpc: retry spec: unknown key %q", k)
-		}
-		if err != nil {
-			return p, fmt.Errorf("rpc: retry spec %q: %w", kv, err)
-		}
-	}
-	return p, nil
+// Validate checks that no field is negative (0 selects the default).
+func (p RetryPolicy) Validate() error {
+	return planspec.Check("rpc: retry policy",
+		planspec.NonNegative("attempts", p.MaxAttempts),
+		planspec.NonNegative("backoff", p.BaseBackoff),
+		planspec.NonNegative("max-backoff", p.MaxBackoff),
+		planspec.NonNegative("timeout", p.Timeout))
 }
+
+// String renders the policy in the form ParseRetryPolicy accepts,
+// omitting the fields equal to DefaultRetryPolicy's.
+func (p RetryPolicy) String() string { return retrySpec.String(p) }
+
+// ParseRetryPolicy parses a comma-separated key=value retry spec, e.g.
+// "attempts=6,backoff=5ms,timeout=2s" (the keys are declared in
+// retrySpec, the grammar is package planspec's). Unknown keys error;
+// omitted keys keep the defaults. An empty string is the default
+// policy. The result passes Validate.
+func ParseRetryPolicy(spec string) (RetryPolicy, error) { return retrySpec.Parse(spec) }
 
 // isTimeout reports whether err is an I/O deadline expiry.
 func isTimeout(err error) bool {

@@ -118,7 +118,7 @@ type RetryPolicy = rpc.RetryPolicy
 func DefaultRetryPolicy() RetryPolicy { return rpc.DefaultRetryPolicy() }
 
 // ParseRetryPolicy re-exports the RPC retry-spec parser (e.g.
-// "attempts=6,backoff=5ms,timeout=2s").
+// "attempts=6,backoff=5ms,timeout=2s"; grammar in package planspec).
 func ParseRetryPolicy(spec string) (RetryPolicy, error) { return rpc.ParseRetryPolicy(spec) }
 
 // Stats is a transport's accumulated traffic accounting.
@@ -245,6 +245,17 @@ type Options struct {
 	Compression param.Compression
 }
 
+// validate checks the codec and a struct-built fault plan.
+func (o Options) validate() error {
+	if err := o.Compression.Validate(); err != nil {
+		return fmt.Errorf("transport: %w", err)
+	}
+	if o.Plan != nil {
+		return o.Plan.Validate()
+	}
+	return nil
+}
+
 func (o Options) retry() rpc.RetryPolicy {
 	if o.Retry != nil {
 		return *o.Retry
@@ -294,8 +305,8 @@ func New(name string) (Transport, error) {
 
 // NewOptions is New with explicit resilience options.
 func NewOptions(name string, o Options) (Transport, error) {
-	if err := o.Compression.Validate(); err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
 	inner, wrap := strings.CutPrefix(name, FaultyPrefix)
 	var t Transport
@@ -333,8 +344,8 @@ func Dial(name, addr string) (Transport, error) {
 
 // DialOptions is Dial with explicit resilience options.
 func DialOptions(name, addr string, o Options) (Transport, error) {
-	if err := o.Compression.Validate(); err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
+	if err := o.validate(); err != nil {
+		return nil, err
 	}
 	inner, wrap := strings.CutPrefix(name, FaultyPrefix)
 	var t Transport

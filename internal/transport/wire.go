@@ -181,7 +181,7 @@ func (b *broadcast) Close() {
 // encoder in the same process, so a failure is a codec bug, not a
 // runtime condition. Its transfer methods therefore always return nil
 // errors — message loss is injected by the Faulty wrapper or modelled
-// by the simulators' LossProb/DropoutProb, never by this backend.
+// by fed's DropoutProb, never by this backend.
 type Wire struct{ serial }
 
 var _ Transport = (*Wire)(nil)

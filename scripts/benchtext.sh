@@ -8,7 +8,10 @@
 # cache and go config under .bench_build/, GOTOOLCHAIN=local,
 # GOWORK=off, empty GOFLAGS); the revision is checked out in a
 # temporary git worktree under .bench_build/. The text symbols (T/t)
-# of `go tool nm -n` are compared address by address. Identical text
+# of `go tool nm -n` are sorted by address and then name (nm's order
+# among symbols at one address differs between builds) and compared
+# line by line, so the first difference names the first moved symbol.
+# Identical text
 # means the benchmark runs the same machine code on both sides; exit 0.
 # Otherwise the first difference and main.probeSpeed's address mod 64
 # on each side are printed; exit 1. The benchmark's machine.slowdown
@@ -42,7 +45,7 @@ git worktree add --quiet --detach "$tree" "$rev"
 # text DIR OUT: build DIR/benchmark and write its sorted text symbols.
 text() {
   go -C "$1/benchmark" build -o "$2.bin" .
-  go tool nm -n "$2.bin" | awk '$2 == "T" || $2 == "t"' >"$2"
+  go tool nm -n "$2.bin" | awk '$2 == "T" || $2 == "t"' | LC_ALL=C sort -k1,1 -k3 >"$2"
 }
 old="$root/.bench_build/benchtext-old.txt"
 new="$root/.bench_build/benchtext-new.txt"
