@@ -37,7 +37,8 @@ type ciaCell struct {
 
 // goldenCIACells are Table II's FedAvg attack at K = 5%, Table III's
 // per-node gossip attack, and the Share-less adversaries of both
-// protocols refitting their fictive users every round.
+// protocols refitting their fictive users every round (FedAvg for
+// every model family, whose fictive fits differ).
 var goldenCIACells = []ciaCell{
 	{name: "cia-fed/foursquare-gmf", dataset: "foursquare", family: "gmf", rounds: 5, epochs: 2, seed: 1},
 	{name: "cia-fed/foursquare-prme", dataset: "foursquare", family: "prme", rounds: 5, epochs: 2, seed: 1},
@@ -48,6 +49,9 @@ var goldenCIACells = []ciaCell{
 	{name: "cia-gossip/rand-gossip-prme", variant: gossip.RandGossip, dataset: "gowalla", family: "prme", rounds: 5, epochs: 2, seed: 7},
 	{name: "cia-gossip/pers-gossip-gmf", variant: gossip.PersGossip, dataset: "movielens", family: "gmf", rounds: 5, epochs: 2, seed: 7},
 	{name: "cia-shareless/fed-gmf", dataset: "movielens", family: "gmf", shareLess: true, rounds: 4, epochs: 1, seed: 7},
+	{name: "cia-shareless/fed-prme", dataset: "movielens", family: "prme", shareLess: true, rounds: 4, epochs: 1, seed: 7},
+	{name: "cia-shareless/fed-bprmf", dataset: "movielens", family: "bprmf", shareLess: true, rounds: 4, epochs: 1, seed: 7},
+	{name: "cia-shareless/fed-neumf", dataset: "movielens", family: "neumf", shareLess: true, rounds: 4, epochs: 1, seed: 7},
 	{name: "cia-shareless/gossip-gmf", variant: gossip.RandGossip, dataset: "movielens", family: "gmf", shareLess: true, rounds: 6, epochs: 1, seed: 7},
 }
 
