@@ -48,9 +48,19 @@ func TestByzantineParseErrors(t *testing.T) {
 		"mystery=1",    // unknown key
 		"frac",         // no value
 		"seed=notanum", // bad uint
+		"scale=Inf",    // non-finite scale
 	} {
 		if _, err := ParseByzantine(spec); err == nil {
 			t.Errorf("ParseByzantine(%q): want error, got nil", spec)
+		}
+	}
+	// A struct-built population passes the same checks: an infinite
+	// scale would make every coordinate of a scaled-noise upload
+	// non-finite.
+	for _, scale := range []float64{math.Inf(1), math.NaN()} {
+		b := Byzantine{Kind: ByzScaledNoise, Fraction: 0.25, Scale: scale}
+		if err := b.Validate(); err == nil {
+			t.Errorf("Validate accepted scale %v", scale)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package planspec
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 )
@@ -113,11 +114,15 @@ func Prob(key string, v float64) error {
 	return nil
 }
 
-// NonNegative is the range check of a count, round or duration key
-// (and of a float one, NaN rejected).
+// NonNegative is the range check of a count, round or duration key,
+// and of a float one, which must also be finite (NaN and +Inf
+// rejected).
 func NonNegative[V int | time.Duration | float64](key string, v V) error {
-	if !(v >= 0) {
+	switch {
+	case !(v >= 0):
 		return fmt.Errorf("%s %v is negative", key, v)
+	case float64(v) > math.MaxFloat64:
+		return fmt.Errorf("%s %v is not finite", key, v)
 	}
 	return nil
 }

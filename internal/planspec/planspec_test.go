@@ -47,7 +47,7 @@ func TestPlanSpecRejectsMalformed(t *testing.T) {
 	extra := map[string][]string{
 		"fault":     {"slow-latency=9", "base-latency=-1s", "drop=1.5", "drop=NaN", "from=-1", "from=1.5", "real-sleep=maybe"},
 		"churn":     {"leave=NaN", "join=-0.5", "stale-bound=x", "to=-2"},
-		"byzantine": {"kind=evil", "kind", "frac=x", "frac=NaN", "scale=NaN", "scale=-1"},
+		"byzantine": {"kind=evil", "kind", "frac=x", "frac=NaN", "scale=NaN", "scale=-1", "scale=Inf", "scale=+Inf"},
 		"retry":     {"timeout=9", "backoff=-1ms", "attempts=-1", "attempts=1.5"},
 	}
 	for name, parse := range parsers {
