@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
-	"github.com/collablearn/ciarec/internal/parx"
 )
 
 // RecommenderEval is the Evaluator used against recommendation models.
@@ -83,6 +83,20 @@ type evalGroup struct {
 	// plans[t] is target t's fictive-fit plan, reused by every refit
 	// (nil in full-model mode).
 	plans []model.FictivePlan
+	// ready carries a refit's targets to its fitters, each once its plan
+	// is drawn, then one -1 per fitter; see queue. fitting waits for the
+	// fitters on other goroutines.
+	ready   chan int
+	fitting sync.WaitGroup
+}
+
+// queue returns ready, grown to buffer n sends: every send of a refit,
+// so that planning never waits for a fitter.
+func (g *evalGroup) queue(n int) chan int {
+	if cap(g.ready) < n {
+		g.ready = make(chan int, n)
+	}
+	return g.ready
 }
 
 var (
@@ -252,41 +266,72 @@ func (e *RecommenderEval) ScoreTargets(sender int, dst []float64) {
 // fixed. epochs controls the fit length (the paper's adversary is
 // cheap; a handful of epochs suffices).
 //
-// Every target's draws are planned from r in target order, so the
-// result does not depend on the group size; the fits then run in
-// parallel, one group member per worker, each on its own scratch model
-// loaded with state.
+// Every target's draws are planned from r in target order on the
+// caller's goroutine, so the result does not depend on the group size.
+// Meanwhile the group's other members fit, each on its own goroutine
+// and scratch model loaded with state, taking each target as soon as
+// its plan is drawn. e joins them once the last plan is drawn.
 func (e *RecommenderEval) RefreshFictive(state *param.Set, epochs int, r *rand.Rand) {
 	if e.fictive == nil {
 		panic("attack: RefreshFictive on a full-model evaluator")
 	}
-	plans := e.group.plans
+	g := e.group
+	ready := g.queue(len(e.targets) + len(g.members))
+	e.Load(state)
+	helpers := 0
+	for _, m := range g.members {
+		if helpers+1 >= len(e.targets) {
+			break
+		}
+		if m == e {
+			continue
+		}
+		helpers++
+		m.Load(state)
+		g.fitting.Add(1)
+		go func() {
+			defer g.fitting.Done()
+			m.scratch.FitFictiveUsers(g.plans, e.fictive, ready)
+		}()
+	}
+	drawn := false
+	defer func() {
+		if !drawn {
+			// Planning panicked: stop the helpers before it unwinds.
+			for range helpers {
+				ready <- -1
+			}
+			g.fitting.Wait()
+		}
+	}()
 	opt := model.TrainOptions{Epochs: epochs, Rand: r}
 	for t, target := range e.targets {
-		e.scratch.PlanFictiveUser(target, opt, &plans[t])
+		e.scratch.PlanFictiveUser(target, opt, &g.plans[t])
+		ready <- t
 	}
-	members := e.group.members[:min(len(e.group.members), len(e.targets))]
-	for _, m := range members {
-		m.Load(state)
+	drawn = true
+	for range helpers + 1 {
+		ready <- -1
 	}
-	opt.Rand = nil
-	parx.ForEach(len(members), len(e.targets), func(w, t int) {
-		e.fictive[t] = members[w].scratch.FitFictiveUser(e.targets[t], &plans[t], opt)
-	})
+	e.scratch.FitFictiveUsers(g.plans, e.fictive, ready)
+	g.fitting.Wait()
 }
 
 // RefreshFictiveOne re-fits the fictive user for a single target
-// against the item embeddings in state, on this evaluator alone.
-// Gossip adversaries use this: each adversary placement refreshes only
-// its own target against its own node's parameters.
+// against the item embeddings in state, on this evaluator alone, as a
+// batch of one. Gossip adversaries use this: each adversary placement
+// refreshes only its own target against its own node's parameters.
 func (e *RecommenderEval) RefreshFictiveOne(t int, state *param.Set, epochs int, r *rand.Rand) {
 	if e.fictive == nil {
 		panic("attack: RefreshFictiveOne on a full-model evaluator")
 	}
 	e.Load(state)
-	plan := &e.group.plans[t]
-	e.scratch.PlanFictiveUser(e.targets[t], model.TrainOptions{Epochs: epochs, Rand: r}, plan)
-	e.fictive[t] = e.scratch.FitFictiveUser(e.targets[t], plan, model.TrainOptions{Epochs: epochs})
+	g := e.group
+	ready := g.queue(2)
+	e.scratch.PlanFictiveUser(e.targets[t], model.TrainOptions{Epochs: epochs, Rand: r}, &g.plans[t])
+	ready <- t
+	ready <- -1
+	e.scratch.FitFictiveUsers(g.plans, e.fictive, ready)
 }
 
 // Fictive returns target t's fictive user e_A: nil in full-model mode

@@ -204,6 +204,29 @@ func sigmoidIntoGo(x, dst []float64) {
 	}
 }
 
+// DecayStep3Rows applies DecayStep3(lr[j], l2[j], c[j], a, b[j], x[j])
+// to every row j, bit for bit: the fictive fits' lanes update every
+// lane's vector in one call per step. It panics if the lengths differ.
+func DecayStep3Rows(lr, l2, c, a []float64, b, x [][]float64) {
+	n := len(x)
+	if len(lr) != n || len(l2) != n || len(c) != n || len(b) != n {
+		panic(fmt.Sprintf("mathx: DecayStep3Rows row count mismatch %d, %d, %d, %d != %d", len(lr), len(l2), len(c), len(b), n))
+	}
+	for j := range x {
+		if len(b[j]) != len(a) || len(x[j]) != len(a) {
+			panic(fmt.Sprintf("mathx: DecayStep3Rows row %d length mismatch %d, %d != %d", j, len(b[j]), len(x[j]), len(a)))
+		}
+	}
+	decayStep3Rows(lr, l2, c, a, b, x)
+}
+
+// decayStep3RowsGo is the scalar loop behind DecayStep3Rows.
+func decayStep3RowsGo(lr, l2, c, a []float64, b, x [][]float64) {
+	for j := range x {
+		DecayStep3(lr[j], l2[j], c[j], a, b[j], x[j])
+	}
+}
+
 // AddInto writes a[i] + b[i] into dst[i]. dst may alias a or b.
 // Element updates are independent, so the result is bit-identical to
 // the naive loop. It panics if the lengths differ.

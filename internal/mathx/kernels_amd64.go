@@ -2,17 +2,21 @@ package mathx
 
 import "fmt"
 
-// useAVX2 routes SigmoidInto, Gemv, GemvRows and DotNormRows through
-// the AVX2 kernels of kernels_amd64.s. It is set once, at package
-// initialisation: the CPU and OS must support AVX2 and FMA, and the
-// sigmoid kernel must reproduce Sigmoid bit for bit on inputs where
-// math.Exp's FMA and non-FMA paths round differently. The kernel
-// always replays the FMA path, so when math.Exp takes the other one
-// (GODEBUG=cpu.fma=off) the check fails and the scalar loops run.
+// useAVX2 routes SigmoidInto, Gemv, GemvRows, DotNormRows and
+// DecayStep3Rows through the AVX2 kernels of kernels_amd64.s. It is
+// set once, at package initialisation: the CPU and OS must support
+// AVX2 and FMA, and the sigmoid kernel must reproduce Sigmoid bit for
+// bit on inputs where math.Exp's FMA and non-FMA paths round
+// differently. The kernel always replays the FMA path, so when
+// math.Exp takes the other one (GODEBUG=cpu.fma=off) the check fails
+// and the scalar loops run.
 var useAVX2 = hasAVX2FMA() && sigmoidKernelAgrees()
 
 //go:noescape
 func sigmoidAVX2(x, dst []float64) int
+
+//go:noescape
+func decayStep3RowsAVX2(lr, l2, c, a []float64, b, x [][]float64)
 
 //go:noescape
 func gemvAVX2(m []float64, cols int, rows []int, v, dst []float64)
@@ -111,4 +115,14 @@ func sigmoidInto(x, dst []float64) {
 		}
 	}
 	sigmoidIntoGo(x[i:], dst[i:])
+}
+
+// decayStep3Rows hands rows of a positive multiple of 4 entries to the
+// kernel.
+func decayStep3Rows(lr, l2, c, a []float64, b, x [][]float64) {
+	if useAVX2 && len(a) > 0 && len(a)%4 == 0 {
+		decayStep3RowsAVX2(lr, l2, c, a, b, x)
+		return
+	}
+	decayStep3RowsGo(lr, l2, c, a, b, x)
 }

@@ -1,8 +1,9 @@
 #include "textflag.h"
 
-// AVX2 kernels behind the batched scoring API (kernels_amd64.go). Each
-// computes, lane by lane, exactly the IEEE operations of its scalar
-// sibling, so the results are bit-identical to it.
+// AVX2 kernels behind the batched scoring API and the fictive fits'
+// batched update (kernels_amd64.go). Each computes, lane by lane,
+// exactly the IEEE operations of its scalar sibling, so the results
+// are bit-identical to it.
 //
 // sigmoidAVX2 replays math.Exp's amd64 FMA path (math/exp_amd64.s,
 // after Shibata, ISC'10, https://doi.org/10.1007/s00450-010-0108-2)
@@ -281,4 +282,52 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
+	RET
+
+// func decayStep3RowsAVX2(lr, l2, c, a []float64, b, x [][]float64)
+//
+// For every row j: x[j][i] -= lr[j]*(c[j]*a[i]*b[j][i] + l2[j]*x[j][i]),
+// with DecayStep3's operations in its order, each rounded once (a
+// multiply, then an add: no FMA). len(a) is a positive multiple of 4,
+// and the caller has checked every length.
+TEXT ·decayStep3RowsAVX2(SB), NOSPLIT, $0-144
+	MOVQ lr_base+0(FP), R8
+	MOVQ l2_base+24(FP), R9
+	MOVQ c_base+48(FP), R10
+	MOVQ a_base+72(FP), SI
+	MOVQ a_len+80(FP), CX
+	MOVQ b_base+96(FP), R11
+	MOVQ x_base+120(FP), R12
+	MOVQ x_len+128(FP), R13
+	XORQ BX, BX
+
+decayrow:
+	CMPQ         BX, R13
+	JGE          decaydone
+	VBROADCASTSD (R8)(BX*8), Y0  // lr
+	VBROADCASTSD (R9)(BX*8), Y1  // l2
+	VBROADCASTSD (R10)(BX*8), Y2 // c
+	MOVQ         BX, AX
+	IMULQ        $24, AX         // slice header stride
+	MOVQ         (R11)(AX*1), DX // b[j]
+	MOVQ         (R12)(AX*1), DI // x[j]
+	XORQ         AX, AX
+
+decaycol:
+	VMULPD  (SI)(AX*8), Y2, Y3 // c*a
+	VMULPD  (DX)(AX*8), Y3, Y3 // ·b
+	VMOVUPD (DI)(AX*8), Y4
+	VMULPD  Y4, Y1, Y5         // l2*x
+	VADDPD  Y5, Y3, Y3
+	VMULPD  Y3, Y0, Y3         // lr·(…)
+	VSUBPD  Y3, Y4, Y4         // x − lr·(…)
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     decaycol
+	INCQ    BX
+	JMP     decayrow
+
+decaydone:
+	VZEROUPPER
 	RET

@@ -191,6 +191,44 @@ func TestRowKernelBitIdentical(t *testing.T) {
 	})
 }
 
+// TestDecayStep3RowsKernelBitIdentical holds DecayStep3Rows to
+// DecayStep3 row by row for rows of 4, 8, 12 and 16 entries (the
+// kernel) and 6 (the fallback), 0–17 rows with their own rates, and
+// storage at every alignment, with signed zeros, overflowing products
+// and non-finite values mixed in.
+func TestDecayStep3RowsKernelBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 28))
+	specials := []float64{math.Copysign(0, -1), 1e300, -1e300, math.Inf(1), math.NaN()}
+	eachPath(t, func(t *testing.T) {
+		for _, dim := range []int{4, 8, 12, 16, 6} {
+			for rows := 0; rows <= 17; rows++ {
+				off := rows % 4
+				a := randVec(r, dim+off)[off:]
+				lr, l2, c := randVec(r, rows), randVec(r, rows), randVec(r, rows)
+				b, x, want := make([][]float64, rows), make([][]float64, rows), make([][]float64, rows)
+				for j := range x {
+					b[j] = randVec(r, dim+off)[off:]
+					x[j] = randVec(r, dim+j%4)[j%4:]
+					if j%5 == 4 {
+						x[j][r.IntN(dim)] = specials[j%len(specials)]
+						c[j] = specials[(j+1)%len(specials)]
+					}
+					want[j] = append([]float64(nil), x[j]...)
+					DecayStep3(lr[j], l2[j], c[j], a, b[j], want[j])
+				}
+				DecayStep3Rows(lr, l2, c, a, b, x)
+				for j := range x {
+					for i := range x[j] {
+						if !sameBits(x[j][i], want[j][i]) {
+							t.Fatalf("dim %d, %d rows: row %d [%d] = %v, DecayStep3 %v", dim, rows, j, i, x[j][i], want[j][i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestRowKernelOutOfRangePanics: every row is bounds-checked before the
 // assembly reads the matrix, gathered ids and a Gemv over a matrix
 // whose Data is shorter than Rows×Cols alike.

@@ -9,3 +9,7 @@ func dotNormRows(m *Matrix, rows []int, v, dots, sqnorms []float64) {
 }
 
 func sigmoidInto(x, dst []float64) { sigmoidIntoGo(x, dst) }
+
+func decayStep3Rows(lr, l2, c, a []float64, b, x [][]float64) {
+	decayStep3RowsGo(lr, l2, c, a, b, x)
+}

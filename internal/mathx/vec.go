@@ -338,3 +338,49 @@ func DriftToward(c float64, ref, x []float64) {
 		x[i] -= c * (x[i] - ref[i])
 	}
 }
+
+// DecayStep computes x -= lr*(g + l2*x) element-wise: one SGD step
+// along the gradient g with L2 weight decay, as the fictive-user fits
+// apply it. Element updates are independent, so the result is
+// bit-identical to the naive loop. It panics if the lengths differ.
+func DecayStep(lr, l2 float64, g, x []float64) {
+	if len(g) != len(x) {
+		panic(fmt.Sprintf("mathx: DecayStep length mismatch %d != %d", len(g), len(x)))
+	}
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		gg := g[i : i+4 : i+4]
+		xx := x[i : i+4 : i+4]
+		xx[0] -= lr * (gg[0] + l2*xx[0])
+		xx[1] -= lr * (gg[1] + l2*xx[1])
+		xx[2] -= lr * (gg[2] + l2*xx[2])
+		xx[3] -= lr * (gg[3] + l2*xx[3])
+	}
+	for ; i < len(x); i++ {
+		x[i] -= lr * (g[i] + l2*x[i])
+	}
+}
+
+// DecayStep3 computes x -= lr*(c*a*b + l2*x) element-wise, with
+// c*a[i]*b[i] formed left to right as in Dot3: DecayStep along the
+// gradient c·(a ⊙ b) without materializing it. Element updates are
+// independent, so the result is bit-identical to the naive loop. It
+// panics if the lengths differ.
+func DecayStep3(lr, l2, c float64, a, b, x []float64) {
+	if len(a) != len(x) || len(b) != len(x) {
+		panic(fmt.Sprintf("mathx: DecayStep3 length mismatch %d, %d != %d", len(a), len(b), len(x)))
+	}
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		aa := a[i : i+4 : i+4]
+		bb := b[i : i+4 : i+4]
+		xx := x[i : i+4 : i+4]
+		xx[0] -= lr * (c*aa[0]*bb[0] + l2*xx[0])
+		xx[1] -= lr * (c*aa[1]*bb[1] + l2*xx[1])
+		xx[2] -= lr * (c*aa[2]*bb[2] + l2*xx[2])
+		xx[3] -= lr * (c*aa[3]*bb[3] + l2*xx[3])
+	}
+	for ; i < len(x); i++ {
+		x[i] -= lr * (c*a[i]*b[i] + l2*x[i])
+	}
+}

@@ -266,6 +266,64 @@ func TestDriftTowardBitIdentical(t *testing.T) {
 	}
 }
 
+func TestDecayStepBitIdentical(t *testing.T) {
+	const lr, l2 = 0.05, 1e-4
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 31, 64, 129} {
+		g := seamVec(n, 9)
+		got := seamVec(n, 10)
+		want := append([]float64(nil), got...)
+		for i := 0; i < n; i++ {
+			want[i] -= lr * (g[i] + l2*want[i])
+		}
+		DecayStep(lr, l2, g, got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d i=%d: DecayStep = %x, naive loop = %x", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestDecayStep3BitIdentical(t *testing.T) {
+	const lr, l2, c = 0.05, 1e-5, -0.37
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 31, 64, 129} {
+		a, b := seamVec(n, 11), seamVec(n, 12)
+		got := seamVec(n, 13)
+		want := append([]float64(nil), got...)
+		for i := 0; i < n; i++ {
+			want[i] -= lr * (c*a[i]*b[i] + l2*want[i])
+		}
+		DecayStep3(lr, l2, c, a, b, got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d i=%d: DecayStep3 = %x, naive loop = %x", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestDecayStepPanicsOnMismatch(t *testing.T) {
+	for name, step := range map[string]func(){
+		"DecayStep":  func() { DecayStep(1, 1, []float64{1}, []float64{1, 2}) },
+		"DecayStep3": func() { DecayStep3(1, 1, 1, []float64{1, 2}, []float64{1}, []float64{1, 2}) },
+		"DecayStep3Rows rows": func() {
+			DecayStep3Rows([]float64{1}, []float64{1}, []float64{1, 1}, []float64{1}, [][]float64{{1}}, [][]float64{{1}})
+		},
+		"DecayStep3Rows row length": func() {
+			DecayStep3Rows([]float64{1}, []float64{1}, []float64{1}, []float64{1, 2}, [][]float64{{1, 2}}, [][]float64{{1}})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic on length mismatch", name)
+				}
+			}()
+			step()
+		}()
+	}
+}
+
 func TestDot3PanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

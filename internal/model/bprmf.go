@@ -38,8 +38,10 @@ type BPRMF struct {
 	// scoreBuf is the grown-on-demand staging area of the batched
 	// relevance sweeps.
 	scoreBuf []float64
-	// fictiveMask is PlanFictiveUser's item-membership scratch.
+	// fictiveMask is PlanFictiveUser's item-membership scratch, lanes
+	// FitFictiveUsers' workspace.
 	fictiveMask []bool
+	lanes       fictiveLanes
 	// order is TrainLocal's shuffle buffer, reused across calls.
 	order []int
 }
@@ -244,28 +246,37 @@ func (m *BPRMF) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan
 	planFictive(plan, &m.fictiveMask, m.items, m.dim, bprmfInitStd, items, opt)
 }
 
-// FitFictiveUser trains a fresh user vector by BPR against the target
-// items with sampled negatives, holding everything else fixed (§IV-C).
-// Unlike PRME there is no metric-space repulsion pathology: the dot-
-// product objective is maximized by aligning with the target items'
-// direction, so plain SGD converges to a useful reference basis.
-func (m *BPRMF) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
-	opt = opt.defaults(bprmfDefaultLR, bprmfDefaultL2)
-	vec := plan.start(m.dim)
-	neg := plan.negatives(items, opt)
-	for e := 0; e < opt.Epochs; e++ {
-		for _, pos := range items {
-			for _, n := range neg[:opt.NegPerPos] {
-				z := m.score(vec, pos) - m.score(vec, int(n))
-				g := -mathx.Sigmoid(-z)
-				qp, qn := m.itemEmb.Row(pos), m.itemEmb.Row(int(n))
-				//lint:ignore mathxseam fused BPR step couples vec into its own update; no bit-identical kernel exists yet
-				for k := 0; k < m.dim; k++ {
-					vec[k] -= opt.LR * (g*(qp[k]-qn[k]) + opt.L2*vec[k])
-				}
-			}
-			neg = neg[opt.NegPerPos:]
-		}
+// FitFictiveUsers trains fresh user vectors by BPR against the planned
+// targets' items with sampled negatives, holding everything else fixed
+// (§IV-C). Unlike PRME there is no metric-space repulsion pathology:
+// the dot-product objective is maximized by aligning with the target
+// items' direction, so plain SGD converges to a useful reference
+// basis.
+func (m *BPRMF) FitFictiveUsers(plans []FictivePlan, dst [][]float64, ready <-chan int) {
+	m.lanes.fit(m, true, m.dim, plans, dst, ready)
+}
+
+// fictiveLogits implements laneFitter: the argument is −z for
+// z = s(A, pos) − s(A, neg), so the sigmoid yields σ(−z).
+func (m *BPRMF) fictiveLogits(w *fictiveLanes) {
+	for i, vec := range w.vec {
+		w.x[i] = -(m.score(vec, w.pos[i]) - m.score(vec, int(w.steps[i][0])))
 	}
-	return vec
+}
+
+// fictiveUpdates implements laneFitter: the BPR step on every lane's
+// user vector, dL/dz = −σ(−z).
+func (m *BPRMF) fictiveUpdates(w *fictiveLanes) {
+	if m.grad == nil {
+		m.grad = make([]float64, 3*m.dim)
+	}
+	d := m.grad[:m.dim]
+	for i, vec := range w.vec {
+		g := -w.x[i]
+		qp, qn := m.itemEmb.Row(w.pos[i])[:len(d)], m.itemEmb.Row(int(w.steps[i][0]))[:len(d)]
+		for k := range d {
+			d[k] = g * (qp[k] - qn[k])
+		}
+		mathx.DecayStep(w.lr[i], w.l2[i], d, vec)
+	}
 }

@@ -39,8 +39,10 @@ type GMF struct {
 	// scoring kernels dot against item rows; scoreBuf is the grown-on-
 	// demand per-item staging area of the relevance/predict sweeps.
 	wuser, scoreBuf []float64
-	// fictiveMask is PlanFictiveUser's item-membership scratch.
+	// fictiveMask is PlanFictiveUser's item-membership scratch, lanes
+	// FitFictiveUsers' workspace.
 	fictiveMask []bool
+	lanes       fictiveLanes
 }
 
 var _ Recommender = (*GMF)(nil)
@@ -271,30 +273,52 @@ func (m *GMF) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan) 
 	planFictive(plan, &m.fictiveMask, m.items, m.dim, gmfInitStd, items, opt)
 }
 
-// FitFictiveUser trains a fresh user vector on the fabricated
-// interaction matrix R_A = {(A, i) : i ∈ items}, holding item
-// embeddings, h and bias fixed (§IV-C).
-func (m *GMF) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
-	opt = opt.defaults(gmfDefaultLR, gmfDefaultL2)
-	vec := plan.start(m.dim)
-	neg := plan.negatives(items, opt)
-	for e := 0; e < opt.Epochs; e++ {
-		for _, pos := range items {
-			m.fictiveStep(vec, pos, 1, opt)
-			for _, it := range neg[:opt.NegPerPos] {
-				m.fictiveStep(vec, int(it), 0, opt)
-			}
-			neg = neg[opt.NegPerPos:]
-		}
-	}
-	return vec
+// FitFictiveUsers trains fresh user vectors on the fabricated
+// interaction matrices R_A = {(A, i) : i ∈ items} of the planned
+// targets, holding item embeddings, h and bias fixed (§IV-C).
+func (m *GMF) FitFictiveUsers(plans []FictivePlan, dst [][]float64, ready <-chan int) {
+	m.lanes.fit(m, false, m.dim, plans, dst, ready)
 }
 
-func (m *GMF) fictiveStep(vec []float64, item int, label float64, opt TrainOptions) {
-	q := m.itemEmb.Row(item)
-	g := mathx.Sigmoid(m.logit(vec, item)) - label
-	//lint:ignore mathxseam fused fictive-user step couples vec into its own update; no bit-identical kernel exists yet
-	for k := 0; k < m.dim; k++ {
-		vec[k] -= opt.LR * (g*m.h[k]*q[k] + opt.L2*vec[k])
+// fictiveLogits implements laneFitter. It runs four lanes' logits
+// side by side: each is Dot3's strictly sequential sum, and four
+// independent sums share the add latency one sum waits out alone. The
+// lanes' item rows stay in w.rows for the update.
+func (m *GMF) fictiveLogits(w *fictiveLanes) {
+	h, b := m.h, m.bias[0]
+	n := len(w.vec)
+	rows, x := w.rows[:n], w.x[:n]
+	for i := range rows {
+		item, _ := w.item(i)
+		rows[i] = m.itemEmb.Row(item)
 	}
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		v0, q0 := w.vec[i][:len(h)], rows[i][:len(h)]
+		v1, q1 := w.vec[i+1][:len(h)], rows[i+1][:len(h)]
+		v2, q2 := w.vec[i+2][:len(h)], rows[i+2][:len(h)]
+		v3, q3 := w.vec[i+3][:len(h)], rows[i+3][:len(h)]
+		var s0, s1, s2, s3 float64
+		for k, hk := range h {
+			s0 += hk * v0[k] * q0[k]
+			s1 += hk * v1[k] * q1[k]
+			s2 += hk * v2[k] * q2[k]
+			s3 += hk * v3[k] * q3[k]
+		}
+		x[i], x[i+1], x[i+2], x[i+3] = s0+b, s1+b, s2+b, s3+b
+	}
+	for ; i < n; i++ {
+		x[i] = mathx.Dot3(h, w.vec[i], rows[i]) + b
+	}
+}
+
+// fictiveUpdates implements laneFitter: the BCE step on every lane's
+// user vector, with dL/dlogit = σ − label, in one batched call.
+func (m *GMF) fictiveUpdates(w *fictiveLanes) {
+	g := w.x[:len(w.vec)]
+	for i := range g {
+		_, label := w.item(i)
+		g[i] -= label
+	}
+	mathx.DecayStep3Rows(w.lr, w.l2, g, m.h, w.rows[:len(g)], w.vec)
 }

@@ -60,8 +60,12 @@ type NeuMF struct {
 	// hoisted once per scored user, scoreBuf the grown-on-demand
 	// per-item staging area. Allocated lazily by scoreBatch.
 	wg, uPart, scoreBuf []float64
-	// fictiveMask is PlanFictiveUser's item-membership scratch.
+	// fictiveMask is PlanFictiveUser's item-membership scratch, lanes
+	// FitFictiveUsers' workspace and laneAct each lane's a1 and a2,
+	// allocated on first use.
 	fictiveMask []bool
+	lanes       fictiveLanes
+	laneAct     []float64
 	// order is TrainLocal's shuffle buffer, reused across calls.
 	order []int
 }
@@ -166,17 +170,18 @@ func (m *NeuMF) Clone() Recommender {
 }
 
 // forward computes the logit for explicit user vectors (GMF half ug,
-// MLP half um) against item it, filling the activation scratch.
-func (m *NeuMF) forward(ug, um []float64, it int) float64 {
+// MLP half um) against item it, filling m.in1 and the activations a1
+// (h1 entries) and a2 (h2 entries).
+func (m *NeuMF) forward(ug, um []float64, it int, a1, a2 []float64) float64 {
 	qg, qm := m.itemG.Row(it), m.itemM.Row(it)
 	copy(m.in1[:m.dim], um)
 	copy(m.in1[m.dim:], qm)
-	m.w1.MulVec(m.in1, m.a1)
-	mathx.Axpy(1, m.b1, m.a1)
-	mathx.ReLU(m.a1, m.a1)
-	m.w2.MulVec(m.a1, m.a2)
-	mathx.Axpy(1, m.b2, m.a2)
-	mathx.ReLU(m.a2, m.a2)
+	m.w1.MulVec(m.in1, a1)
+	mathx.Axpy(1, m.b1, a1)
+	mathx.ReLU(a1, a1)
+	m.w2.MulVec(a1, a2)
+	mathx.Axpy(1, m.b2, a2)
+	mathx.ReLU(a2, a2)
 
 	var s float64
 	//lint:ignore mathxseam the logit accumulates both towers into one running sum whose order golden hashes pin
@@ -185,13 +190,13 @@ func (m *NeuMF) forward(ug, um []float64, it int) float64 {
 	}
 	//lint:ignore mathxseam continues the same golden-pinned accumulator across the tower boundary
 	for j := 0; j < m.h2; j++ {
-		s += m.h[m.dim+j] * m.a2[j]
+		s += m.h[m.dim+j] * a2[j]
 	}
 	return s + m.bias[0]
 }
 
 func (m *NeuMF) logit(owner, it int) float64 {
-	return m.forward(m.userG.Row(owner), m.userM.Row(owner), it)
+	return m.forward(m.userG.Row(owner), m.userM.Row(owner), it, m.a1, m.a2)
 }
 
 // Predict returns σ(logit).
@@ -342,7 +347,7 @@ func (m *NeuMF) TrainLocal(d *dataset.Dataset, u int, opt TrainOptions) {
 func (m *NeuMF) sgdStep(u, it int, label float64, opt TrainOptions, refG, refM []float64) {
 	pg, pm := m.userG.Row(u), m.userM.Row(u)
 	qg, qm := m.itemG.Row(it), m.itemM.Row(it)
-	g := mathx.Sigmoid(m.forward(pg, pm, it)) - label // dL/dlogit
+	g := mathx.Sigmoid(m.forward(pg, pm, it, m.a1, m.a2)) - label // dL/dlogit
 	// Forward left activations in m.in1 (MLP input), m.a1, m.a2.
 
 	dim, h1c, h2c := m.dim, m.h1, m.h2
@@ -439,48 +444,55 @@ func (m *NeuMF) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan
 	planFictive(plan, &m.fictiveMask, m.items, 2*m.dim, neumfInitStd, items, opt)
 }
 
-// FitFictiveUser trains fresh user vectors for both towers against the
-// target items (§IV-C) and returns them concatenated [p_g ; p_m].
-func (m *NeuMF) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
-	opt = opt.defaults(neumfDefaultLR, neumfDefaultL2)
-	vec := plan.start(2 * m.dim)
-	neg := plan.negatives(items, opt)
-	ug, um := vec[:m.dim], vec[m.dim:]
-	for e := 0; e < opt.Epochs; e++ {
-		for _, pos := range items {
-			m.fictiveStep(ug, um, pos, 1, opt)
-			for _, it := range neg[:opt.NegPerPos] {
-				m.fictiveStep(ug, um, int(it), 0, opt)
-			}
-			neg = neg[opt.NegPerPos:]
-		}
+// FitFictiveUsers trains fresh user vectors for both towers against the
+// planned targets' items (§IV-C); each fit is stored concatenated
+// [p_g ; p_m].
+func (m *NeuMF) FitFictiveUsers(plans []FictivePlan, dst [][]float64, ready <-chan int) {
+	if m.laneAct == nil {
+		m.laneAct = make([]float64, fictiveLaneCount*(m.h1+m.h2))
 	}
-	return vec
+	m.lanes.fit(m, false, 2*m.dim, plans, dst, ready)
 }
 
-// fictiveStep updates only the fictive user vectors, holding every
-// model parameter fixed.
-func (m *NeuMF) fictiveStep(ug, um []float64, it int, label float64, opt TrainOptions) {
-	qg := m.itemG.Row(it)
-	g := mathx.Sigmoid(m.forward(ug, um, it)) - label
+// laneActs returns lane i's forward activations a1 and a2, which its
+// update reads back.
+func (m *NeuMF) laneActs(i int) (a1, a2 []float64) {
+	act := m.laneAct[i*(m.h1+m.h2) : (i+1)*(m.h1+m.h2)]
+	return act[:m.h1], act[m.h1:]
+}
+
+// fictiveLogits implements laneFitter.
+func (m *NeuMF) fictiveLogits(w *fictiveLanes) {
+	for i, vec := range w.vec {
+		item, _ := w.item(i)
+		a1, a2 := m.laneActs(i)
+		w.x[i] = m.forward(vec[:m.dim], vec[m.dim:], item, a1, a2)
+	}
+}
+
+// fictiveUpdates implements laneFitter: the BCE step on both user
+// vectors of every lane, holding every model parameter fixed.
+func (m *NeuMF) fictiveUpdates(w *fictiveLanes) {
 	dim := m.dim
-
-	delta2, delta1, dIn := m.gradViews()
-	for j := 0; j < m.h2; j++ {
-		if m.a2[j] > 0 {
-			delta2[j] = g * m.h[dim+j]
+	for i, vec := range w.vec {
+		item, label := w.item(i)
+		g := w.x[i] - label
+		a1, a2 := m.laneActs(i)
+		delta2, delta1, dIn := m.gradViews()
+		for j := 0; j < m.h2; j++ {
+			if a2[j] > 0 {
+				delta2[j] = g * m.h[dim+j]
+			}
 		}
-	}
-	m.w2.MulVecT(delta2, delta1)
-	for j := 0; j < m.h1; j++ {
-		if m.a1[j] <= 0 {
-			delta1[j] = 0
+		m.w2.MulVecT(delta2, delta1)
+		for j := 0; j < m.h1; j++ {
+			if a1[j] <= 0 {
+				delta1[j] = 0
+			}
 		}
-	}
-	m.w1.MulVecT(delta1, dIn)
+		m.w1.MulVecT(delta1, dIn)
 
-	for k := 0; k < dim; k++ {
-		ug[k] -= opt.LR * (g*m.h[k]*qg[k] + opt.L2*ug[k])
-		um[k] -= opt.LR * (dIn[k] + opt.L2*um[k])
+		mathx.DecayStep3(w.lr[i], w.l2[i], g, m.h[:dim], m.itemG.Row(item), vec[:dim])
+		mathx.DecayStep(w.lr[i], w.l2[i], dIn[:dim], vec[dim:])
 	}
 }

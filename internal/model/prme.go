@@ -495,19 +495,25 @@ func (m *PRME) drift(item int, ref []float64, mat *mathx.Matrix, opt *TrainOptio
 	mathx.DriftToward(opt.LR*2*opt.DriftTau, ref[base:base+m.dim], mat.Row(item))
 }
 
-// PlanFictiveUser draws the random starting point of an empty
-// target's fictive user; a non-empty target's closed-form fit draws
-// nothing (see FitFictiveUser).
+// PlanFictiveUser records the target's items and, for an empty target,
+// draws the fictive user's random starting point; a non-empty target's
+// closed-form fit draws nothing (see FitFictiveUsers).
 func (m *PRME) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan) {
 	opt = opt.withDefaults(prmeDefaultLR, prmeDefaultL2)
+	plan.steps = plan.steps[:0]
 	if len(items) == 0 {
 		plan.init = growFloats(plan.init, m.dim)
 		mathx.FillNormal(opt.Rand, plan.init, 0, prmeInitStd)
+		return
+	}
+	for _, it := range items {
+		plan.steps = append(plan.steps, ^int32(it))
 	}
 }
 
-// FitFictiveUser returns a preference-space user point representing "a
-// user who likes items", holding every other parameter fixed (§IV-C).
+// FitFictiveUsers returns for every planned target a preference-space
+// user point representing "a user who likes items", holding every
+// other parameter fixed (§IV-C).
 //
 // For a metric-embedding model the fictive-user objective
 // min_v Σ_{i∈items} ‖v − L_i‖² has the closed-form optimum v = centroid
@@ -516,15 +522,19 @@ func (m *PRME) PlanFictiveUser(items []int, opt TrainOptions, plan *FictivePlan)
 // push v to the max-norm boundary — away from every item point — which
 // destroys the comparison basis CIA needs. An empty target keeps its
 // planned random point.
-func (m *PRME) FitFictiveUser(items []int, plan *FictivePlan, opt TrainOptions) []float64 {
-	if len(items) == 0 {
-		return plan.start(m.dim)
+func (m *PRME) FitFictiveUsers(plans []FictivePlan, dst [][]float64, ready <-chan int) {
+	for t := <-ready; t >= 0; t = <-ready {
+		p := &plans[t]
+		if len(p.steps) == 0 {
+			dst[t] = p.start(m.dim)
+			continue
+		}
+		vec := make([]float64, m.dim)
+		for _, it := range p.steps {
+			mathx.Axpy(1, m.itemPref.Row(int(^it)), vec)
+		}
+		mathx.Scale(1/float64(len(p.steps)), vec)
+		mathx.ClipL2(vec, prmeMaxNorm)
+		dst[t] = vec
 	}
-	vec := make([]float64, m.dim)
-	for _, it := range items {
-		mathx.Axpy(1, m.itemPref.Row(it), vec)
-	}
-	mathx.Scale(1/float64(len(items)), vec)
-	mathx.ClipL2(vec, prmeMaxNorm)
-	return vec
 }
