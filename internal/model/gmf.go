@@ -282,8 +282,9 @@ func (m *GMF) FitFictiveUsers(plans []FictivePlan, dst [][]float64, ready <-chan
 
 // fictiveLogits implements laneFitter. It runs four lanes' logits
 // side by side: each is Dot3's strictly sequential sum, and four
-// independent sums share the add latency one sum waits out alone. The
-// lanes' item rows stay in w.rows for the update.
+// independent sums share the add latency one sum waits out alone (a
+// mathx kernel taking the four lanes measured slower than this loop).
+// The lanes' item rows stay in w.rows for the update.
 func (m *GMF) fictiveLogits(w *fictiveLanes) {
 	h, b := m.h, m.bias[0]
 	n := len(w.vec)
