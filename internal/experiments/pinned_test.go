@@ -5,50 +5,40 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/obs"
 )
 
-const flPinnedPath = "testdata/fl_pinned.json"
+const pinnedPath = "testdata/pinned.json"
+
+// pinned renders run's result as its report text plus the typed result
+// at full float precision, so a digest of the string pins every
+// reported number.
+func pinned[T any](run func(Spec) (T, error), render func(T) string) func(Spec) (string, error) {
+	return func(s Spec) (string, error) {
+		res, err := run(s)
+		if err != nil {
+			return "", err
+		}
+		return render(res) + fmt.Sprintf("%+v\n", res), nil
+	}
+}
 
 // flExperiments are the FedAvg experiments that do not run through
-// RunTable2's cells: each renders its result (the table text plus the
-// typed result at full float precision), so a digest of the string pins
-// every reported number.
-var flExperiments = []struct {
-	name string
-	run  func(Spec) (string, error)
-}{
-	{"table8", func(s Spec) (string, error) {
-		res, err := RunTable8(s)
-		return RenderTable8(res) + fmt.Sprintf("%+v\n", res), err
-	}},
-	{"fig1", func(s Spec) (string, error) {
-		res, err := RunFigure1(s)
-		return RenderFigure1(res) + fmt.Sprintf("%+v\n", res), err
-	}},
-	{"sec8c2", func(s Spec) (string, error) {
-		res, err := RunAIAComparison(s)
-		return RenderAIAComparison(res) + fmt.Sprintf("%+v\n", res), err
-	}},
-	{"ablation-secureagg", func(s Spec) (string, error) {
-		rows, err := RunSecureAggAblation(s)
-		return RenderSecureAggAblation(rows) + fmt.Sprintf("%+v\n", rows), err
-	}},
-	{"ablation-fictive", func(s Spec) (string, error) {
-		rows, err := RunFictiveAblation(s)
-		return RenderFictiveAblation(rows) + fmt.Sprintf("%+v\n", rows), err
-	}},
-	{"ablation-relevance", func(s Spec) (string, error) {
-		rows, err := RunRelevanceAblation(s)
-		return RenderRelevanceAblation(rows) + fmt.Sprintf("%+v\n", rows), err
-	}},
-	{"compress-ratio", func(s Spec) (string, error) {
-		rows, err := RunCompressionRatio(s, []int{0, 8}, []float64{1})
-		return RenderCompressionRatio(rows) + fmt.Sprintf("%+v\n", rows), err
-	}},
+// RunTable2's cells.
+var flExperiments = []pinnedExperiment{
+	{"table8", pinned(RunTable8, RenderTable8)},
+	{"fig1", pinned(RunFigure1, RenderFigure1)},
+	{"sec8c2", pinned(RunAIAComparison, RenderAIAComparison)},
+	{"ablation-secureagg", pinned(RunSecureAggAblation, RenderSecureAggAblation)},
+	{"ablation-fictive", pinned(RunFictiveAblation, RenderFictiveAblation)},
+	{"ablation-relevance", pinned(RunRelevanceAblation, RenderRelevanceAblation)},
+	{"compress-ratio", pinned(func(s Spec) ([]CompressionRatioRow, error) {
+		return RunCompressionRatio(s, []int{0, 8}, []float64{1})
+	}, RenderCompressionRatio)},
 	// Share-less is the only RunTargetedFL path that refits the
 	// fictive user (its own Seed^0x7a9 stream).
 	{"targeted-shareless", func(s Spec) (string, error) {
@@ -63,20 +53,54 @@ var flExperiments = []struct {
 	}},
 }
 
-// TestFLExperimentOutputsPinned holds every experiment in
-// flExperiments byte-identical at the default deployment (testSpec at
-// 4 rounds), and again at Workers = 1: neither the rounds nor the CIA
-// scoring may depend on the worker count. The digests live apart from
-// golden.json because TestGoldenDeterminism replays every golden.json
-// cell on every backend. After an intentional change, regenerate with
+// catalogueExperiments are the catalogue's FedAvg and gossip tables,
+// figures, extensions and ablations that no other tolerance-0 test
+// covers.
+var catalogueExperiments = []pinnedExperiment{
+	{"table2", pinned(RunTable2, rows("Table II: CIA on FedRecs"))},
+	{"table3", pinned(RunTable3, rows("Table III: CIA on GossipRecs"))},
+	{"table4", pinned(RunTable4, rows("Table IV: collusion in Rand-Gossip (GMF, MovieLens-like)"))},
+	{"table5", pinned(RunTable5, rows("Table V: collusion under Share-less"))},
+	{"table6", pinned(RunTable6, rows("Table VI: momentum ablation under collusion"))},
+	{"table7", pinned(RunTable7, RenderTable7)},
+	{"fig3", pinned(RunFigure3, func(p []TradeoffPoint) string {
+		return RenderTradeoff("Figure 3: GMF privacy/utility trade-off", "HR", p)
+	})},
+	{"fig4", pinned(RunFigure4, func(p []TradeoffPoint) string {
+		return RenderTradeoff("Figure 4: PRME privacy/utility trade-off", "F1", p)
+	})},
+	{"fig5", pinned(RunFigure5, RenderFigure5)},
+	{"ext-modelfamily", pinned(RunModelFamilyStudy, RenderModelFamilyStudy)},
+	{"ext-sparsify", pinned(RunSparsifyStudy, RenderSparsifyStudy)},
+	{"ablation-staticgraph", pinned(RunStaticGraphAblation, RenderStaticGraphAblation)},
+	{"ablation-participation", pinned(RunParticipationAblation, RenderParticipationAblation)},
+}
+
+type pinnedExperiment struct {
+	name string
+	run  func(Spec) (string, error)
+}
+
+func rows(title string) func([]AttackRow) string {
+	return func(r []AttackRow) string { return RenderRows(title, r) }
+}
+
+// TestExperimentOutputsPinned holds every experiment in flExperiments
+// and catalogueExperiments byte-identical at the default deployment
+// (testSpec at 4 FedAvg and 4 gossip rounds), and again at Workers = 1:
+// neither the rounds nor the CIA scoring may depend on the worker
+// count. The digests live apart from golden.json because
+// TestGoldenDeterminism replays every golden.json cell on every
+// backend. After an intentional change, regenerate with
 //
-//	go test ./internal/experiments/ -run TestFLExperimentOutputsPinned -update
-func TestFLExperimentOutputsPinned(t *testing.T) {
+//	go test ./internal/experiments/ -run TestExperimentOutputsPinned -update
+func TestExperimentOutputsPinned(t *testing.T) {
 	spec := testSpec()
-	spec.Rounds = 4
+	spec.Rounds, spec.GLRounds = 4, 4
+	experiments := slices.Concat(flExperiments, catalogueExperiments)
 	digests := func(s Spec) map[string]string {
 		out := map[string]string{}
-		for _, e := range flExperiments {
+		for _, e := range experiments {
 			text, err := e.run(s)
 			if err != nil {
 				t.Fatalf("%s at workers %d: %v", e.name, s.Workers, err)
@@ -98,13 +122,13 @@ func TestFLExperimentOutputsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(flPinnedPath, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(pinnedPath, append(blob, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s", flPinnedPath)
+		t.Logf("rewrote %s", pinnedPath)
 		return
 	}
-	blob, err := os.ReadFile(flPinnedPath)
+	blob, err := os.ReadFile(pinnedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +137,9 @@ func TestFLExperimentOutputsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s has %d digests, the test produces %d", flPinnedPath, len(want), len(got))
+		t.Errorf("%s has %d digests, the test produces %d", pinnedPath, len(want), len(got))
 	}
-	for _, e := range flExperiments {
+	for _, e := range experiments {
 		if got[e.name] != want[e.name] {
 			t.Errorf("%s: output digest %s != pinned %s", e.name, got[e.name], want[e.name])
 		}
