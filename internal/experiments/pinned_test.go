@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/defense"
@@ -13,6 +14,13 @@ import (
 )
 
 const pinnedPath = "testdata/pinned.json"
+
+// pinnedExperiment is one experiment run at a spec and rendered as the
+// text whose digest testdata/pinned.json holds.
+type pinnedExperiment struct {
+	name string
+	run  func(Spec) (string, error)
+}
 
 // pinned renders run's result as its report text plus the typed result
 // at full float precision, so a digest of the string pins every
@@ -25,6 +33,11 @@ func pinned[T any](run func(Spec) (T, error), render func(T) string) func(Spec) 
 		}
 		return render(res) + fmt.Sprintf("%+v\n", res), nil
 	}
+}
+
+// attackRows renders attack rows under title, as the catalogue does.
+func attackRows(title string) func([]AttackRow) string {
+	return func(r []AttackRow) string { return RenderRows(title, r) }
 }
 
 // flExperiments are the FedAvg experiments that do not run through
@@ -57,11 +70,11 @@ var flExperiments = []pinnedExperiment{
 // figures, extensions and ablations that no other tolerance-0 test
 // covers.
 var catalogueExperiments = []pinnedExperiment{
-	{"table2", pinned(RunTable2, rows("Table II: CIA on FedRecs"))},
-	{"table3", pinned(RunTable3, rows("Table III: CIA on GossipRecs"))},
-	{"table4", pinned(RunTable4, rows("Table IV: collusion in Rand-Gossip (GMF, MovieLens-like)"))},
-	{"table5", pinned(RunTable5, rows("Table V: collusion under Share-less"))},
-	{"table6", pinned(RunTable6, rows("Table VI: momentum ablation under collusion"))},
+	{"table2", pinned(RunTable2, attackRows("Table II: CIA on FedRecs"))},
+	{"table3", pinned(RunTable3, attackRows("Table III: CIA on GossipRecs"))},
+	{"table4", pinned(RunTable4, attackRows("Table IV: collusion in Rand-Gossip (GMF, MovieLens-like)"))},
+	{"table5", pinned(RunTable5, attackRows("Table V: collusion under Share-less"))},
+	{"table6", pinned(RunTable6, attackRows("Table VI: momentum ablation under collusion"))},
 	{"table7", pinned(RunTable7, RenderTable7)},
 	{"fig3", pinned(RunFigure3, func(p []TradeoffPoint) string {
 		return RenderTradeoff("Figure 3: GMF privacy/utility trade-off", "HR", p)
@@ -76,15 +89,6 @@ var catalogueExperiments = []pinnedExperiment{
 	{"ablation-participation", pinned(RunParticipationAblation, RenderParticipationAblation)},
 }
 
-type pinnedExperiment struct {
-	name string
-	run  func(Spec) (string, error)
-}
-
-func rows(title string) func([]AttackRow) string {
-	return func(r []AttackRow) string { return RenderRows(title, r) }
-}
-
 // TestExperimentOutputsPinned holds every experiment in flExperiments
 // and catalogueExperiments byte-identical at the default deployment
 // (testSpec at 4 FedAvg and 4 gossip rounds), and again at Workers = 1:
@@ -97,25 +101,36 @@ func rows(title string) func([]AttackRow) string {
 func TestExperimentOutputsPinned(t *testing.T) {
 	spec := testSpec()
 	spec.Rounds, spec.GLRounds = 4, 4
-	experiments := slices.Concat(flExperiments, catalogueExperiments)
-	digests := func(s Spec) map[string]string {
-		out := map[string]string{}
-		for _, e := range experiments {
-			text, err := e.run(s)
-			if err != nil {
-				t.Fatalf("%s at workers %d: %v", e.name, s.Workers, err)
-			}
-			out[e.name] = fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
-		}
-		return out
-	}
-	got := digests(spec)
 	serial := spec
 	serial.Workers = 1
-	for name, h := range digests(serial) {
-		if h != got[name] {
-			t.Errorf("%s: output digest %s at workers 1 != %s at workers %d", name, h, got[name], spec.Workers)
+	experiments := slices.Concat(flExperiments, catalogueExperiments)
+	digest := func(t *testing.T, e pinnedExperiment, s Spec) string {
+		text, err := e.run(s)
+		if err != nil {
+			t.Fatalf("%s at workers %d: %v", e.name, s.Workers, err)
 		}
+		return fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
+	}
+	// The experiments run as parallel subtests, so the pass at one
+	// worker leaves no core idle.
+	var mu sync.Mutex
+	got := map[string]string{}
+	t.Run("run", func(t *testing.T) {
+		for _, e := range experiments {
+			t.Run(e.name, func(t *testing.T) {
+				t.Parallel()
+				h := digest(t, e, spec)
+				if hs := digest(t, e, serial); hs != h {
+					t.Errorf("output digest %s at workers 1 != %s at workers %d", hs, h, spec.Workers)
+				}
+				mu.Lock()
+				got[e.name] = h
+				mu.Unlock()
+			})
+		}
+	})
+	if t.Failed() {
+		return
 	}
 	if *updateGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")

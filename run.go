@@ -313,9 +313,6 @@ func Run(cfg RunConfig) (*Report, error) {
 		if cfg.Protocol == PersGossip {
 			variant = gossip.PersGossip
 		}
-		if cfg.Rounds == 0 {
-			spec.GLRounds = 80
-		}
 		res, err = experiments.RunGLCIA(experiments.GLOpts{
 			Data:         cfg.Dataset.inner,
 			Family:       string(cfg.Model),
