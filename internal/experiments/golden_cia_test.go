@@ -217,8 +217,8 @@ func runCell(t *testing.T, c ciaCell, p replay) (cellDigest, RunResult) {
 		}
 	}
 	m := sha256.New()
-	for _, p := range models() {
-		if _, err := p.WriteTo(io.MultiWriter(dg.chain, m)); err != nil {
+	for _, model := range models() {
+		if _, err := model.WriteTo(io.MultiWriter(dg.chain, m)); err != nil {
 			t.Fatal(err)
 		}
 	}
