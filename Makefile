@@ -50,15 +50,16 @@ fuzz:
 	$(GO) test -fuzz='^FuzzScenarioDecode$$' -fuzztime=30s -run='^$$' ./internal/experiments/
 	$(GO) test -fuzz='^FuzzPlanSpec$$' -fuzztime=30s -run='^$$' ./internal/planspec/
 
-# Fault-injection suite under the race detector: the deterministic
-# chaos equivalence runs (same (seed, plan) → byte-identical output on
-# every backend and worker count), the RPC lifecycle/retry races
+# Fault-injection suite under the race detector: the fed and gossip
+# replay harnesses (TestReplay: every case, its fault, churn and
+# Byzantine cases included, gives one digest on every backend and
+# worker count), the RPC lifecycle/retry races
 # (concurrent Close vs in-flight round-trips, server Close mid-
 # broadcast, graceful drain), and the golden chaos + relay-restart
 # acceptance checks. See RESILIENCE.md.
 chaos:
 	$(GO) test -race -timeout=20m \
-		-run='Faulty|Fault|Resilience|Straggler|Quorum|Blackout|DeliverFailure|UploadLoss|InactivePlan|Retry|Backoff|Reconnect|Timeout|Shutdown|Close|Eviction|Idle|Unreachable|GivesUp|SilentServer|RelayRestart' \
+		-run='Faulty|Fault|Resilience|Straggler|Quorum|Blackout|DeliverFailure|UploadLoss|Replay|Retry|Backoff|Reconnect|Timeout|Shutdown|Close|Eviction|Idle|Unreachable|GivesUp|SilentServer|RelayRestart' \
 		./internal/transport/ ./internal/transport/rpc/ ./internal/fed/ ./internal/gossip/ ./internal/experiments/
 
 # Microbenchmarks of the round engine, the parameter pipeline and the

@@ -59,8 +59,8 @@ func BenchmarkFigure5_DPSGD(b *testing.B)             { benchExperiment(b, "fig5
 func BenchmarkSection8E_Universality(b *testing.B)    { benchExperiment(b, "sec8e") }
 func BenchmarkSection8C_AIAProxy(b *testing.B)        { benchExperiment(b, "sec8c2") }
 
-// The remaining benchmarks cover the design-choice ablations of
-// DESIGN.md §6 plus the Secure-Aggregation extension of §IX — not
+// The remaining benchmarks cover the design-choice ablations
+// (ablation-*) plus the Secure-Aggregation extension of §IX — not
 // numbered results in the paper, but the studies that justify them.
 
 func BenchmarkAblation_SecureAggregation(b *testing.B) { benchExperiment(b, "ablation-secureagg") }

@@ -1,6 +1,6 @@
 // Command ciaworker runs the round-transport RPC server as a
 // standalone OS process: ciabench (or any program threading a
-// transport.Dial instance into the simulators) can then route every
+// transport.DialOptions instance into the simulators) can then route every
 // parameter transfer of a round through it, making the protocol
 // genuinely multi-process while staying byte-identical to the
 // in-process backends.

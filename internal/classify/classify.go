@@ -10,7 +10,7 @@
 // has a random mean direction in R^d and samples are isotropic
 // Gaussian around it. This preserves exactly the property the
 // experiment tests — clients whose data share a label distribution
-// form a community a model-comparison attack can find (DESIGN.md §2).
+// form a community a model-comparison attack can find (experiment sec8e).
 package classify
 
 import (

@@ -8,7 +8,7 @@
 // properties the Community Inference Attack exploits: non-iid user
 // tastes, and groups of users sharing a taste. A loader for the real
 // MovieLens `u.data` format is included for users who have the files
-// (see LoadMovieLens100K). DESIGN.md §2 documents the substitution.
+// (see LoadMovieLens100K) and drives the same experiments.
 package dataset
 
 import (

@@ -12,7 +12,7 @@ import (
 	"github.com/collablearn/ciarec/internal/model"
 )
 
-// This file implements the ablations called out in DESIGN.md §6 plus
+// This file implements the design-choice ablations (ablation-*) plus
 // the Secure-Aggregation extension the paper discusses but does not
 // evaluate (§IX). None of these correspond to a numbered table or
 // figure; they probe *why* the headline results hold.
@@ -238,7 +238,7 @@ type RelevanceRow struct {
 	Random  float64
 }
 
-// RunRelevanceAblation ablates DESIGN.md §6 decision 2: PRME's
+// RunRelevanceAblation (ablation-relevance) ablates PRME's
 // cross-model relevance metric. The raw -‖P_u − L_i‖² score carries a
 // target-independent ‖P_u‖² term that varies per model and swamps the
 // community signal; the norm-adjusted 2·P_u·L_i − ‖L_i‖² removes it.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -108,6 +109,11 @@ func TestExperimentOutputsPinned(t *testing.T) {
 		text, err := e.run(s)
 		if err != nil {
 			t.Fatalf("%s at workers %d: %v", e.name, s.Workers, err)
+		}
+		if title, ok := catalogueTitles[e.name]; ok {
+			if first, _, _ := strings.Cut(text, "\n"); first != title {
+				t.Errorf("%s: first line %q, want the catalogue title %q", e.name, first, title)
+			}
 		}
 		return fmt.Sprintf("%x", sha256.Sum256([]byte(text)))
 	}

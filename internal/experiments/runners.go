@@ -58,7 +58,7 @@ func runRegistry(s Spec) *obs.Registry {
 }
 
 // newTransport builds the transport a run's spec asks for: a loopback
-// or in-process backend via transport.New, or a connection to an
+// or in-process backend via transport.NewOptions, or a connection to an
 // external worker process when TransportAddr is set; a FaultPlan (or
 // the "faulty:" name prefix) wraps it in the deterministic fault
 // injector, and Retry tunes the socket backends' RPC policy. The

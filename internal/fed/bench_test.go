@@ -184,7 +184,7 @@ func BenchmarkFaultyRound(b *testing.B) {
 				var tr transport.Transport
 				var err error
 				if pc.plan == nil {
-					tr, err = transport.New("inproc")
+					tr, err = transport.NewOptions("inproc", transport.Options{})
 				} else {
 					tr, err = transport.NewOptions("faulty:inproc", transport.Options{Plan: pc.plan})
 				}

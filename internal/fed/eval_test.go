@@ -1,56 +1,6 @@
 package fed
 
-import (
-	"testing"
-
-	"github.com/collablearn/ciarec/internal/defense"
-)
-
-// utilityCurves runs cfg to completion recording both metrics each
-// round via OnRound.
-func utilityCurves(t *testing.T, cfg Config, workers int) (hr, f1 []float64) {
-	t.Helper()
-	cfg.Workers = workers
-	cfg.OnRound = func(round int, s *Simulation) {
-		hr = append(hr, s.UtilityHR(10, 20))
-		f1 = append(f1, s.UtilityF1(10))
-	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	return hr, f1
-}
-
-// Utility curves must be byte-identical across worker counts — the
-// evaluation engine's half of the determinism contract, on top of the
-// round engine's (training is already covered by
-// TestSerialParallelEquivalence). Share-less exercises the per-worker
-// private-row overlay path.
-func TestUtilityCurveWorkersInvariance(t *testing.T) {
-	d := fedTestDataset(t)
-	policies := map[string]defense.Policy{
-		"full":       nil,
-		"share-less": defense.ShareLess{Tau: 1},
-	}
-	for name, policy := range policies {
-		t.Run(name, func(t *testing.T) {
-			cfg := fedConfig(d)
-			cfg.Policy = policy
-			hr1, f11 := utilityCurves(t, cfg, 1)
-			hr4, f14 := utilityCurves(t, cfg, 4)
-			for r := range hr1 {
-				if hr1[r] != hr4[r] {
-					t.Fatalf("round %d: HR differs across workers: %v != %v", r, hr1[r], hr4[r])
-				}
-				if f11[r] != f14[r] {
-					t.Fatalf("round %d: F1 differs across workers: %v != %v", r, f11[r], f14[r])
-				}
-			}
-		})
-	}
-}
+import "testing"
 
 // Regression for the shared-evalRng bug: a round's utility must not
 // depend on evaluation history. Recording every round and recording

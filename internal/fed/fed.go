@@ -99,13 +99,14 @@ type Config struct {
 	// quantized CPQ1 codec). nil defaults to a fresh dense
 	// transport.Inproc (pointer passing).
 	// Pass transport.NewWire() to round-trip every transfer through the
-	// binary wire codec, or a transport.New("socket")/transport.Dial
-	// instance to push it through the framed RPC protocol over a real
-	// socket (loopback or an external ciaworker process) — results are
-	// byte-identical on every backend (the cross-backend equivalence
-	// suite enforces it). The caller keeps ownership: the simulation
-	// never closes the transport. Instances accumulate per-simulation
-	// traffic stats, so do not share one across simulations.
+	// binary wire codec, or a transport.NewOptions("socket", …) or
+	// transport.DialOptions instance to push it through the framed RPC
+	// protocol over a real socket (loopback or an external ciaworker
+	// process) — results are byte-identical on every backend (the
+	// replay harness, TestReplay, enforces it). The caller keeps
+	// ownership: the simulation never closes the transport. Instances
+	// accumulate per-simulation traffic stats, so do not share one
+	// across simulations.
 	Transport transport.Transport
 
 	// FaultPlan is the declarative failure scenario the simulator

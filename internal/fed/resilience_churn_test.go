@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -19,69 +18,6 @@ import (
 // within a short run on the 30-user test dataset.
 func churnTestPlan() transport.ChurnPlan {
 	return transport.ChurnPlan{Seed: 5, InitialFraction: 0.8, LeaveProb: 0.25, JoinProb: 0.5, StaleBound: 2}
-}
-
-// TestResilienceChurnBackendWorkerEquivalence is the fed half of the
-// churn determinism contract: a churn + Byzantine + robust-aggregation
-// run is byte-identical across transport backends and worker counts,
-// and its counters match on every combination.
-func TestResilienceChurnBackendWorkerEquivalence(t *testing.T) {
-	d := fedTestDataset(t)
-	plan := churnTestPlan()
-	byz := attack.Byzantine{Kind: attack.ByzSignFlip, Fraction: 0.2, Scale: 1, Seed: 9}
-
-	run := func(backend string, workers int) (*Simulation, *param.Set, []float64) {
-		cfg := fedConfig(d)
-		cfg.Rounds = 6
-		cfg.Workers = workers
-		tr, err := transport.New(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		cfg.Transport = tr
-		cfg.ChurnPlan = &plan
-		cfg.Byzantine = &byz
-		cfg.Aggregator = AggTrimmedMean
-		cfg.TrimFraction = 0.2
-		var hr []float64
-		cfg.OnRound = func(round int, s *Simulation) {
-			hr = append(hr, s.UtilityHR(10, 20))
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		return s, s.Global().Params().Clone(), hr
-	}
-
-	refSim, refParams, refHR := run("inproc", 1)
-	ref := refSim.Resilience()
-	if ref.Joins == 0 || ref.Leaves == 0 || ref.Rejoins == 0 || ref.ByzantineUploads == 0 {
-		t.Fatalf("scenario too tame to prove anything: %+v", ref)
-	}
-	for _, backend := range []string{"inproc", "wire", "socket"} {
-		for _, workers := range []int{1, 3} {
-			if backend == "inproc" && workers == 1 {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
-				sim, params, hr := run(backend, workers)
-				if !param.Equal(refParams, params, 0) {
-					t.Fatal("final global params differ from the reference churn run")
-				}
-				for r := range refHR {
-					if hr[r] != refHR[r] {
-						t.Fatalf("utility curve differs at round %d", r)
-					}
-				}
-				if sim.Resilience() != ref {
-					t.Fatalf("churn accounting %+v != reference %+v", sim.Resilience(), ref)
-				}
-			})
-		}
-	}
 }
 
 // TestResilienceChurnReplayPredictsCounters replays the pure
@@ -110,29 +46,6 @@ func TestResilienceChurnReplayPredictsCounters(t *testing.T) {
 	}
 	if r.Rejoins == 0 {
 		t.Fatal("scenario produced no rejoins; nothing was tested")
-	}
-}
-
-// TestResilienceChurnInactivePlanIsFree pins the free-when-disabled
-// contract: a plan that cannot change membership leaves the run
-// byte-identical to no plan at all.
-func TestResilienceChurnInactivePlanIsFree(t *testing.T) {
-	d := fedTestDataset(t)
-	run := func(plan *transport.ChurnPlan) *param.Set {
-		cfg := fedConfig(d)
-		cfg.Rounds = 3
-		cfg.ChurnPlan = plan
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		return s.Global().Params().Clone()
-	}
-	ref := run(nil)
-	inactive := run(&transport.ChurnPlan{Seed: 99})
-	if !param.Equal(ref, inactive, 0) {
-		t.Fatal("an inactive churn plan must be byte-identical to no plan")
 	}
 }
 
@@ -267,47 +180,6 @@ func TestResilienceNormClipBound(t *testing.T) {
 	foldUploads(s2, []upload{{from: 0, payload: small}})
 	if r := s2.Resilience(); r.ClippedUploads != 0 {
 		t.Fatalf("ClippedUploads = %d for an in-bound upload, want 0", r.ClippedUploads)
-	}
-}
-
-// TestResilienceRobustStreamingWorkerEquivalence: the compressed
-// (streaming) path stages uploads for the robust reduce; the result
-// must still be byte-identical across worker counts and backends.
-func TestResilienceRobustStreamingWorkerEquivalence(t *testing.T) {
-	d := fedTestDataset(t)
-	byz := attack.Byzantine{Kind: attack.ByzScaledNoise, Fraction: 0.2, Scale: 2, Seed: 4}
-	run := func(backend string, workers int) *param.Set {
-		cfg := fedConfig(d)
-		cfg.Rounds = 3
-		cfg.Workers = workers
-		tr, err := transport.NewOptions(backend, transport.Options{Compression: param.Compression{Bits: 16}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { tr.Close() })
-		cfg.Transport = tr
-		cfg.Byzantine = &byz
-		cfg.Aggregator = AggMedian
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		if r := s.Resilience(); r.ByzantineUploads == 0 {
-			t.Fatal("no byzantine uploads; scenario too tame")
-		}
-		return s.Global().Params().Clone()
-	}
-	ref := run("inproc", 1)
-	for _, backend := range []string{"inproc", "wire"} {
-		for _, workers := range []int{1, 4} {
-			if backend == "inproc" && workers == 1 {
-				continue
-			}
-			if got := run(backend, workers); !param.Equal(ref, got, 0) {
-				t.Fatalf("streaming robust run differs on %s/workers=%d", backend, workers)
-			}
-		}
 	}
 }
 

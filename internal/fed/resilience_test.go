@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -242,109 +241,5 @@ func TestQuorumKeepsPreviousGlobal(t *testing.T) {
 	}
 	if param.Equal(strictParams, laxParams, 0) {
 		t.Fatal("quorum gating had no effect on the global model")
-	}
-}
-
-// The tentpole determinism guarantee for chaos runs: the same (seed,
-// plan) pair produces byte-identical models, utility curves and fault
-// accounting on every backend and worker count — fault injection does
-// not reopen the scheduling-dependence hole the transport seam closed.
-func TestFaultyBackendEquivalence(t *testing.T) {
-	d := fedTestDataset(t)
-	plan := transport.FaultPlan{
-		Seed:              3,
-		DropProb:          0.1,
-		SendLossProb:      0.1,
-		DeliverLossProb:   0.1,
-		BroadcastFailProb: 0.1,
-		SlowProb:          0.3,
-		SlowLatency:       500 * time.Millisecond,
-	}
-
-	run := func(backend string, workers int) (*Simulation, transport.Transport, *param.Set, []float64) {
-		tr := faultyTransport(t, backend, plan)
-		cfg := fedConfig(d)
-		cfg.Rounds = 4
-		cfg.Workers = workers
-		cfg.Transport = tr
-		cfg.FaultPlan = &plan
-		cfg.StragglerDeadline = 100 * time.Millisecond
-		cfg.Quorum = 0.3
-		var hr []float64
-		cfg.OnRound = func(round int, s *Simulation) {
-			hr = append(hr, s.UtilityHR(10, 20))
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		return s, tr, s.Global().Params().Clone(), hr
-	}
-
-	refSim, refTr, refParams, refHR := run("inproc", 1)
-	ref := refSim.Resilience()
-	// The plan must actually exercise every failure path, or this test
-	// proves nothing.
-	if ref.DeliverFailures == 0 || ref.UploadFailures == 0 || ref.Stragglers == 0 {
-		t.Fatalf("chaos plan too tame: %+v", ref)
-	}
-	for _, backend := range []string{"inproc", "wire", "socket"} {
-		for _, workers := range []int{1, 3} {
-			if backend == "inproc" && workers == 1 {
-				continue
-			}
-			t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
-				sim, tr, params, hr := run(backend, workers)
-				if !param.Equal(refParams, params, 0) {
-					t.Fatal("final global params differ from the reference chaos run")
-				}
-				for r := range refHR {
-					if hr[r] != refHR[r] {
-						t.Fatalf("utility curve differs at round %d", r)
-					}
-				}
-				if sim.Resilience() != ref {
-					t.Fatalf("fault accounting %+v != reference %+v", sim.Resilience(), ref)
-				}
-				ws, is := tr.Stats(), refTr.Stats()
-				if ws.InjectedFaults != is.InjectedFaults {
-					t.Fatalf("injected %d faults, reference injected %d", ws.InjectedFaults, is.InjectedFaults)
-				}
-				if uploads(tr) != uploads(refTr) {
-					t.Fatalf("surviving traffic %v != reference %v", uploads(tr), uploads(refTr))
-				}
-			})
-		}
-	}
-}
-
-// A fault plan with nothing enabled must be byte-identical to no plan
-// at all: the resilience layer is invisible until switched on.
-func TestInactivePlanIsFree(t *testing.T) {
-	d := fedTestDataset(t)
-	base := fedConfig(d)
-	base.Rounds = 3
-	ref, err := New(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Run()
-
-	cfg := fedConfig(d)
-	cfg.Rounds = 3
-	cfg.FaultPlan = &transport.FaultPlan{Seed: 99} // no probabilities: inactive
-	cfg.StragglerDeadline = time.Second
-	cfg.Quorum = 0.5
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if !param.Equal(ref.Global().Params(), s.Global().Params(), 0) {
-		t.Fatal("an inactive fault plan changed the run")
-	}
-	if r := s.Resilience(); r != (Resilience{}) {
-		t.Fatalf("inactive plan accumulated fault accounting: %+v", r)
 	}
 }

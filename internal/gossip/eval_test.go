@@ -1,39 +1,6 @@
 package gossip
 
-import (
-	"testing"
-)
-
-// Utility curves must be byte-identical across worker counts: every
-// node's value comes from its own model and its own (seed, round, node)
-// negative-sampling stream, and the reduce runs in node order.
-func TestUtilityCurveWorkersInvariance(t *testing.T) {
-	d := gossipTestDataset(t)
-	curves := func(workers int) (hr, f1 []float64) {
-		cfg := gossipConfig(d)
-		cfg.Workers = workers
-		cfg.OnRound = func(round int, s *Simulation) {
-			hr = append(hr, s.UtilityHR(10, 20))
-			f1 = append(f1, s.UtilityF1(10))
-		}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		return hr, f1
-	}
-	hr1, f11 := curves(1)
-	hr4, f14 := curves(4)
-	for r := range hr1 {
-		if hr1[r] != hr4[r] {
-			t.Fatalf("round %d: HR differs across workers: %v != %v", r, hr1[r], hr4[r])
-		}
-		if f11[r] != f14[r] {
-			t.Fatalf("round %d: F1 differs across workers: %v != %v", r, f11[r], f14[r])
-		}
-	}
-}
+import "testing"
 
 // Regression for the shared-evalRng bug, gossip side: the final round's
 // utility must be the same whether or not earlier rounds were

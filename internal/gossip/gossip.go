@@ -147,9 +147,9 @@ type Config struct {
 	// Transport carries the node→neighbour model pushes. nil defaults
 	// to a fresh transport.Inproc (pointer passing); transport.NewWire()
 	// round-trips every push through the binary wire codec and the
-	// socket backends (transport.New("socket") / transport.Dial) push
-	// it over a real RPC socket, all with byte-identical results
-	// (enforced by the cross-backend equivalence suite). Pushes use the
+	// socket backends (transport.NewOptions / transport.DialOptions)
+	// push it over a real RPC socket, all with byte-identical results
+	// (enforced by the replay harness, TestReplay). Pushes use the
 	// transport's payload codec: dense float64 by default, or the
 	// sparse+quantized CPQ1 codec when the transport was built with
 	// transport.Options.Compression — coded absolute, as gossip has no

@@ -135,7 +135,7 @@ func (m *PRME) prefScore(vec []float64, item int) float64 {
 // the raw -‖vec−L_i‖² carries a target-independent -‖P_u‖² term —
 // pure per-model noise that varies with how much each user trained.
 // Dropping it is a legitimate choice of "any recommendation quality
-// metric" (§IV-B) and is ablated in DESIGN.md §6 (decision 2).
+// metric" (§IV-B); experiment ablation-relevance measures the gain.
 func (m *PRME) relScore(vec []float64, item int) float64 {
 	l := m.itemPref.Row(item)
 	var dot, nrm float64
@@ -166,7 +166,7 @@ func (m *PRME) Predict(owner, item int) float64 {
 // Relevance is the mean preference-space score over items (Eq. 3's Ŷ).
 // The sequential term is deliberately excluded: V_target is an
 // unordered set crafted by the adversary, so it has no "previous
-// check-in" context (design choice 2 in DESIGN.md §6). Higher (less
+// check-in" context to score against. Higher (less
 // negative) means more relevant; CIA only needs the ordering.
 func (m *PRME) Relevance(owner int, items []int) float64 {
 	return m.RelevanceWithUserVec(m.userEmb.Row(owner), items)
@@ -174,7 +174,7 @@ func (m *PRME) Relevance(owner int, items []int) float64 {
 
 // SetRawRelevance switches the Relevance metrics to the raw
 // -‖u − L_i‖² distance instead of the norm-adjusted default — the
-// ablation for DESIGN.md §6 decision 2 (the raw metric carries a
+// raw arm of experiment ablation-relevance (the raw metric carries a
 // per-user ‖P_u‖² confound that cripples cross-model comparison).
 func (m *PRME) SetRawRelevance(raw bool) { m.rawRelevance = raw }
 

@@ -294,13 +294,13 @@ func TestFaultyConstruction(t *testing.T) {
 		if !Known(name) {
 			t.Fatalf("Known(%q) = false", name)
 		}
-		tr, err := New(name)
+		tr, err := NewOptions(name, Options{})
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("NewOptions(%q): %v", name, err)
 		}
 		f, ok := tr.(*Faulty)
 		if !ok {
-			t.Fatalf("New(%q) is %T, want *Faulty", name, tr)
+			t.Fatalf("NewOptions(%q) is %T, want *Faulty", name, tr)
 		}
 		if f.Plan() != DefaultFaultPlan() {
 			t.Fatalf("bare prefix must select DefaultFaultPlan, got %+v", f.Plan())
@@ -310,7 +310,7 @@ func TestFaultyConstruction(t *testing.T) {
 		}
 		tr.Close()
 	}
-	if _, err := New(FaultyPrefix + "carrier-pigeon"); err == nil {
+	if _, err := NewOptions(FaultyPrefix+"carrier-pigeon", Options{}); err == nil {
 		t.Fatal("faulty over an unknown backend must error")
 	}
 	plan := FaultPlan{Seed: 2, DropProb: 0.5}

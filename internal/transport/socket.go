@@ -17,11 +17,11 @@ import (
 // broadcast uploads its source once and downloads it per receiver,
 // like a parameter server fanning out the global model.
 //
-// In loopback mode (transport.New("socket") / "socket-tcp") the Socket
+// In loopback mode (NewOptions with "socket" or "socket-tcp") the Socket
 // owns an in-process rpc.Server listening on a real socket, so the
 // complete network path — framing, kernel socket buffers, concurrent
 // connections — runs inside one process, deterministically. Dialed
-// mode (transport.Dial) connects to an external worker (cmd/ciaworker)
+// mode (DialOptions) connects to an external worker (cmd/ciaworker)
 // and the same round spans OS processes.
 //
 // Socket runs the same serializing path as Wire; only the carry

@@ -16,7 +16,7 @@ import (
 func TestSocketSendRoundTripsValues(t *testing.T) {
 	for _, name := range []string{"socket", "socket-tcp"} {
 		t.Run(name, func(t *testing.T) {
-			tr, err := New(name)
+			tr, err := NewOptions(name, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestSocketDialExternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tr, err := Dial("socket-tcp", srv.Addr())
+	tr, err := DialOptions("socket-tcp", srv.Addr(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,10 +87,10 @@ func TestSocketDialExternal(t *testing.T) {
 	if !param.Equal(want, got, 0) {
 		t.Fatal("dialed socket Send changed values")
 	}
-	if _, err := Dial("wire", "nowhere"); err == nil {
+	if _, err := DialOptions("wire", "nowhere", Options{}); err == nil {
 		t.Fatal("Dial must reject in-process backends")
 	}
-	if _, err := Dial("socket-tcp", "127.0.0.1:1"); err == nil {
+	if _, err := DialOptions("socket-tcp", "127.0.0.1:1", Options{}); err == nil {
 		t.Fatal("Dial must fail eagerly on an unreachable address")
 	}
 }
@@ -99,7 +99,7 @@ func TestSocketDialExternal(t *testing.T) {
 // loopback server must shut down with it (a fresh Dial to its address
 // fails).
 func TestSocketDoubleClose(t *testing.T) {
-	tr, err := New("socket-tcp")
+	tr, err := NewOptions("socket-tcp", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSocketDoubleClose(t *testing.T) {
 	if err := tr.Close(); !errors.Is(err, rpc.ErrClientClosed) {
 		t.Fatalf("second Close = %v, want rpc.ErrClientClosed", err)
 	}
-	if _, err := Dial("socket-tcp", addr); err == nil {
+	if _, err := DialOptions("socket-tcp", addr, Options{}); err == nil {
 		t.Fatal("loopback server must be down after Close")
 	}
 }
@@ -168,7 +168,7 @@ func fakeTruncatingServer(t *testing.T) string {
 // to the pool; Deliver must report the failure. Neither is counted as
 // traffic, and neither is mistaken for an unreachable server.
 func TestSocketDecodeFaultIsTransferError(t *testing.T) {
-	tr, err := Dial("socket-tcp", fakeTruncatingServer(t))
+	tr, err := DialOptions("socket-tcp", fakeTruncatingServer(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

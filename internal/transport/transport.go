@@ -20,12 +20,12 @@
 //     internal/transport/rpc against a real socket server: each Send
 //     is a request/response round-trip carrying the codec bytes, each
 //     broadcast is uploaded once and downloaded per receiver.
-//     transport.New spins the server up in-process over a loopback
-//     socket (the deterministic test/bench mode); transport.Dial
+//     NewOptions spins the server up in-process over a loopback
+//     socket (the deterministic test/bench mode); DialOptions
 //     connects to an external `ciaworker` process so a round spans OS
-//     process boundaries. Results remain byte-identical — the
-//     cross-backend equivalence suites in internal/fed and
-//     internal/gossip hold every backend to tolerance 0.
+//     process boundaries. Results remain byte-identical — the replay
+//     harnesses of internal/fed and internal/gossip (TestReplay) hold
+//     every backend to tolerance 0.
 //   - Faulty ("faulty:<inner>", e.g. "faulty:wire") wraps any other
 //     backend and injects deterministic, seed-driven failures — lost
 //     sends, failed broadcast downloads, per-round participant
@@ -267,7 +267,7 @@ func (o Options) retry() rpc.RetryPolicy {
 // wrapper: "faulty:<inner>" builds <inner> and wraps it in a Faulty.
 const FaultyPrefix = "faulty:"
 
-// Names lists the base backend names New accepts (the empty string
+// Names lists the base backend names NewOptions accepts (the empty string
 // selects inproc). Any of them can additionally be wrapped in the
 // fault injector via the "faulty:" prefix, e.g. "faulty:wire".
 func Names() []string {
@@ -276,7 +276,7 @@ func Names() []string {
 
 // Known reports whether name selects a backend — a base name, the
 // empty string (inproc), or a "faulty:"-prefixed base name. Use it to
-// validate configuration without instantiating anything — New on a
+// validate configuration without instantiating anything — NewOptions on a
 // socket backend starts a loopback server.
 func Known(name string) bool {
 	name = strings.TrimPrefix(name, FaultyPrefix)
@@ -291,19 +291,15 @@ func Known(name string) bool {
 	return false
 }
 
-// New builds a fresh transport instance for a backend name: "inproc"
-// (or ""), "wire", "socket" (RPC over an in-process loopback
-// Unix-domain socket server), "socket-tcp" (the same over loopback TCP), or any of
-// those behind the "faulty:" fault-injection prefix. Each call returns
-// an independent instance with its own stats; the caller owns the
-// instance and Closes it when the simulation is done. To reach an
-// external worker process instead of a loopback server, use Dial; to
-// attach a FaultPlan or RetryPolicy, use NewOptions.
-func New(name string) (Transport, error) {
-	return NewOptions(name, Options{})
-}
-
-// NewOptions is New with explicit resilience options.
+// NewOptions builds a fresh transport instance for a backend name:
+// "inproc" (or ""), "wire", "socket" (RPC over an in-process loopback
+// Unix-domain socket server), "socket-tcp" (the same over loopback
+// TCP), or any of those behind the "faulty:" fault-injection prefix.
+// o attaches a codec, a FaultPlan and a RetryPolicy; the zero Options
+// is a dense, fault-free backend. Each call returns an independent
+// instance with its own stats; the caller owns the instance and Closes
+// it when the simulation is done. To reach an external worker process
+// instead of a loopback server, use DialOptions.
 func NewOptions(name string, o Options) (Transport, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -333,16 +329,11 @@ func NewOptions(name string, o Options) (Transport, error) {
 	return maybeFaulty(t, wrap, o.Plan), nil
 }
 
-// Dial connects a socket backend to an external RPC worker (a
+// DialOptions connects a socket backend to an external RPC worker (a
 // `ciaworker` process) instead of a loopback server: "socket" dials a
 // Unix-domain socket path, "socket-tcp" a TCP host:port; both accept
 // the "faulty:" prefix. The in-process backends have no address to
-// dial and are rejected.
-func Dial(name, addr string) (Transport, error) {
-	return DialOptions(name, addr, Options{})
-}
-
-// DialOptions is Dial with explicit resilience options.
+// dial and are rejected. o is read as by NewOptions.
 func DialOptions(name, addr string, o Options) (Transport, error) {
 	if err := o.validate(); err != nil {
 		return nil, err

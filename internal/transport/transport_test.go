@@ -31,25 +31,25 @@ func testSet(scale float64) *param.Set {
 
 func TestNewBackends(t *testing.T) {
 	for _, name := range append([]string{""}, Names()...) {
-		tr, err := New(name)
+		tr, err := NewOptions(name, Options{})
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("NewOptions(%q): %v", name, err)
 		}
 		want := name
 		if want == "" {
 			want = "inproc"
 		}
 		if tr.Name() != want {
-			t.Fatalf("New(%q).Name() = %q", name, tr.Name())
+			t.Fatalf("NewOptions(%q).Name() = %q", name, tr.Name())
 		}
 		if !Known(name) {
 			t.Fatalf("Known(%q) = false for a New-able backend", name)
 		}
 		if err := tr.Close(); err != nil {
-			t.Fatalf("New(%q).Close(): %v", name, err)
+			t.Fatalf("NewOptions(%q).Close(): %v", name, err)
 		}
 	}
-	if _, err := New("carrier-pigeon"); err == nil {
+	if _, err := NewOptions("carrier-pigeon", Options{}); err == nil {
 		t.Fatal("unknown backend must error")
 	}
 	if Known("carrier-pigeon") {
@@ -114,7 +114,7 @@ func TestWireSendDoesNotAlias(t *testing.T) {
 func TestBroadcastDelivers(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			tr, err := New(name)
+			tr, err := NewOptions(name, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestBroadcastDelivers(t *testing.T) {
 // the aliasing surviving a download.
 func TestBroadcastDeliverPreservesAliasing(t *testing.T) {
 	for _, name := range Names() {
-		tr, err := New(name)
+		tr, err := NewOptions(name, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestBroadcastDeliverPreservesAliasing(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			tr, err := New(name)
+			tr, err := NewOptions(name, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
