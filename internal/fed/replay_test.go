@@ -193,6 +193,9 @@ func replay(t *testing.T, d *dataset.Dataset, c replayCase, backend string, work
 // case with sameAs gives the named case's digest, and every case
 // aggregates in some round. Across the cases, every Resilience
 // counter is driven above zero.
+// Each replay compared with the inproc, workers-1 reference is a
+// subtest of its case (inproc/workers=3, ..., socket/workers=3), so one
+// departing backend does not hide another.
 func TestReplay(t *testing.T) {
 	d := fedTestDataset(t)
 	cases := replayCases(d)
@@ -208,9 +211,11 @@ func TestReplay(t *testing.T) {
 					if backend == "inproc" && workers == 1 {
 						continue
 					}
-					if diff := replay(t, d, c, backend, workers).firstDiff(ref); diff != "" {
-						t.Fatalf("%s on %s at workers %d departs from inproc at workers 1: %s", c.name, backend, workers, diff)
-					}
+					t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
+						if diff := replay(t, d, c, backend, workers).firstDiff(ref); diff != "" {
+							t.Fatalf("%s on %s at workers %d departs from inproc at workers 1: %s", c.name, backend, workers, diff)
+						}
+					})
 				}
 			}
 			if c.sameAs != "" {

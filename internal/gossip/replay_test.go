@@ -152,6 +152,9 @@ func replay(t *testing.T, d *dataset.Dataset, c replayCase, backend string, work
 // gives one digest on inproc, wire and socket at workers 1 and 3, and
 // a case with sameAs gives the named case's digest. Across the cases,
 // every Resilience counter is driven above zero.
+// Each replay compared with the inproc, workers-1 reference is a
+// subtest of its case (inproc/workers=3, ..., socket/workers=3), so one
+// departing backend does not hide another.
 func TestReplay(t *testing.T) {
 	d := gossipTestDataset(t)
 	cases := replayCases(d)
@@ -167,9 +170,11 @@ func TestReplay(t *testing.T) {
 					if backend == "inproc" && workers == 1 {
 						continue
 					}
-					if diff := replay(t, d, c, backend, workers).firstDiff(ref); diff != "" {
-						t.Fatalf("%s on %s at workers %d departs from inproc at workers 1: %s", c.name, backend, workers, diff)
-					}
+					t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
+						if diff := replay(t, d, c, backend, workers).firstDiff(ref); diff != "" {
+							t.Fatalf("%s on %s at workers %d departs from inproc at workers 1: %s", c.name, backend, workers, diff)
+						}
+					})
 				}
 			}
 			if c.sameAs != "" {
