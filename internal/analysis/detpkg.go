@@ -11,6 +11,7 @@ import "strings"
 var deterministicPkgs = map[string]bool{
 	"fed":         true,
 	"gossip":      true,
+	"simcore":     true, // the frame fed and gossip share, and its replay harness
 	"model":       true,
 	"attack":      true,
 	"defense":     true,

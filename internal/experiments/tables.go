@@ -14,6 +14,7 @@ import (
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/simcore"
 )
 
 // AttackRow is one table line of attack metrics, optionally annotated
@@ -55,42 +56,22 @@ func RenderRows(title string, rows []AttackRow) string {
 	return b.String()
 }
 
-// resilienceKeys is the merged fed+gossip resilience counter order:
-// each protocol's Resilience field order is preserved (a run only ever
-// populates one protocol's keys), mapped to the resilience_* metric
-// names the simulations register.
-var resilienceKeys = []struct{ key, metric string }{
-	{"blackouts", "resilience_blackouts"},
-	{"deliver-failures", "resilience_deliver_failures"},
-	{"upload-failures", "resilience_upload_failures"},
-	{"stragglers", "resilience_stragglers"},
-	{"quorum-misses", "resilience_quorum_misses"},
-	{"lost-pushes", "resilience_lost_pushes"},
-	{"skipped-peers", "resilience_skipped_peers"},
-	{"absent-skips", "resilience_absent_skips"},
-	{"joins", "resilience_joins"},
-	{"leaves", "resilience_leaves"},
-	{"rejoins", "resilience_rejoins"},
-	{"stale-resets", "resilience_stale_resets"},
-	{"byzantine-uploads", "resilience_byzantine_uploads"},
-	{"byzantine-pushes", "resilience_byzantine_pushes"},
-	{"clipped-uploads", "resilience_clipped_uploads"},
-}
-
 // resilienceLine renders a row's non-zero resilience counters as
-// key=value pairs from its registry snapshot ("" for a row without a
-// snapshot or an uneventful run).
+// key=value pairs from its registry snapshot, in simcore.Counters order
+// ("" for a row without a snapshot or an uneventful run). A counter's
+// key is its metric name without the resilience_ prefix, with dashes.
 func resilienceLine(r AttackRow) string {
 	var b strings.Builder
-	for _, k := range resilienceKeys {
-		v := r.Metrics[k.metric]
+	for _, c := range simcore.Counters {
+		v := r.Metrics[c.Metric]
 		if v == 0 {
 			continue
 		}
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", k.key, int64(v))
+		key := strings.ReplaceAll(strings.TrimPrefix(c.Metric, "resilience_"), "_", "-")
+		fmt.Fprintf(&b, "%s=%d", key, int64(v))
 	}
 	return b.String()
 }

@@ -340,7 +340,7 @@ func BenchmarkFedAggregate(b *testing.B) {
 	uploads := make([]upload, d.NumUsers)
 	stage := func() {
 		for u := range uploads {
-			uploads[u] = upload{from: u, payload: s.pool.Clone(payloads[u])}
+			uploads[u] = upload{from: u, payload: s.core.Pool.Clone(payloads[u])}
 		}
 	}
 	stage()

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sync/atomic"
 	"time"
 
 	"github.com/collablearn/ciarec/internal/attack"
@@ -30,6 +29,7 @@ import (
 	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
 	"github.com/collablearn/ciarec/internal/parx"
+	"github.com/collablearn/ciarec/internal/simcore"
 	"github.com/collablearn/ciarec/internal/transport"
 )
 
@@ -60,15 +60,16 @@ type Observer interface {
 	OnRoundEnd(round int)
 }
 
-// Config parameterizes a federated simulation.
+// Config parameterizes a federated simulation. The fields both
+// simulators take (Dataset, Factory, Policy, Rounds, Workers,
+// Transport, FaultPlan, ChurnPlan, Byzantine, Tracer, Seed) are
+// documented on simcore.Config; the comments here add what FedAvg
+// makes of them.
 type Config struct {
 	Dataset *dataset.Dataset
 	Factory model.Factory
-	// Policy defaults to defense.FullSharing.
-	Policy defense.Policy
-
-	// Rounds is the number of FedAvg rounds (required, > 0).
-	Rounds int
+	Policy  defense.Policy
+	Rounds  int
 	// ClientFraction is the fraction of clients sampled per round
 	// (default 1: full participation, as in the paper's FL setting).
 	ClientFraction float64
@@ -81,42 +82,18 @@ type Config struct {
 	// ignored (each client owns a generator).
 	Train model.TrainOptions
 
-	// Workers bounds the number of goroutines running per-client local
-	// training, the robust aggregators' coordinate reduce and the
-	// UtilityHR/UtilityF1 sweeps concurrently. 0 defaults to
-	// runtime.NumCPU(); negative forces serial execution. Results are
-	// byte-identical whatever the worker count: every client owns its
-	// RNG stream and private state, round-level randomness (sampling,
-	// dropout) is drawn before dispatch, uploads are observed and folded
-	// in the round's sampling order, and utility evaluation derives one
-	// counter-based stream per (seed, round, user).
+	// Workers also bounds the robust aggregators' coordinate reduce.
+	// Round-level randomness (sampling, dropout) is drawn before
+	// dispatch, and uploads are observed and folded in the round's
+	// sampling order.
 	Workers int
-
-	// Transport carries all parameter traffic: the global-model
-	// broadcast each sampled client downloads and the upload it sends
-	// back, through the payload codec it was built with (dense float64
-	// by default; transport.Options.Compression selects the sparse+
-	// quantized CPQ1 codec). nil defaults to a fresh dense
-	// transport.Inproc (pointer passing).
-	// Pass transport.NewWire() to round-trip every transfer through the
-	// binary wire codec, or a transport.NewOptions("socket", …) or
-	// transport.DialOptions instance to push it through the framed RPC
-	// protocol over a real socket (loopback or an external ciaworker
-	// process) — results are byte-identical on every backend (the
-	// replay harness, TestReplay, enforces it). The caller keeps
-	// ownership: the simulation never closes the transport. Instances
-	// accumulate per-simulation traffic stats, so do not share one
-	// across simulations.
+	// Transport carries the global-model broadcast each sampled client
+	// downloads and the upload it sends back.
 	Transport transport.Transport
 
-	// FaultPlan is the declarative failure scenario the simulator
-	// consults for protocol-level decisions the transport cannot make —
-	// today, each sampled client's virtual latency for the straggler
-	// deadline. Message loss itself flows through the transport: wrap it
-	// in transport.NewFaulty with the same plan (or use the "faulty:"
-	// backend prefix) and the simulator treats the injected transfer
-	// errors as lost uploads, skipped clients and blackout rounds. nil
-	// disables straggler modelling.
+	// FaultPlan gives each sampled client's virtual latency for the
+	// straggler deadline; injected transfer errors are lost uploads,
+	// skipped clients and blackout rounds.
 	FaultPlan *transport.FaultPlan
 	// StragglerDeadline is the server's per-round upload deadline: a
 	// sampled client whose virtual latency (FaultPlan.Latency) exceeds
@@ -132,24 +109,12 @@ type Config struct {
 	// set of arrivals aggregates, the pre-resilience behaviour.
 	Quorum float64
 
-	// ChurnPlan drives deterministic participant churn: each round,
-	// present clients leave and absent ones (re)join as pure functions
-	// of (plan seed, round, client), so membership can grow and shrink
-	// mid-run without consuming any simulator RNG. An absent client's
-	// state (its RNG, private rows and last-received snapshot) is
-	// frozen; a rejoiner resumes from that stale snapshot — it
-	// downloads the current global model like everyone else, but its
-	// never-shared private rows are as old as its departure. nil (or a
-	// disabled plan) is byte-identical to no churn at all.
+	// ChurnPlan freezes an absent client's state (its RNG, private rows
+	// and last-received snapshot); a rejoiner downloads the current
+	// global model like everyone else, but its never-shared private rows
+	// are as old as its departure.
 	ChurnPlan *transport.ChurnPlan
-	// Byzantine, when non-nil with Fraction > 0, turns a deterministic
-	// subset of clients into active adversaries that corrupt every
-	// upload they send (sign-flip, scaled noise or collusion echo; see
-	// attack.Byzantine). Corruption happens after the defense policy
-	// builds the outgoing payload — the adversary ignores the policy's
-	// honesty, not its entry selection — and before the transport, so
-	// the server-side Observer sees the corrupted traffic exactly as a
-	// real adversary would send it.
+	// Byzantine clients corrupt every upload they send.
 	Byzantine *attack.Byzantine
 	// Aggregator selects the server's aggregation rule (the zero value
 	// is classic FedAvg; see Aggregator for the robust rules).
@@ -161,11 +126,7 @@ type Config struct {
 	// that aggregator is selected).
 	ClipNorm float64
 
-	// Tracer optionally records phase spans (train/encode/send/
-	// aggregate/broadcast/eval) for every round. nil disables tracing;
-	// the simulation's outputs are byte-identical either way — the
-	// tracer is write-only from the simulation's point of view (the
-	// obsleak analyzer enforces it).
+	// Tracer records train/encode/send/aggregate/broadcast/eval spans.
 	Tracer *obs.Tracer
 
 	// Observer optionally receives all uploads (the adversary hook).
@@ -177,16 +138,9 @@ type Config struct {
 	Seed uint64
 }
 
+// validate checks the fields only fed has, on their defaulted values
+// (simcore.New checks the shared ones first).
 func (c *Config) validate() error {
-	if c.Dataset == nil {
-		return fmt.Errorf("fed: Config.Dataset is required")
-	}
-	if c.Factory == nil {
-		return fmt.Errorf("fed: Config.Factory is required")
-	}
-	if c.Rounds <= 0 {
-		return fmt.Errorf("fed: Config.Rounds must be positive, got %d", c.Rounds)
-	}
 	if c.ClientFraction < 0 || c.ClientFraction > 1 {
 		return fmt.Errorf("fed: Config.ClientFraction %v out of [0,1]", c.ClientFraction)
 	}
@@ -210,21 +164,6 @@ func (c *Config) validate() error {
 	if c.Aggregator == AggNormClip && c.ClipNorm <= 0 {
 		return fmt.Errorf("fed: Config.ClipNorm must be positive for the norm-clip aggregator, got %v", c.ClipNorm)
 	}
-	if c.FaultPlan != nil {
-		if err := c.FaultPlan.Validate(); err != nil {
-			return fmt.Errorf("fed: %w", err)
-		}
-	}
-	if c.ChurnPlan != nil {
-		if err := c.ChurnPlan.Validate(); err != nil {
-			return fmt.Errorf("fed: %w", err)
-		}
-	}
-	if c.Byzantine != nil {
-		if err := c.Byzantine.Validate(); err != nil {
-			return fmt.Errorf("fed: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -246,15 +185,15 @@ type Simulation struct {
 	clients []clientState
 	rng     *rand.Rand
 	round   int
-	tr      transport.Transport
+	// core is the shared frame: defaults, workers, eval engine, churn
+	// membership, payload pool and the resilience counters.
+	core *simcore.Core
 
 	privateEntries []string
 	privateSet     map[string]struct{}
 
-	workers   int
 	scratches []model.Recommender // per-worker client workspaces
 	snapshots []*param.Set        // per-worker pre-training snapshots (see clientRound)
-	pool      param.Buffers       // payload free-list
 	payloads  []*param.Set        // per-round payload hand-off to the folder, by sample index
 	dropped   []bool              // per-round dropout decisions, by sample index
 	fold      *folder             // the server's streaming aggregator, reused every round
@@ -265,97 +204,67 @@ type Simulation struct {
 	aggOff    []int
 	aggChunks []aggChunk
 
-	// Utility-evaluation state: the deterministic parallel engine plus,
-	// per worker, the user whose private rows are currently installed in
-	// that worker's scratch model (-1 = scratch needs a global re-sync).
-	eval     *model.Eval
+	// Utility-evaluation state: per worker, the user whose private rows
+	// are currently installed in that worker's scratch model (-1 =
+	// scratch needs a global re-sync).
 	evalPrev []int
 
-	// Churn membership fold (nil when no ChurnPlan is active) and the
-	// reusable present-id scratch.
-	membership *transport.Membership
+	// presentIDs is the reusable present-id scratch of sampling under
+	// churn.
 	presentIDs []int
-
-	// Resilience accounting. deliverFailures, uploadFailures and
-	// byzantineUploads are incremented from worker goroutines (atomic);
-	// stragglers and clippedUploads only from the folder goroutine, and
-	// the rest from the goroutine running the simulation — the folder
-	// drains before RunRound returns, so reads between rounds are safe.
-	deliverFailures  atomic.Int64
-	uploadFailures   atomic.Int64
-	byzantineUploads atomic.Int64
-	stragglers       int64
-	quorumMisses     int64
-	blackoutRounds   int64
-	clippedUploads   int64
 }
 
-// Resilience is the simulation's accumulated fault accounting.
+// Resilience is the simulation's accumulated fault accounting: one
+// field per fed counter of simcore.Counters, which documents each, in
+// table order. The registry reads the counters themselves; this struct
+// stays for the benchmark module's readers until ROADMAP item 3
+// removes them.
 type Resilience struct {
-	// BlackoutRounds counts rounds whose global-model broadcast failed
-	// outright: no client trained, the global model stood still.
-	BlackoutRounds int64
-	// DeliverFailures counts sampled clients that never received the
-	// round's global model (they skip the round entirely).
-	DeliverFailures int64
-	// UploadFailures counts uploads lost in transit after training (the
-	// server, and the adversary, never saw them).
-	UploadFailures int64
-	// Stragglers counts uploads that arrived past StragglerDeadline:
-	// observed by the adversary, excluded from aggregation.
-	Stragglers int64
-	// QuorumMisses counts rounds whose timely arrivals fell below
-	// Quorum, keeping the previous global model.
-	QuorumMisses int64
-	// Joins, Leaves and Rejoins are the ChurnPlan membership
-	// transitions (a rejoin — a client returning after participating
-	// before — is also counted as a join).
-	Joins   int64
-	Leaves  int64
-	Rejoins int64
-	// ByzantineUploads counts uploads corrupted by the Byzantine
-	// adversary population before sending.
-	ByzantineUploads int64
-	// ClippedUploads counts uploads whose delta the norm-clip
-	// aggregator scaled down to ClipNorm.
-	ClippedUploads int64
+	BlackoutRounds, DeliverFailures, UploadFailures, Stragglers, QuorumMisses int64
+	Joins, Leaves, Rejoins, ByzantineUploads, ClippedUploads                  int64
 }
 
 // Resilience returns the accumulated fault accounting.
 func (s *Simulation) Resilience() Resilience {
-	r := Resilience{
-		BlackoutRounds:   s.blackoutRounds,
-		DeliverFailures:  s.deliverFailures.Load(),
-		UploadFailures:   s.uploadFailures.Load(),
-		ByzantineUploads: s.byzantineUploads.Load(),
-		Stragglers:       s.stragglers,
-		QuorumMisses:     s.quorumMisses,
-		ClippedUploads:   s.clippedUploads,
+	c := s.core.Counts()
+	return Resilience{
+		BlackoutRounds:   c[simcore.Blackouts],
+		DeliverFailures:  c[simcore.DeliverFailures],
+		UploadFailures:   c[simcore.UploadFailures],
+		Stragglers:       c[simcore.Stragglers],
+		QuorumMisses:     c[simcore.QuorumMisses],
+		Joins:            c[simcore.Joins],
+		Leaves:           c[simcore.Leaves],
+		Rejoins:          c[simcore.Rejoins],
+		ByzantineUploads: c[simcore.ByzantineUploads],
+		ClippedUploads:   c[simcore.ClippedUploads],
 	}
-	if s.membership != nil {
-		r.Joins = s.membership.Joins()
-		r.Leaves = s.membership.Leaves()
-		r.Rejoins = s.membership.Rejoins()
-	}
-	return r
 }
 
-// New builds a federated simulation from cfg.
+// RegisterMetrics installs live views of the simulation's counters
+// into reg (see simcore.Core.RegisterMetrics). No-op on a nil registry.
+func (s *Simulation) RegisterMetrics(reg *obs.Registry) { s.core.RegisterMetrics(reg) }
+
+// New builds a federated simulation from cfg, in the order the
+// simcore package doc states: shared fields, then fed's own.
 func New(cfg Config) (*Simulation, error) {
-	if err := cfg.validate(); err != nil {
+	core, err := simcore.New(simcore.Fed, simcore.Config{
+		Dataset: cfg.Dataset, Factory: cfg.Factory, Policy: cfg.Policy, Rounds: cfg.Rounds,
+		Workers: cfg.Workers, Transport: cfg.Transport, FaultPlan: cfg.FaultPlan,
+		ChurnPlan: cfg.ChurnPlan, Byzantine: cfg.Byzantine, Tracer: cfg.Tracer, Seed: cfg.Seed,
+	})
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = defense.FullSharing{}
-	}
+	cfg.Policy, cfg.Transport = core.Policy, core.Transport
 	if cfg.ClientFraction == 0 {
 		cfg.ClientFraction = 1
 	}
 	if cfg.TrimFraction == 0 {
 		cfg.TrimFraction = 0.1
 	}
-	if cfg.Transport == nil {
-		cfg.Transport = transport.NewInproc()
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	rng := mathx.NewRand(cfg.Seed)
 	global := cfg.Factory(rng.Uint64())
@@ -373,14 +282,8 @@ func New(cfg Config) (*Simulation, error) {
 		scratch:        global.Clone(),
 		clients:        make([]clientState, cfg.Dataset.NumUsers),
 		rng:            rng,
-		tr:             cfg.Transport,
+		core:           core,
 		privateEntries: global.PrivateEntries(),
-		workers:        parx.Workers(cfg.Workers),
-	}
-	// A round never runs more concurrent clients than the dataset has
-	// users, so don't build scratch models beyond that.
-	if s.workers > cfg.Dataset.NumUsers {
-		s.workers = cfg.Dataset.NumUsers
 	}
 	s.privateSet = make(map[string]struct{}, len(s.privateEntries))
 	for _, n := range s.privateEntries {
@@ -398,12 +301,9 @@ func New(cfg Config) (*Simulation, error) {
 	s.aggBuf = make([]float64, total)
 	s.fold = newFolder(s)
 	s.scratches = []model.Recommender{s.scratch}
-	for w := 1; w < s.workers; w++ {
+	for w := 1; w < core.Workers; w++ {
 		s.scratches = append(s.scratches, global.Clone())
 	}
-	// The same eval seed constant as the historical shared evalRng, now
-	// feeding per-(round, user) counter-derived streams.
-	s.eval = model.NewEval(cfg.Dataset, s.workers, cfg.Seed^0xabcdef)
 	s.evalPrev = make([]int, len(s.scratches))
 	s.snapshots = make([]*param.Set, len(s.scratches))
 	for u := range s.clients {
@@ -411,11 +311,6 @@ func New(cfg Config) (*Simulation, error) {
 			rng:         mathx.Split(rng),
 			privateRows: make(map[string][]float64),
 		}
-	}
-	// The membership fold consumes no simulator RNG, so building it (or
-	// not) leaves every stream above untouched.
-	if cfg.ChurnPlan != nil && cfg.ChurnPlan.Enabled() {
-		s.membership = transport.NewMembership(*cfg.ChurnPlan, cfg.Dataset.NumUsers)
 	}
 	return s, nil
 }
@@ -462,11 +357,8 @@ func (s *Simulation) Run() {
 //     global model (the observer still saw the arrivals).
 func (s *Simulation) RunRound() {
 	round := s.round
-	if s.membership != nil {
-		// Apply the round's churn transitions before sampling. Pure
-		// plan functions — no simulator RNG consumed.
-		s.membership.Advance(round)
-	}
+	// Apply the round's churn transitions before sampling.
+	s.core.Advance(round)
 	n := s.cfg.Dataset.NumUsers
 	sampled := s.sampleClients(n)
 
@@ -494,18 +386,19 @@ func (s *Simulation) RunRound() {
 	}
 	// Span ring convention: parallel workers record on their parx index
 	// (0..workers-1), the sequential coordinator phases on ring
-	// s.workers, the streaming folder goroutine on s.workers+1.
+	// workers, the streaming folder goroutine on workers+1.
+	workers := s.core.Workers
 	encStart := s.cfg.Tracer.Start()
-	bcast, err := s.tr.OpenBroadcast(round, s.global.Params())
-	s.cfg.Tracer.Span(s.workers, obs.PhaseEncode, round, obs.RoundLevel, encStart)
+	bcast, err := s.cfg.Transport.OpenBroadcast(round, s.global.Params())
+	s.cfg.Tracer.Span(workers, obs.PhaseEncode, round, obs.RoundLevel, encStart)
 	if err != nil {
 		// Blackout round: the server could not stage the global model.
-		s.blackoutRounds++
+		s.core.Add(simcore.Blackouts)
 		s.finishRound(round)
 		return
 	}
 	s.fold.start(round, sampled)
-	parx.ForEach(s.workers, len(sampled), func(w, i int) {
+	parx.ForEach(workers, len(sampled), func(w, i int) {
 		payload := s.clientRound(round, sampled[i], w, s.scratches[w], bcast)
 		switch {
 		case payload == nil:
@@ -513,14 +406,14 @@ func (s *Simulation) RunRound() {
 		case s.dropped[i]:
 			// Failure injection: the client crashed before uploading.
 			// Its local training (and private state) already happened.
-			s.pool.Put(payload)
+			s.core.Pool.Put(payload)
 		default:
 			sendStart := s.cfg.Tracer.Start()
-			sent, err := s.tr.Send(round, sampled[i], payload, &s.pool)
+			sent, err := s.cfg.Transport.Send(round, sampled[i], payload, &s.core.Pool)
 			s.cfg.Tracer.Span(w, obs.PhaseSend, round, sampled[i], sendStart)
 			if err != nil {
 				// Upload lost in transit (payload already recycled).
-				s.uploadFailures.Add(1)
+				s.core.Add(simcore.UploadFailures)
 			} else {
 				s.payloads[i] = sent
 			}
@@ -530,7 +423,7 @@ func (s *Simulation) RunRound() {
 	bcast.Close()
 	aggStart := s.cfg.Tracer.Start()
 	s.fold.finish()
-	s.cfg.Tracer.Span(s.workers, obs.PhaseAggregate, round, obs.RoundLevel, aggStart)
+	s.cfg.Tracer.Span(workers, obs.PhaseAggregate, round, obs.RoundLevel, aggStart)
 	s.finishRound(round)
 }
 
@@ -557,14 +450,14 @@ func (s *Simulation) isStraggler(round, u int) bool {
 }
 
 func (s *Simulation) sampleClients(n int) []int {
-	if s.membership != nil {
+	if m := s.core.Membership; m != nil {
 		// Churn: only present clients are eligible. Under full
 		// participation no RNG is consumed (exactly like the static
 		// path); under a fraction the sampler draws from the present
 		// set in ascending-id order, so the draw sequence is a pure
 		// function of (seed, membership) — backend- and worker-
 		// independent.
-		s.presentIDs = s.membership.AppendPresent(s.presentIDs[:0])
+		s.presentIDs = m.AppendPresent(s.presentIDs[:0])
 		present := s.presentIDs
 		if s.cfg.ClientFraction >= 1 || len(present) == 0 {
 			return present
@@ -609,7 +502,7 @@ func (s *Simulation) clientRound(round, u, w int, m model.Recommender, bcast tra
 	err := bcast.Deliver(u, m.Params())
 	s.cfg.Tracer.Span(w, obs.PhaseBroadcast, round, u, dlvStart)
 	if err != nil {
-		s.deliverFailures.Add(1)
+		s.core.Add(simcore.DeliverFailures)
 		return nil
 	}
 	s.installPrivateRows(m, u)
@@ -620,8 +513,7 @@ func (s *Simulation) clientRound(round, u, w int, m model.Recommender, bcast tra
 	// read it, and never past this call, so it lives in a per-worker
 	// buffer and is skipped when nothing reads it.
 	var prev *param.Set
-	byz := s.cfg.Byzantine != nil && s.cfg.Byzantine.IsAdversary(u)
-	if byz || s.cfg.Policy.ReadsSnapshot() {
+	if s.core.NeedsSnapshot(u) {
 		s.snapshots[w] = m.Params().CloneInto(s.snapshots[w])
 		prev = s.snapshots[w]
 	}
@@ -633,15 +525,11 @@ func (s *Simulation) clientRound(round, u, w int, m model.Recommender, bcast tra
 	s.cfg.Tracer.Span(w, obs.PhaseTrain, round, u, trainStart)
 
 	s.capturePrivateRows(m, u)
-	payload := s.cfg.Policy.Outgoing(m, prev, st.rng, &s.pool)
-	if byz {
-		// Active adversary: corrupt the outgoing payload in place,
-		// reflecting around / echoing the model this client received.
-		// Deterministic (counter-based streams only) and applied before
-		// the transport, so the Observer sees the corrupted upload.
-		s.cfg.Byzantine.Corrupt(round, u, payload, prev)
-		s.byzantineUploads.Add(1)
-	}
+	payload := s.cfg.Policy.Outgoing(m, prev, st.rng, &s.core.Pool)
+	// An active adversary corrupts the payload in place, reflecting
+	// around / echoing the model this client received, before the
+	// transport, so the Observer sees the corrupted upload.
+	s.core.Corrupt(round, u, payload, prev)
 	return payload
 }
 
@@ -775,14 +663,14 @@ func (f *folder) consume(i int) {
 	}
 	u := f.sampled[i]
 	foldStart := s.cfg.Tracer.Start()
-	defer s.cfg.Tracer.Span(s.workers+1, obs.PhaseAggregate, f.round, u, foldStart)
+	defer s.cfg.Tracer.Span(s.core.Workers+1, obs.PhaseAggregate, f.round, u, foldStart)
 	if s.cfg.Observer != nil {
 		s.cfg.Observer.OnUpload(Message{Round: f.round, From: u, Params: payload})
 	}
 	if s.isStraggler(f.round, u) {
 		// Too late for aggregation; the adversary saw it anyway.
-		s.stragglers++
-		s.pool.Put(payload)
+		s.core.Add(simcore.Stragglers)
+		s.core.Pool.Put(payload)
 		return
 	}
 	w := float64(len(s.cfg.Dataset.Train[u]))
@@ -798,7 +686,7 @@ func (f *folder) consume(i int) {
 		var clipped bool
 		factor, clipped = s.clipFactor(payload)
 		if clipped {
-			s.clippedUploads++
+			s.core.Add(simcore.ClippedUploads)
 		}
 	}
 	gp := s.global.Params()
@@ -820,7 +708,7 @@ func (f *folder) consume(i int) {
 		}
 		mathx.AxpyDiff(w*factor, payload.Get(ge.Name), ge.Data, acc)
 	}
-	s.pool.Put(payload)
+	s.core.Pool.Put(payload)
 }
 
 // finish waits for the fold goroutine to drain, then applies the
@@ -833,7 +721,7 @@ func (f *folder) finish() {
 	s := f.s
 	switch {
 	case s.cfg.Quorum > 0 && f.timely < int(math.Ceil(s.cfg.Quorum*float64(len(f.sampled)))):
-		s.quorumMisses++
+		s.core.Add(simcore.QuorumMisses)
 	case f.timely == 0:
 	case s.cfg.Aggregator.robust():
 		s.aggregateRobust(f.stage)
@@ -841,7 +729,7 @@ func (f *folder) finish() {
 		f.apply()
 	}
 	for i := range f.stage {
-		s.pool.Put(f.stage[i].payload)
+		s.core.Pool.Put(f.stage[i].payload)
 		f.stage[i].payload = nil
 	}
 	f.stage = f.stage[:0]
@@ -879,20 +767,14 @@ func (f *folder) apply() {
 // often (or whether) earlier rounds were evaluated.
 func (s *Simulation) UtilityHR(k, numNeg int) float64 {
 	s.beginUtilitySweep()
-	evalStart := s.cfg.Tracer.Start()
-	hr := s.eval.HR(s.round, s.evalModel, k, numNeg)
-	s.cfg.Tracer.Span(s.workers, obs.PhaseEval, s.round, obs.RoundLevel, evalStart)
-	return hr
+	return s.core.UtilityHR(s.round, s.evalModel, k, numNeg)
 }
 
 // UtilityF1 computes the mean top-k F1 across users, honouring
 // Share-less privacy like UtilityHR.
 func (s *Simulation) UtilityF1(k int) float64 {
 	s.beginUtilitySweep()
-	evalStart := s.cfg.Tracer.Start()
-	f1 := s.eval.F1(s.evalModel, k)
-	s.cfg.Tracer.Span(s.workers, obs.PhaseEval, s.round, obs.RoundLevel, evalStart)
-	return f1
+	return s.core.UtilityF1(s.round, s.evalModel, k)
 }
 
 // beginUtilitySweep marks every worker scratch as stale: training

@@ -1,7 +1,9 @@
 package fed
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/defense"
@@ -31,19 +33,30 @@ func fedConfig(d *dataset.Dataset) Config {
 	}
 }
 
+// TestNewValidation covers the checks of fed's own fields (simcore's
+// TestValidate covers the shared ones): each rejected config's error
+// carries the fed: prefix and names what it rejects.
 func TestNewValidation(t *testing.T) {
 	d := fedTestDataset(t)
-	bad := []Config{
-		{},
-		{Dataset: d},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4)},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4), Rounds: 5, ClientFraction: 2},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers+1, d.NumItems, 4), Rounds: 5},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems+1, 4), Rounds: 5},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d should fail", i)
+	for _, tc := range []struct {
+		want   string
+		mutate func(*Config)
+	}{
+		{"Config.ClientFraction", func(c *Config) { c.ClientFraction = 2 }},
+		{"Config.DropoutProb", func(c *Config) { c.DropoutProb = 1 }},
+		{"Config.Quorum", func(c *Config) { c.Quorum = -0.1 }},
+		{"Config.StragglerDeadline", func(c *Config) { c.StragglerDeadline = -time.Second }},
+		{"Config.Aggregator", func(c *Config) { c.Aggregator = Aggregator(42) }},
+		{"Config.TrimFraction", func(c *Config) { c.TrimFraction = 0.5 }},
+		{"Config.ClipNorm", func(c *Config) { c.Aggregator = AggNormClip }},
+		{"model has 31 users", func(c *Config) { c.Factory = model.NewGMFFactory(d.NumUsers+1, d.NumItems, 4) }},
+		{"model has 101 items", func(c *Config) { c.Factory = model.NewGMFFactory(d.NumUsers, d.NumItems+1, 4) }},
+	} {
+		cfg := fedConfig(d)
+		tc.mutate(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "fed: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New error %v, want a fed: error naming it", tc.want, err)
 		}
 	}
 }

@@ -1,12 +1,10 @@
 package fed
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -15,19 +13,12 @@ import (
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/model"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/simcore"
+	"github.com/collablearn/ciarec/internal/simcore/simcoretest"
 	"github.com/collablearn/ciarec/internal/transport"
 )
 
-// replayCase is one configuration the replay harness runs on every
-// backend at every worker count.
-type replayCase struct {
-	name   string
-	rounds int
-	config func(*Config) // applied on top of fedConfig
-	comp   param.Compression
-	// sameAs names an earlier case whose digest this one must equal.
-	sameAs string
-}
+type replayCase = simcoretest.Case[Config]
 
 // replayCases is the union of the configurations whose replay must not
 // depend on the transport backend or the worker count.
@@ -56,50 +47,43 @@ func replayCases(d *dataset.Dataset) []replayCase {
 	}
 	churn := churnTestPlan()
 	return []replayCase{
-		{name: "full-gmf", rounds: 3},
-		{name: "full-prme", rounds: 3, config: prme},
-		{name: "shareless-gmf", rounds: 3, config: shareLess},
-		{name: "shareless-prme", rounds: 3, config: both(shareLess, prme)},
-		{name: "dpsgd-gmf", rounds: 3, config: dpSGD},
-		{name: "dpsgd-prme", rounds: 3, config: both(dpSGD, prme)},
-		{name: "sampling-dropout", rounds: 6, config: func(c *Config) {
+		{Name: "full-gmf", Rounds: 3},
+		{Name: "full-prme", Rounds: 3, Config: prme},
+		{Name: "shareless-gmf", Rounds: 3, Config: shareLess},
+		{Name: "shareless-prme", Rounds: 3, Config: both(shareLess, prme)},
+		{Name: "dpsgd-gmf", Rounds: 3, Config: dpSGD},
+		{Name: "dpsgd-prme", Rounds: 3, Config: both(dpSGD, prme)},
+		{Name: "sampling-dropout", Rounds: 6, Config: func(c *Config) {
 			c.ClientFraction = 0.6
 			c.DropoutProb = 0.2
 		}},
-		{name: "faults", rounds: 6, config: faults},
-		{name: "churn-signflip-trimmed", rounds: 6, config: func(c *Config) {
+		{Name: "faults", Rounds: 6, Config: faults},
+		{Name: "churn-signflip-trimmed", Rounds: 6, Config: func(c *Config) {
 			c.ChurnPlan = &churn
 			c.Byzantine = &attack.Byzantine{Kind: attack.ByzSignFlip, Fraction: 0.2, Scale: 1, Seed: 9}
 			c.Aggregator = AggTrimmedMean
 			c.TrimFraction = 0.2
 		}},
-		{name: "norm-clip", rounds: 3, config: func(c *Config) {
+		{Name: "norm-clip", Rounds: 3, Config: func(c *Config) {
 			c.Aggregator = AggNormClip
 			c.ClipNorm = 0.5
 		}},
-		{name: "compressed8", rounds: 3, comp: param.Compression{Bits: 8}},
-		{name: "compressed16", rounds: 3, comp: param.Compression{Bits: 16}},
-		{name: "compressed16-faults", rounds: 4, comp: param.Compression{Bits: 16}, config: compressedFaults},
-		{name: "compressed16-noise-median", rounds: 3, comp: param.Compression{Bits: 16}, config: func(c *Config) {
+		{Name: "compressed8", Rounds: 3, Comp: param.Compression{Bits: 8}},
+		{Name: "compressed16", Rounds: 3, Comp: param.Compression{Bits: 16}},
+		{Name: "compressed16-faults", Rounds: 4, Comp: param.Compression{Bits: 16}, Config: compressedFaults},
+		{Name: "compressed16-noise-median", Rounds: 3, Comp: param.Compression{Bits: 16}, Config: func(c *Config) {
 			c.Byzantine = &attack.Byzantine{Kind: attack.ByzScaledNoise, Fraction: 0.2, Scale: 2, Seed: 4}
 			c.Aggregator = AggMedian
 		}},
-		{name: "inactive-faults", rounds: 3, sameAs: "full-gmf", config: func(c *Config) {
+		{Name: "inactive-faults", Rounds: 3, SameAs: "full-gmf", Config: func(c *Config) {
 			c.FaultPlan = &transport.FaultPlan{Seed: 99}
 			c.StragglerDeadline = time.Second
 			c.Quorum = 0.5
 		}},
-		{name: "inactive-churn", rounds: 3, sameAs: "full-gmf", config: func(c *Config) {
+		{Name: "inactive-churn", Rounds: 3, SameAs: "full-gmf", Config: func(c *Config) {
 			c.ChurnPlan = &transport.ChurnPlan{Seed: 99}
 		}},
 	}
-}
-
-// traffic is the backend-independent share of transport.Stats.
-type traffic struct {
-	Messages, Bytes, RawBytes                            int64
-	BroadcastMessages, BroadcastBytes, RawBroadcastBytes int64
-	InjectedFaults                                       int64
 }
 
 // replayDigest is one run reduced to what the backend and the worker
@@ -109,37 +93,25 @@ type replayDigest struct {
 	Private    string // every client's private rows
 	Utility    string // HR@10 (20 negatives) and F1@10 after every round
 	Observed   string // round, sender and payload of every upload, in observer order
-	Traffic    traffic
-	Resilience Resilience
+	Traffic    simcoretest.Traffic
+	Resilience simcore.Counts
 	// Aggregated counts the rounds whose global model moved.
 	Aggregated int
 }
 
-// firstDiff names the first component in which dg departs from ref
-// and the two values, or returns "" when they are equal.
-func (dg replayDigest) firstDiff(ref replayDigest) string {
-	got, want := reflect.ValueOf(dg), reflect.ValueOf(ref)
-	for i := 0; i < got.NumField(); i++ {
-		if g, w := got.Field(i).Interface(), want.Field(i).Interface(); g != w {
-			return fmt.Sprintf("%s = %+v, want %+v", got.Type().Field(i).Name, g, w)
-		}
-	}
-	return ""
-}
-
-func sum(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)[:8]) }
+func (dg replayDigest) Counts() simcore.Counts { return dg.Resilience }
 
 // replay runs c on backend with the given worker count and reduces the
 // run to its digest.
 func replay(t *testing.T, d *dataset.Dataset, c replayCase, backend string, workers int) replayDigest {
 	t.Helper()
 	cfg := fedConfig(d)
-	cfg.Rounds = c.rounds
-	if c.config != nil {
-		c.config(&cfg)
+	cfg.Rounds = cmp.Or(c.Rounds, cfg.Rounds)
+	if c.Config != nil {
+		c.Config(&cfg)
 	}
 	cfg.Workers = workers
-	tr, err := transport.NewOptions(backend, transport.Options{Compression: c.comp, Plan: cfg.FaultPlan})
+	tr, err := transport.NewOptions(backend, transport.Options{Compression: c.Comp, Plan: cfg.FaultPlan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,77 +149,23 @@ func replay(t *testing.T, d *dataset.Dataset, c replayCase, backend string, work
 			binary.Write(private, binary.LittleEndian, row)
 		}
 	}
-	st := tr.Stats()
-	dg.Params, dg.Private, dg.Utility, dg.Observed = sum(params), sum(private), fmt.Sprint(utility), sum(observed)
-	dg.Traffic = traffic{
-		st.Messages, st.Bytes, st.RawBytes,
-		st.BroadcastMessages, st.BroadcastBytes, st.RawBroadcastBytes,
-		st.InjectedFaults,
+	dg.Params, dg.Private, dg.Utility, dg.Observed = simcoretest.Sum(params), simcoretest.Sum(private), fmt.Sprint(utility), simcoretest.Sum(observed)
+	dg.Traffic = simcoretest.TrafficOf(tr.Stats())
+	dg.Resilience = s.core.Counts()
+	if dg.Aggregated == 0 {
+		t.Fatalf("%s never aggregates: %v", c.Name, dg.Resilience)
 	}
-	dg.Resilience = s.Resilience()
 	return dg
 }
 
-// TestReplay holds the simulator's determinism contract: each case
-// gives one digest on inproc, wire and socket at workers 1 and 3, a
-// case with sameAs gives the named case's digest, and every case
-// aggregates in some round. Across the cases, every Resilience
-// counter is driven above zero.
-// Each replay compared with the inproc, workers-1 reference is a
-// subtest of its case (inproc/workers=3, ..., socket/workers=3), so one
-// departing backend does not hide another.
+// TestReplay holds the simulator's determinism contract
+// (simcoretest.Replay): each case gives one digest on inproc, wire and
+// socket at workers 1 and 3, a case with SameAs gives the named case's
+// digest, every case aggregates in some round, and across the cases
+// every fed counter is driven above zero.
 func TestReplay(t *testing.T) {
 	d := fedTestDataset(t)
-	cases := replayCases(d)
-	digests := map[string]replayDigest{}
-	var exercised Resilience
-	ran := 0
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			ran++
-			ref := replay(t, d, c, "inproc", 1)
-			for _, backend := range []string{"inproc", "wire", "socket"} {
-				for _, workers := range []int{1, 3} {
-					if backend == "inproc" && workers == 1 {
-						continue
-					}
-					t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
-						if diff := replay(t, d, c, backend, workers).firstDiff(ref); diff != "" {
-							t.Fatalf("%s on %s at workers %d departs from inproc at workers 1: %s", c.name, backend, workers, diff)
-						}
-					})
-				}
-			}
-			if c.sameAs != "" {
-				want, ok := digests[c.sameAs]
-				if !ok { // the named case was filtered out by -run
-					i := slices.IndexFunc(cases, func(o replayCase) bool { return o.name == c.sameAs })
-					if i < 0 {
-						t.Fatalf("%s: sameAs names no case %q", c.name, c.sameAs)
-					}
-					want = replay(t, d, cases[i], "inproc", 1)
-				}
-				if diff := ref.firstDiff(want); diff != "" {
-					t.Fatalf("%s departs from %s: %s", c.name, c.sameAs, diff)
-				}
-			}
-			if ref.Aggregated == 0 {
-				t.Fatalf("%s never aggregates: %+v", c.name, ref.Resilience)
-			}
-			digests[c.name] = ref
-			got, seen := reflect.ValueOf(ref.Resilience), reflect.ValueOf(&exercised).Elem()
-			for i := 0; i < got.NumField(); i++ {
-				seen.Field(i).SetInt(seen.Field(i).Int() + got.Field(i).Int())
-			}
-		})
-	}
-	if ran < len(cases) {
-		return // -run selected some cases only
-	}
-	seen := reflect.ValueOf(exercised)
-	for i := 0; i < seen.NumField(); i++ {
-		if seen.Field(i).Int() == 0 {
-			t.Errorf("no case drives Resilience.%s above zero", seen.Type().Field(i).Name)
-		}
-	}
+	simcoretest.Replay(t, simcore.Fed, replayCases(d), func(t *testing.T, c replayCase, backend string, workers int) replayDigest {
+		return replay(t, d, c, backend, workers)
+	})
 }

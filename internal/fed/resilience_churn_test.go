@@ -2,8 +2,6 @@ package fed
 
 import (
 	"math"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +9,8 @@ import (
 	"github.com/collablearn/ciarec/internal/mathx"
 	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/simcore"
+	"github.com/collablearn/ciarec/internal/simcore/simcoretest"
 	"github.com/collablearn/ciarec/internal/transport"
 )
 
@@ -214,9 +214,10 @@ func TestResilienceAggregatorValidation(t *testing.T) {
 }
 
 // TestResilienceMetricViews holds the registry's resilience_* views to
-// the Resilience() accounting they read: after a run with churn,
-// Byzantine uploads, norm clipping and every fault family, there is
-// one view per field and each equals its field.
+// the Resilience() accounting (simcoretest.MetricViews): after a run
+// with churn, Byzantine uploads, norm clipping and every fault family,
+// there is one view per fed counter of simcore.Counters, in table
+// order, and each equals its Resilience field.
 func TestResilienceMetricViews(t *testing.T) {
 	d := fedTestDataset(t)
 	churn := churnTestPlan()
@@ -243,31 +244,5 @@ func TestResilienceMetricViews(t *testing.T) {
 	s.RegisterMetrics(reg)
 	s.Run()
 
-	r := s.Resilience()
-	want := map[string]int64{
-		"resilience_blackouts":         r.BlackoutRounds,
-		"resilience_deliver_failures":  r.DeliverFailures,
-		"resilience_upload_failures":   r.UploadFailures,
-		"resilience_stragglers":        r.Stragglers,
-		"resilience_quorum_misses":     r.QuorumMisses,
-		"resilience_joins":             r.Joins,
-		"resilience_leaves":            r.Leaves,
-		"resilience_rejoins":           r.Rejoins,
-		"resilience_byzantine_uploads": r.ByzantineUploads,
-		"resilience_clipped_uploads":   r.ClippedUploads,
-	}
-	for name, v := range want {
-		if v == 0 {
-			t.Errorf("%s is 0: the run is too tame to tell the views apart (%+v)", name, r)
-		}
-	}
-	got := map[string]int64{}
-	for name, v := range reg.Snapshot() {
-		if strings.HasPrefix(name, "resilience_") {
-			got[name] = int64(v)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resilience views %v, Resilience() fields %v", got, want)
-	}
+	simcoretest.MetricViews(t, simcore.Fed, reg, s.Resilience())
 }

@@ -148,7 +148,7 @@ func (s *Simulation) aggregateRobust(uploads []upload) {
 		}
 	}
 	trimmed := s.cfg.Aggregator == AggTrimmedMean
-	parx.ForEach(s.workers, len(s.aggChunks), func(_, ci int) {
+	parx.ForEach(s.core.Workers, len(s.aggChunks), func(_, ci int) {
 		c := s.aggChunks[ci]
 		ge := globalParams.At(c.ei)
 		// The carriers of this entry, in upload order, and a per-chunk

@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync/atomic"
 
 	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/dataset"
@@ -35,6 +34,7 @@ import (
 	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
 	"github.com/collablearn/ciarec/internal/parx"
+	"github.com/collablearn/ciarec/internal/simcore"
 	"github.com/collablearn/ciarec/internal/transport"
 )
 
@@ -86,16 +86,18 @@ type Observer interface {
 	OnRoundEnd(round int)
 }
 
-// Config parameterizes a gossip simulation.
+// Config parameterizes a gossip simulation. The fields both
+// simulators take (Dataset, Factory, Policy, Rounds, Workers,
+// Transport, FaultPlan, ChurnPlan, Byzantine, Tracer, Seed) are
+// documented on simcore.Config; the comments here add what gossip
+// makes of them.
 type Config struct {
 	Dataset *dataset.Dataset
 	Factory model.Factory
-	// Policy defaults to defense.FullSharing.
-	Policy defense.Policy
+	Policy  defense.Policy
 	// Variant defaults to RandGossip.
 	Variant Variant
 
-	// Rounds is the number of gossip rounds (required, > 0).
 	Rounds int
 	// OutDegree is P, the out-view size (default 3, as in the paper).
 	OutDegree int
@@ -111,71 +113,44 @@ type Config struct {
 	// StaticGraph disables view refreshing entirely — the ablation for
 	// the claim that gossip's privacy stems from its dynamics.
 	StaticGraph bool
-	// FaultPlan is the declarative failure scenario the simulator
-	// consults for the one decision the transport cannot make: whether
-	// a push's chosen receiver is unreachable this round (the push is
-	// skipped; the sender's view is left intact, so an outage never
-	// corrupts the peer-sampling state). Transit loss itself flows
-	// through the transport — wrap it in transport.NewFaulty with the
-	// same plan and Send errors count as lost pushes. nil disables
-	// both checks.
+	// FaultPlan decides whether a push's chosen receiver is unreachable
+	// this round: the push is skipped and the sender's view is left
+	// intact, so an outage never corrupts the peer-sampling state.
+	// Transport send errors count as lost pushes.
 	FaultPlan *transport.FaultPlan
 
-	// ChurnPlan drives deterministic node churn: each round, present
-	// nodes leave and absent ones (re)join as pure functions of (plan
-	// seed, round, node) — no simulator RNG consumed. An absent node is
-	// frozen completely: no view refresh, no wake, no training, no
-	// receiving (senders skip absent receivers, counted in
-	// Resilience.AbsentSkips), so its model, view and RNG are exactly
-	// as it left them. A rejoiner resumes from that stale state under
-	// the staleness-bounded merge rule: if it missed more than
-	// ChurnPlan.StaleBound rounds and receives at least one push that
-	// round, its own model is too stale to vote — the inbox average
-	// replaces it outright (counted in Resilience.StaleResets) instead
-	// of diluting fresh neighbour state with stale parameters. Within
-	// the bound it merges normally (uniform {own} ∪ inbox average).
+	// ChurnPlan freezes an absent node completely: no view refresh, no
+	// wake, no training, no receiving (senders skip absent receivers,
+	// counted in Resilience.AbsentSkips). A rejoiner resumes from that
+	// stale state under the staleness-bounded merge rule: if it missed
+	// more than ChurnPlan.StaleBound rounds and receives at least one
+	// push that round, its own model is too stale to vote — the inbox
+	// average replaces it outright (counted in Resilience.StaleResets)
+	// instead of diluting fresh neighbour state with stale parameters.
+	// Within the bound it merges normally (uniform {own} ∪ inbox
+	// average).
 	ChurnPlan *transport.ChurnPlan
-	// Byzantine, when non-nil with Fraction > 0, makes a deterministic
-	// subset of nodes corrupt every push they send (see
-	// attack.Byzantine; the collusion echo resends the node's
-	// post-aggregation state, carrying no local training signal).
+	// Byzantine nodes corrupt every push they send (the collusion echo
+	// resends the node's post-aggregation state, carrying no local
+	// training signal).
 	Byzantine *attack.Byzantine
 
 	// Train is the local-training option template; Rand is ignored.
 	Train model.TrainOptions
 
-	// Transport carries the node→neighbour model pushes. nil defaults
-	// to a fresh transport.Inproc (pointer passing); transport.NewWire()
-	// round-trips every push through the binary wire codec and the
-	// socket backends (transport.NewOptions / transport.DialOptions)
-	// push it over a real RPC socket, all with byte-identical results
-	// (enforced by the replay harness, TestReplay). Pushes use the
-	// transport's payload codec: dense float64 by default, or the
-	// sparse+quantized CPQ1 codec when the transport was built with
-	// transport.Options.Compression — coded absolute, as gossip has no
-	// broadcast to delta against. The caller keeps ownership: the
-	// simulation never closes the transport. Instances accumulate
-	// per-simulation traffic stats, so do not share one across
-	// simulations.
+	// Transport carries the node→neighbour model pushes. A compressing
+	// transport codes them absolute, as gossip has no broadcast to delta
+	// against.
 	Transport transport.Transport
 
-	// Workers bounds the number of goroutines running per-node work
-	// (view refresh, payload construction, inbox aggregation, local
-	// training) and the UtilityHR/UtilityF1 sweeps concurrently. 0
-	// defaults to runtime.NumCPU(); negative forces serial execution.
-	// Results are byte-identical whatever the worker count: every node
-	// owns its RNG stream, message delivery happens sequentially in
-	// sender order between the parallel phases, observer callbacks run
-	// in sender order on one goroutine alongside aggregation and
-	// training (they read only the read-only payloads), and utility
-	// evaluation derives one counter-based stream per (seed, round,
-	// node).
+	// Workers bounds the payload construction, inbox aggregation and
+	// local training of the nodes. Message delivery happens sequentially
+	// in sender order between the parallel phases, and observer
+	// callbacks run in sender order on one goroutine alongside
+	// aggregation and training (they read only the read-only payloads).
 	Workers int
 
-	// Tracer optionally records phase spans (encode/send/aggregate/
-	// train/eval) for every round. nil disables tracing; results are
-	// byte-identical either way — the tracer is write-only from the
-	// simulation's point of view (the obsleak analyzer enforces it).
+	// Tracer records encode/send/aggregate/train/eval spans.
 	Tracer *obs.Tracer
 
 	Observer Observer
@@ -184,39 +159,17 @@ type Config struct {
 	Seed uint64
 }
 
+// validate checks the fields only gossip has, on their defaulted values
+// (simcore.New checks the shared ones first).
 func (c *Config) validate() error {
-	if c.Dataset == nil {
-		return fmt.Errorf("gossip: Config.Dataset is required")
-	}
-	if c.Factory == nil {
-		return fmt.Errorf("gossip: Config.Factory is required")
-	}
-	if c.Rounds <= 0 {
-		return fmt.Errorf("gossip: Config.Rounds must be positive, got %d", c.Rounds)
-	}
 	if c.OutDegree < 0 || c.OutDegree >= c.Dataset.NumUsers {
-		return fmt.Errorf("gossip: OutDegree %d out of [0, numUsers)", c.OutDegree)
+		return fmt.Errorf("gossip: Config.OutDegree %d out of [0, numUsers)", c.OutDegree)
 	}
 	if c.WakeProb < 0 || c.WakeProb > 1 {
-		return fmt.Errorf("gossip: WakeProb %v out of [0,1]", c.WakeProb)
+		return fmt.Errorf("gossip: Config.WakeProb %v out of [0,1]", c.WakeProb)
 	}
 	if c.ExplorationRatio < 0 || c.ExplorationRatio > 1 {
-		return fmt.Errorf("gossip: ExplorationRatio %v out of [0,1]", c.ExplorationRatio)
-	}
-	if c.FaultPlan != nil {
-		if err := c.FaultPlan.Validate(); err != nil {
-			return fmt.Errorf("gossip: %w", err)
-		}
-	}
-	if c.ChurnPlan != nil {
-		if err := c.ChurnPlan.Validate(); err != nil {
-			return fmt.Errorf("gossip: %w", err)
-		}
-	}
-	if c.Byzantine != nil {
-		if err := c.Byzantine.Validate(); err != nil {
-			return fmt.Errorf("gossip: %w", err)
-		}
+		return fmt.Errorf("gossip: Config.ExplorationRatio %v out of [0,1]", c.ExplorationRatio)
 	}
 	return nil
 }
@@ -244,67 +197,41 @@ type Simulation struct {
 	cfg   Config
 	nodes []node
 	rng   *rand.Rand
-	eval  *model.Eval
 	round int
-	tr    transport.Transport
-
-	workers int
-	pool    param.Buffers // payload free-list
-	pushes  []push        // per-round staging, indexed by sender
-
-	// Churn membership fold (nil when no ChurnPlan is active).
-	membership *transport.Membership
-
-	// Resilience accounting, incremented from worker goroutines.
-	lostPushes      atomic.Int64
-	skippedPeers    atomic.Int64
-	absentSkips     atomic.Int64
-	staleResets     atomic.Int64
-	byzantinePushes atomic.Int64
+	// core is the shared frame: defaults, workers, eval engine, churn
+	// membership, payload pool and the resilience counters.
+	core   *simcore.Core
+	pushes []push // per-round staging, indexed by sender
 }
 
-// Resilience is the simulation's accumulated fault accounting.
+// Resilience is the simulation's accumulated fault accounting: one
+// field per gossip counter of simcore.Counters, which documents each,
+// in table order. The registry reads the counters themselves; this
+// struct stays for the benchmark module's readers until ROADMAP item 3
+// removes them.
 type Resilience struct {
-	// LostPushes counts pushes the transport failed to carry (injected
-	// faults or an unreachable backend).
-	LostPushes int64
-	// SkippedPeers counts pushes skipped because the chosen receiver
-	// was unreachable under the FaultPlan.
-	SkippedPeers int64
-	// AbsentSkips counts pushes skipped because the chosen receiver
-	// had left under the ChurnPlan (the sender keeps its view — peers
-	// may rejoin).
-	AbsentSkips int64
-	// Joins, Leaves and Rejoins are the ChurnPlan membership
-	// transitions (a rejoin is also counted as a join).
-	Joins   int64
-	Leaves  int64
-	Rejoins int64
-	// StaleResets counts rejoining nodes whose staleness exceeded
-	// ChurnPlan.StaleBound and whose model was replaced by the inbox
-	// average under the staleness-bounded merge rule.
-	StaleResets int64
-	// ByzantinePushes counts pushes corrupted by the Byzantine
-	// adversary population before sending.
-	ByzantinePushes int64
+	LostPushes, SkippedPeers, AbsentSkips, Joins, Leaves, Rejoins int64
+	StaleResets, ByzantinePushes                                  int64
 }
 
 // Resilience returns the accumulated fault accounting.
 func (s *Simulation) Resilience() Resilience {
-	r := Resilience{
-		LostPushes:      s.lostPushes.Load(),
-		SkippedPeers:    s.skippedPeers.Load(),
-		AbsentSkips:     s.absentSkips.Load(),
-		StaleResets:     s.staleResets.Load(),
-		ByzantinePushes: s.byzantinePushes.Load(),
+	c := s.core.Counts()
+	return Resilience{
+		LostPushes:      c[simcore.LostPushes],
+		SkippedPeers:    c[simcore.SkippedPeers],
+		AbsentSkips:     c[simcore.AbsentSkips],
+		Joins:           c[simcore.Joins],
+		Leaves:          c[simcore.Leaves],
+		Rejoins:         c[simcore.Rejoins],
+		StaleResets:     c[simcore.StaleResets],
+		ByzantinePushes: c[simcore.ByzantinePushes],
 	}
-	if s.membership != nil {
-		r.Joins = s.membership.Joins()
-		r.Leaves = s.membership.Leaves()
-		r.Rejoins = s.membership.Rejoins()
-	}
-	return r
 }
+
+// RegisterMetrics installs live views of the simulation's counters
+// into reg (see simcore.Core.RegisterMetrics). No-op on a nil registry.
+func (s *Simulation) RegisterMetrics(reg *obs.Registry) { s.core.RegisterMetrics(reg) }
 
 // push is one node's (possibly absent) outgoing transfer for the
 // current round, computed in parallel and delivered sequentially.
@@ -313,14 +240,21 @@ type push struct {
 	payload *param.Set
 }
 
-// New builds a gossip simulation from cfg. Defaults are applied before
-// validation so that e.g. a 3-node network is rejected (the default
-// out-degree P = 3 requires at least P+1 nodes) instead of panicking
-// later.
+// New builds a gossip simulation from cfg, in the order the simcore
+// package doc states: shared fields, then gossip's own. Gossip's
+// defaults apply before its checks, so that e.g. a 3-node network is
+// rejected (the default out-degree P = 3 requires at least P+1 nodes)
+// instead of panicking later.
 func New(cfg Config) (*Simulation, error) {
-	if cfg.Policy == nil {
-		cfg.Policy = defense.FullSharing{}
+	core, err := simcore.New(simcore.Gossip, simcore.Config{
+		Dataset: cfg.Dataset, Factory: cfg.Factory, Policy: cfg.Policy, Rounds: cfg.Rounds,
+		Workers: cfg.Workers, Transport: cfg.Transport, FaultPlan: cfg.FaultPlan,
+		ChurnPlan: cfg.ChurnPlan, Byzantine: cfg.Byzantine, Tracer: cfg.Tracer, Seed: cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
 	}
+	cfg.Policy, cfg.Transport = core.Policy, core.Transport
 	if cfg.Variant == 0 {
 		cfg.Variant = RandGossip
 	}
@@ -339,22 +273,15 @@ func New(cfg Config) (*Simulation, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Transport == nil {
-		cfg.Transport = transport.NewInproc()
-	}
 	rng := mathx.NewRand(cfg.Seed)
 	n := cfg.Dataset.NumUsers
 	s := &Simulation{
-		cfg:     cfg,
-		nodes:   make([]node, n),
-		rng:     rng,
-		tr:      cfg.Transport,
-		workers: parx.Workers(cfg.Workers),
-		pushes:  make([]push, n),
+		cfg:    cfg,
+		nodes:  make([]node, n),
+		rng:    rng,
+		core:   core,
+		pushes: make([]push, n),
 	}
-	// The same eval seed constant as the historical shared evalRng, now
-	// feeding per-(round, user) counter-derived streams.
-	s.eval = model.NewEval(cfg.Dataset, s.workers, cfg.Seed^0xabcdef)
 	for u := 0; u < n; u++ {
 		m := cfg.Factory(rng.Uint64())
 		if m.NumUsers() != n || m.NumItems() != cfg.Dataset.NumItems {
@@ -362,18 +289,13 @@ func New(cfg Config) (*Simulation, error) {
 				m.NumUsers(), m.NumItems(), n, cfg.Dataset.NumItems)
 		}
 		s.nodes[u] = node{m: m, rng: mathx.Split(rng)}
-		if cfg.Policy.ReadsSnapshot() || cfg.Byzantine != nil && cfg.Byzantine.IsAdversary(u) {
+		if core.NeedsSnapshot(u) {
 			s.nodes[u].preTrain = m.Params().Clone()
 		}
 	}
 	for u := range s.nodes {
 		s.refreshView(u)
 		s.scheduleRefresh(u)
-	}
-	// The membership fold consumes no simulator RNG, so building it (or
-	// not) leaves every node stream above untouched.
-	if cfg.ChurnPlan != nil && cfg.ChurnPlan.Enabled() {
-		s.membership = transport.NewMembership(*cfg.ChurnPlan, n)
 	}
 	return s, nil
 }
@@ -408,12 +330,9 @@ func (s *Simulation) Run() {
 // setting.
 func (s *Simulation) RunRound() {
 	round := s.round
-	if s.membership != nil {
-		// Apply the round's churn transitions first: the rest of the
-		// round consults a fixed membership. Pure plan functions — no
-		// simulator RNG consumed.
-		s.membership.Advance(round)
-	}
+	// Apply the round's churn transitions first: the rest of the round
+	// consults a fixed membership.
+	s.core.Advance(round)
 
 	// View maintenance via the peer-sampling service. This phase stays
 	// sequential: Pers-Gossip scores candidate peers by calling
@@ -425,7 +344,7 @@ func (s *Simulation) RunRound() {
 	// nodes are frozen — an overdue refresh waits until they rejoin.
 	if !s.cfg.StaticGraph {
 		for u := range s.nodes {
-			if s.membership != nil && !s.membership.Present(u) {
+			if !s.core.Present(u) {
 				continue
 			}
 			if s.nodes[u].nextRefresh <= round {
@@ -441,10 +360,10 @@ func (s *Simulation) RunRound() {
 	// round; transport stats are atomic sums, independent of worker
 	// interleaving). Transit loss is the transport's: a Faulty wrapper's
 	// failed Send counts as a lost push.
-	parx.ForEach(s.workers, len(s.nodes), func(w, u int) {
+	parx.ForEach(s.core.Workers, len(s.nodes), func(w, u int) {
 		nd := &s.nodes[u]
 		s.pushes[u] = push{to: -1}
-		if s.membership != nil && !s.membership.Present(u) {
+		if !s.core.Present(u) {
 			// Absent under churn: frozen before any RNG draw, so the
 			// node's stream resumes exactly where it paused.
 			return
@@ -454,7 +373,7 @@ func (s *Simulation) RunRound() {
 		}
 		to := nd.view[nd.rng.IntN(len(nd.view))]
 		encStart := s.cfg.Tracer.Start()
-		payload := s.cfg.Policy.Outgoing(nd.m, nd.preTrain, nd.rng, &s.pool)
+		payload := s.cfg.Policy.Outgoing(nd.m, nd.preTrain, nd.rng, &s.core.Pool)
 		s.cfg.Tracer.Span(w, obs.PhaseEncode, round, u, encStart)
 		// Plan- and transport-level faults, churn checks and Byzantine
 		// corruption consume no RNG beyond their own counter-based
@@ -462,26 +381,23 @@ func (s *Simulation) RunRound() {
 		// these code paths.
 		if s.cfg.FaultPlan != nil && s.cfg.FaultPlan.Unreachable(round, to) {
 			// Receiver down this round: skip the push, keep the view.
-			s.skippedPeers.Add(1)
-			s.pool.Put(payload)
+			s.core.Add(simcore.SkippedPeers)
+			s.core.Pool.Put(payload)
 			return
 		}
-		if s.membership != nil && !s.membership.Present(to) {
+		if !s.core.Present(to) {
 			// Receiver left under churn: skip the push, keep the view
 			// (the peer may rejoin).
-			s.absentSkips.Add(1)
-			s.pool.Put(payload)
+			s.core.Add(simcore.AbsentSkips)
+			s.core.Pool.Put(payload)
 			return
 		}
-		if s.cfg.Byzantine != nil && s.cfg.Byzantine.IsAdversary(u) {
-			s.cfg.Byzantine.Corrupt(round, u, payload, nd.preTrain)
-			s.byzantinePushes.Add(1)
-		}
+		s.core.Corrupt(round, u, payload, nd.preTrain)
 		sendStart := s.cfg.Tracer.Start()
-		sent, err := s.tr.Send(round, u, payload, &s.pool)
+		sent, err := s.cfg.Transport.Send(round, u, payload, &s.core.Pool)
 		s.cfg.Tracer.Span(w, obs.PhaseSend, round, u, sendStart)
 		if err != nil {
-			s.lostPushes.Add(1)
+			s.core.Add(simcore.LostPushes)
 			return // push lost in transit (payload already recycled)
 		}
 		s.pushes[u] = push{to: to, payload: sent}
@@ -513,9 +429,9 @@ func (s *Simulation) RunRound() {
 
 	// Phase 2: aggregate inboxes; Phase 3: local training. Each node
 	// touches only its own model, inbox and RNG.
-	parx.ForEach(s.workers, len(s.nodes), func(w, u int) {
+	parx.ForEach(s.core.Workers, len(s.nodes), func(w, u int) {
 		nd := &s.nodes[u]
-		if s.membership != nil && !s.membership.Present(u) {
+		if !s.core.Present(u) {
 			// Absent under churn: no aggregation, no training — the
 			// node's model and RNG stay frozen until it rejoins. Its
 			// inbox is necessarily empty (senders skip absent peers).
@@ -524,13 +440,13 @@ func (s *Simulation) RunRound() {
 		if len(nd.inbox) > 0 {
 			aggStart := s.cfg.Tracer.Start()
 			dropOwn := false
-			if s.membership != nil && s.cfg.ChurnPlan.StaleBound > 0 {
-				if stale := s.membership.RejoinStaleness(u); stale > s.cfg.ChurnPlan.StaleBound {
+			if m := s.core.Membership; m != nil && s.cfg.ChurnPlan.StaleBound > 0 {
+				if stale := m.RejoinStaleness(u); stale > s.cfg.ChurnPlan.StaleBound {
 					// Staleness-bounded merge: the rejoiner missed more
 					// rounds than the bound allows, so its own model is
 					// outvoted entirely by the fresh inbox.
 					dropOwn = true
-					s.staleResets.Add(1)
+					s.core.Add(simcore.StaleResets)
 				}
 			}
 			s.aggregateInbox(nd, dropOwn)
@@ -557,7 +473,7 @@ func (s *Simulation) RunRound() {
 	}
 	for u, p := range s.pushes {
 		if p.to >= 0 {
-			s.pool.Put(p.payload)
+			s.core.Pool.Put(p.payload)
 		}
 		s.pushes[u] = push{to: -1}
 	}
@@ -757,18 +673,12 @@ func (s *Simulation) probeItems(u int) []int {
 // independent of any other RNG consumption (each node's model is owned
 // by exactly one work item, so model-owned forward scratch never races).
 func (s *Simulation) UtilityHR(k, numNeg int) float64 {
-	evalStart := s.cfg.Tracer.Start()
-	hr := s.eval.HR(s.round, s.nodeModel, k, numNeg)
-	s.cfg.Tracer.Span(s.workers, obs.PhaseEval, s.round, obs.RoundLevel, evalStart)
-	return hr
+	return s.core.UtilityHR(s.round, s.nodeModel, k, numNeg)
 }
 
 // UtilityF1 is the mean top-k F1 across nodes on their local models.
 func (s *Simulation) UtilityF1(k int) float64 {
-	evalStart := s.cfg.Tracer.Start()
-	f1 := s.eval.F1(s.nodeModel, k)
-	s.cfg.Tracer.Span(s.workers, obs.PhaseEval, s.round, obs.RoundLevel, evalStart)
-	return f1
+	return s.core.UtilityF1(s.round, s.nodeModel, k)
 }
 
 // nodeModel is the eval engine's pick function: node u evaluates with

@@ -1,12 +1,12 @@
 package gossip
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/dataset"
 	"github.com/collablearn/ciarec/internal/defense"
 	"github.com/collablearn/ciarec/internal/model"
-	"github.com/collablearn/ciarec/internal/transport"
 )
 
 func gossipTestDataset(t *testing.T) *dataset.Dataset {
@@ -32,20 +32,25 @@ func gossipConfig(d *dataset.Dataset) Config {
 	}
 }
 
+// TestNewValidation covers the checks of gossip's own fields (simcore's
+// TestValidate covers the shared ones): each rejected config's error
+// carries the gossip: prefix and names what it rejects.
 func TestNewValidation(t *testing.T) {
 	d := gossipTestDataset(t)
-	bad := []Config{
-		{},
-		{Dataset: d},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4)},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4), Rounds: 3, OutDegree: d.NumUsers},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4), Rounds: 3, WakeProb: 1.5},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers, d.NumItems, 4), Rounds: 3, FaultPlan: &transport.FaultPlan{DropProb: 1.5}},
-		{Dataset: d, Factory: model.NewGMFFactory(d.NumUsers+1, d.NumItems, 4), Rounds: 3},
-	}
-	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("config %d should fail", i)
+	for _, tc := range []struct {
+		want   string
+		mutate func(*Config)
+	}{
+		{"Config.OutDegree", func(c *Config) { c.OutDegree = d.NumUsers }},
+		{"Config.WakeProb", func(c *Config) { c.WakeProb = 1.5 }},
+		{"Config.ExplorationRatio", func(c *Config) { c.ExplorationRatio = -0.5 }},
+		{"model shape 31/100", func(c *Config) { c.Factory = model.NewGMFFactory(d.NumUsers+1, d.NumItems, 4) }},
+	} {
+		cfg := gossipConfig(d)
+		tc.mutate(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.HasPrefix(err.Error(), "gossip: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: New error %v, want a gossip: error naming it", tc.want, err)
 		}
 	}
 }

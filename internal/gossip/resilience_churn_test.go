@@ -1,13 +1,13 @@
 package gossip
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/collablearn/ciarec/internal/attack"
 	"github.com/collablearn/ciarec/internal/obs"
 	"github.com/collablearn/ciarec/internal/param"
+	"github.com/collablearn/ciarec/internal/simcore"
+	"github.com/collablearn/ciarec/internal/simcore/simcoretest"
 	"github.com/collablearn/ciarec/internal/transport"
 )
 
@@ -74,9 +74,10 @@ func TestResilienceGossipChurnFreezesAbsentNodes(t *testing.T) {
 }
 
 // TestResilienceMetricViews holds the registry's resilience_* views to
-// the Resilience() accounting they read: after a run with churn,
-// Byzantine pushes and faults, there is one view per field and each
-// equals its field.
+// the Resilience() accounting (simcoretest.MetricViews): after a run
+// with churn, Byzantine pushes and faults, there is one view per gossip
+// counter of simcore.Counters, in table order, and each equals its
+// Resilience field.
 func TestResilienceMetricViews(t *testing.T) {
 	d := gossipTestDataset(t)
 	churn := churnTestPlan()
@@ -101,29 +102,5 @@ func TestResilienceMetricViews(t *testing.T) {
 	s.RegisterMetrics(reg)
 	s.Run()
 
-	r := s.Resilience()
-	want := map[string]int64{
-		"resilience_lost_pushes":      r.LostPushes,
-		"resilience_skipped_peers":    r.SkippedPeers,
-		"resilience_absent_skips":     r.AbsentSkips,
-		"resilience_joins":            r.Joins,
-		"resilience_leaves":           r.Leaves,
-		"resilience_rejoins":          r.Rejoins,
-		"resilience_stale_resets":     r.StaleResets,
-		"resilience_byzantine_pushes": r.ByzantinePushes,
-	}
-	for name, v := range want {
-		if v == 0 {
-			t.Errorf("%s is 0: the run is too tame to tell the views apart (%+v)", name, r)
-		}
-	}
-	got := map[string]int64{}
-	for name, v := range reg.Snapshot() {
-		if strings.HasPrefix(name, "resilience_") {
-			got[name] = int64(v)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resilience views %v, Resilience() fields %v", got, want)
-	}
+	simcoretest.MetricViews(t, simcore.Gossip, reg, s.Resilience())
 }
